@@ -44,8 +44,6 @@ from .multiscale import (
     ScalingMapKdV,
     build_composite,
     build_leading_ode,
-    composite_eval,
-    inner_u,
     overlap_error,
     overlap_report,
     reduce_to_pi,
@@ -97,8 +95,6 @@ __all__ = [
     "ScalingMapKdV",
     "build_composite",
     "build_leading_ode",
-    "composite_eval",
-    "inner_u",
     "overlap_error",
     "overlap_report",
     "reduce_to_pi",

@@ -24,6 +24,7 @@ stderr), 2 configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -97,14 +98,15 @@ def load_config(path) -> dict:
 
 
 def _resolve(args, config: dict, key: str, fallback=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    if fallback is not None:
-        return fallback
-    return DEFAULTS.get(key)
+    """Flag > config file > fallback > DEFAULTS; non-finite numbers are rejected."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = config.get(key, fallback)
+    if value is None:
+        value = DEFAULTS.get(key)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} = {value} is not a finite number")
+    return value
 
 
 def _outdir(args, config) -> Path:

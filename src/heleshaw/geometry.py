@@ -3,26 +3,28 @@
 Finger curves live on X >= u and read Y(X) = P(X) sqrt(X - u), where the
 prefactor P is the polynomial part (non-negative z-powers, X = z^2) of
 
-    sum_k (k + 1/2) t_k z^(2k-1) / sqrt(z^2 - v),
+    sum_k (k + 1/2) t_k z^(2k-1) / sqrt(z^2 - u),
 
-extracted exactly by series division.  For the quintic finger configuration
-(t_3 = 2/7) this specializes to P(X) = X^2 + (u/2) X + (3/8) u^2 - 6/5.
+built once as an exact table of polynomials in u.  For the quintic finger
+configuration (t_3 = 2/7) this specializes to
+P(X) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1.
 Bubble curves read Y(X) = 3 t_3 (X + u) sqrt((X - u)^2 - 4 v), real outside
 the tip gap (a, b) = (u - 2 sqrt(v), u + 2 sqrt(v)).
 
 Topological events along the regularized flow are driven by the roots of P
 relative to the branch point u(x):
 
-  * cusp: P(u) = 0 (a root collides with the branch point),
+  * cusp: P(u; u) = 0 (a root collides with the branch point),
   * zero-count-change: the number of real roots >= u jumps by one
-    (operational definition of bubble birth/annihilation),
+    (operational definition of bubble birth/annihilation); P keeps its
+    degree, so this happens exactly at the cusps,
   * root-coalescence: the discriminant of P vanishes (both roots merge:
     the remaining bubble is absorbed by the finger).
 
-u(x) is strictly decreasing along the composite flow, so each event has a
-unique abscissa; they are localized by bisection on sign functions over a
-grid geometrically refined toward x* (everything interesting clusters
-within ~2.4e-4 of the critical point).
+Both conditions are polynomials in u alone, so the event levels are their
+real roots: u = +-v_c and u = +-sqrt(6) v_c for the quintic finger.  u(x)
+decreases on each branch of the composite flow, so each level is crossed
+at most once per branch and its abscissa follows by bisection there.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NoConvergence
 from .hodograph import KdVTimes, r_coeff
 from .multiscale import CompositeSolution
 from .textio import fmt, json_text
@@ -44,21 +46,27 @@ from .toda import TodaInner, toda_composite
 
 # -- the positive-part projection ---------------------------------------
 
-def oplus_project(times: KdVTimes, v) -> list:
-    """Prefactor coefficients (ascending in X) of the finger curve.
+def _prefactor_table(times: KdVTimes) -> list[list]:
+    """Finger prefactor as a table of polynomials in u: row j, entry m multiplies X^j u^m.
 
-    Dividing each z^(2k-1) by sqrt(z^2 - v) and keeping non-negative powers
-    gives P(X) = sum_k (k + 1/2) t_k sum_{m=0}^{k-1} r_m(v) X^(k-1-m);
-    exact in rational arithmetic for Fraction inputs.
+    Dividing each z^(2k-1) by sqrt(z^2 - u) and keeping non-negative powers
+    gives P(X; u) = sum_k (k + 1/2) t_k sum_{m=0}^{k-1} r_m(u) X^(k-1-m), with
+    r_m(u) = binom(2m, m) (u/4)^m; exact in rational arithmetic for exact times.
     """
-    degree = len(times.t) - 1
-    zero = Fraction(0) if isinstance(v, Fraction) else 0.0
-    coeffs = [zero] * (degree + 1)
+    n = len(times.t)
+    table = [[0] * (n - j) for j in range(n)]
     for k, tk in times.items():
-        half_k = Fraction(2 * k + 1, 2)
         for m in range(k):
-            coeffs[k - 1 - m] = coeffs[k - 1 - m] + half_k * tk * r_coeff(m, v)
-    return coeffs
+            table[k - 1 - m][m] = Fraction(2 * k + 1, 2) * tk * r_coeff(m, Fraction(1))
+    return table
+
+
+def oplus_project(times: KdVTimes, v) -> list:
+    """Prefactor coefficients (ascending in X) of the finger curve at u = v.
+
+    Evaluates _prefactor_table; exact for Fraction inputs.
+    """
+    return [sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in _prefactor_table(times)]
 
 
 def reexpand_curve_series(coeffs: Sequence, v, n_terms: int) -> list:
@@ -265,25 +273,6 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
 
 # -- event detection -----------------------------------------------------
 
-def _quad_data(poly):
-    c0, c1, c2 = (float(poly[0]), float(poly[1]), float(poly[2]))
-    return c0, c1, c2
-
-
-def _root_count_geq(poly, u: float) -> int:
-    """Number of real prefactor roots >= u (quadratic fast path)."""
-    cs = [float(c) for c in poly]
-    if len(cs) == 3 and cs[2] != 0.0:
-        c0, c1, c2 = _quad_data(cs)
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return 0
-        root = math.sqrt(disc)
-        r1, r2 = (-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2)
-        return int(r1 >= u) + int(r2 >= u)
-    return sum(1 for r in _poly_real_roots(cs) if r >= u)
-
-
 def _bisect_to_machine(fn, lo, hi, flo):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -297,19 +286,6 @@ def _bisect_to_machine(fn, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-def _bisect_transition(fn, lo, hi, base):
-    """Bisect an integer-valued transition: largest x with fn(x) == base."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) == base:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 
 
@@ -317,88 +293,52 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float],
                   resolution: int = 10_000) -> list[Event]:
     """Ordered topological events of the composite flow on x_range.
 
-    The scan grid is uniform over the outer region and geometrically refined
-    toward x* (where u(x) dives to -infinity); each sign change of P(u),
-    of the discriminant of P, and each jump of the root count is bisected
-    to machine precision.  An even root-count jump is the coalescence
-    itself and is reported once, as root-coalescence.
+    The event levels are the real roots of two polynomials in u taken from
+    the float image of the prefactor table: g(u) = P(u; u), whose roots give
+    a cusp and, since P keeps its degree, a zero-count-change at the same x;
+    and the discriminant p_1^2 - 4 p_2 p_0 of the quadratic P, whose roots
+    give a root-coalescence.  u(x) decreases on each branch of the composite
+    (outer below x_switch, inner above), so each root inside a branch's
+    u-range is carried to x by one bisection to machine precision on that
+    branch.  Events are sorted by x, coincident ones in the order cusp,
+    zero-count-change, root-coalescence.  `resolution` is unused; it is
+    accepted for compatibility.
+
+    Raises NoConvergence when the jump of u at x_switch straddles a root,
+    since the glued field then has no single crossing of it.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     hi = min(hi, comp.x_star - 2e-7)
     if not lo < hi:
         return []
-    times = comp.cp.times_c
+    P = np.polynomial.polynomial
+    p0, p1, p2 = ([float(c) for c in row] for row in _prefactor_table(comp.cp.times_c))
+    g = P.polyadd(P.polyadd(p0, [0.0] + p1), [0.0, 0.0] + p2)
+    disc = P.polysub(P.polymul(p1, p1), 4.0 * P.polymul(p2, p0))
+    levels = [(r, ("cusp", "zero-count-change")) for r in _poly_real_roots(g)]
+    levels += [(r, ("root-coalescence",)) for r in _poly_real_roots(disc)]
 
-    def u_of(x):
-        return comp.eval(float(x))
-
-    def g_of_u(u):
-        return float(np.polynomial.polynomial.polyval(u, np.asarray(oplus_project(times, u), dtype=float)))
-
-    def h_of_u(u):
-        c0, c1, c2 = _quad_data(oplus_project(times, u))
-        return c1 * c1 - 4.0 * c2 * c0
-
-    def count_of_u(u):
-        return _root_count_geq(oplus_project(times, u), u)
-
-    def g_cusp(x):
-        return g_of_u(u_of(x))
-
-    def h_disc(x):
-        return h_of_u(u_of(x))
-
-    def count(x):
-        return count_of_u(u_of(x))
-
-    # grid: uniform bulk + geometric refinement into the critical layer
-    n_uniform = max(resolution // 2, 16)
-    n_geo = max(resolution - n_uniform, 16)
-    uniform = np.linspace(lo, hi, n_uniform)
-    geo = comp.x_star - np.geomspace(comp.x_star - lo, max(comp.x_star - hi, 2e-7), n_geo)
-    grid = np.unique(np.concatenate([uniform, geo, [hi]]))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    u_grid = comp.eval_many(grid)
+    x_switch = comp.x_switch
+    branches = []  # (x_a, x_b, u(x_a), u(x_b), u) with u decreasing on [x_a, x_b]
+    if lo < x_switch:
+        b = min(hi, x_switch)
+        branches.append((lo, b, comp.outer(lo), comp.outer(b), comp.outer))
+    if hi > x_switch:
+        a = max(lo, x_switch)
+        branches.append((a, hi, comp.inner_u(a), comp.inner_u(hi), comp.inner_u))
+    jump = sorted((branches[0][3], branches[1][2])) if len(branches) == 2 else (math.inf, -math.inf)
 
     events: list[Event] = []
-
-    g_vals = np.array([g_of_u(u) for u in u_grid])
-    for i in np.flatnonzero(np.sign(g_vals[:-1]) * np.sign(g_vals[1:]) < 0):
-        x_ev = _bisect_to_machine(g_cusp, grid[i], grid[i + 1], g_vals[i])
-        events.append(Event("cusp", u_value=u_of(x_ev), x_value=x_ev))
-
-    h_vals = np.array([h_of_u(u) for u in u_grid])
-    coalescences = []
-    for i in np.flatnonzero(np.sign(h_vals[:-1]) * np.sign(h_vals[1:]) < 0):
-        x_ev = _bisect_to_machine(h_disc, grid[i], grid[i + 1], h_vals[i])
-        coalescences.append(Event("root-coalescence", u_value=u_of(x_ev), x_value=x_ev))
-    events.extend(coalescences)
-
-    c_vals = np.array([count_of_u(u) for u in u_grid])
-    for i in np.flatnonzero(np.diff(c_vals) != 0):
-        jump = int(c_vals[i + 1] - c_vals[i])
-        if jump % 2 == 0:
-            # a root pair left/entered the real axis: that is the coalescence,
-            # already reported through the discriminant crossing
-            if any(grid[i] <= ev.x_value <= grid[i + 1] for ev in coalescences):
-                continue
-            kind = "root-coalescence"
-        else:
-            kind = "zero-count-change"
-        x_ev = _bisect_transition(count, grid[i], grid[i + 1], int(c_vals[i]))
-        events.append(Event(kind, u_value=u_of(x_ev), x_value=x_ev))
-
-    def order_key(ev: Event):
-        return (ev.x_value, _EVENT_PRIORITY[ev.kind])
-
-    events.sort(key=order_key)
-    # collapse events that bisected to the same abscissa with the same kind
-    deduped: list[Event] = []
-    for ev in events:
-        if deduped and deduped[-1].kind == ev.kind and abs(deduped[-1].x_value - ev.x_value) < 1e-12:
-            continue
-        deduped.append(ev)
-    return deduped
+    for root, kinds in levels:
+        if jump[0] <= root <= jump[1]:
+            raise NoConvergence(f"u jumps across the event level u = {root!r} at "
+                                f"x_switch = {x_switch!r}: no single crossing")
+        for a, b, u_a, u_b, u_of in branches:
+            if u_b <= root <= u_a:
+                x_ev = _bisect_to_machine(lambda x: u_of(x) - root, a, b, u_a - root)
+                events += [Event(kind, u_value=root, x_value=x_ev) for kind in kinds]
+    events.sort(key=lambda ev: (ev.x_value, _EVENT_PRIORITY[ev.kind]))
+    return events
 
 
 # -- frame emission ------------------------------------------------------

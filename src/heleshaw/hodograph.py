@@ -28,7 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DerivativeVanishes, DomainError, NoConvergence, UnsupportedOrder
 
@@ -86,16 +85,6 @@ class CriticalPoint:
 
 # -- generating coefficients ----------------------------------------------
 
-@lru_cache(maxsize=None)
-def _r_const(k: int) -> Fraction:
-    return Fraction(math.comb(2 * k, k), 4**k)
-
-
-@lru_cache(maxsize=None)
-def _r_const_float(k: int) -> float:
-    return float(_r_const(k))
-
-
 def r_coeff(k: int, v):
     """k-th coefficient of z/sqrt(z^2 - v): r_k(v) = binom(2k,k) (v/4)^k.
 
@@ -103,15 +92,7 @@ def r_coeff(k: int, v):
     """
     if k < 0:
         raise DomainError("k must be non-negative")
-    if k == 0:
-        return _one_like(v)
-    if isinstance(v, Fraction):
-        return _r_const(k) * v**k
-    return _r_const_float(k) * v**k
-
-
-def _one_like(v):
-    return Fraction(1) if isinstance(v, Fraction) else 1.0
+    return math.comb(2 * k, k) * v**k / 4**k
 
 
 def _halfint_rising_coeff(r: int, n: int) -> Fraction:
@@ -133,7 +114,7 @@ def c_coeff(j: int, r: int, v):
     if j < 1 or r < 0:
         raise DomainError("need j >= 1 and r >= 0")
     if j < r:
-        return 0 * _one_like(v)
+        return 0 * v
     coeff = (2 * j + 1) * _halfint_rising_coeff(r, j - r)
     return coeff * v ** (j - r)
 
@@ -154,12 +135,11 @@ def eval_dH(times: KdVTimes, v, j: int):
         raise DomainError("derivative order must be non-negative")
     if j == 0:
         return eval_H(times, v)
-    exact = isinstance(v, Fraction)
-    total = 0 * _one_like(v)
+    total = 0 * v
     for k, tk in times.items():
         if k >= j:
-            const = _r_const(k) if exact else _r_const_float(k)
-            total = total + (2 * k + 1) * tk * const * math.perm(k, j) * v ** (k - j)
+            dr = math.perm(k, j) * math.comb(2 * k, k) * v ** (k - j) / 4**k  # j-th derivative of r_k
+            total = total + (2 * k + 1) * tk * dr
     return total
 
 
@@ -271,7 +251,7 @@ def closed_u0(x: float, t_1: float) -> float:
     the fold at x_c, where u -> v_c.  For t_1 < 0 and x <= x_c this is the
     physical finger branch; past x_c the branch folds away and we refuse.
     """
-    if t_1 >= 0:
+    if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
     v_c = math.sqrt(-4.0 * t_1 / 5.0)
     x_c = -t_1 * v_c
@@ -295,9 +275,9 @@ def find_critical_25(t_1):
     """
     if not t_1 < 0:
         raise DomainError("critical point requires t_1 < 0")
-    v_c = _sqrt_like(-4 * t_1 / 5 if isinstance(t_1, Fraction) else -4.0 * t_1 / 5.0)
+    v_c = _sqrt_like(-4 * t_1 / 5)
     x_c = -t_1 * v_c
-    c = -8 / (15 * v_c) if isinstance(v_c, Fraction) else -8.0 / (15.0 * v_c)
+    c = -8 / (15 * v_c)
     times_c = quintic_times(t_1, x=x_c)
     return CriticalPoint(m=2, times_c=times_c, v_c=v_c, c=c)
 

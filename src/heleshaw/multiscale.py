@@ -88,8 +88,7 @@ class LeadingODE:
         """(1, 3, rhs) of u1'' + 3 u1^2 = rhs * x~ for the m = 2 case."""
         if self.m != 2:
             raise UnsupportedOrder("canonical form implemented for m = 2 only")
-        rhs = -8 / self.A if isinstance(self.A, Fraction) else -8.0 / self.A
-        return (1, 3, rhs)
+        return (1, 3, -8 / self.A)
 
 
 @dataclass(frozen=True)
@@ -262,14 +261,6 @@ def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.63
         cp=cp, scaling=scaling, ode=ode, reduction=red, tritronquee=trit,
         x_switch=x_switch, outer=lambda x: closed_u0(x, t_1),
     )
-
-
-def composite_eval(comp: CompositeSolution, x: float) -> float:
-    return comp.eval(x)
-
-
-def inner_u(comp: CompositeSolution, x: float) -> float:
-    return comp.inner_u(x)
 
 
 def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: int = 601) -> dict:

@@ -85,11 +85,11 @@ def toda_r_coeff(k: int, u, v):
     """
     if k < 0:
         raise DomainError("k must be non-negative")
-    total = Fraction(0) if isinstance(u, Fraction) and isinstance(v, Fraction) else 0.0
-    for n in range((k + 1) // 2, k + 1):
-        c_n = Fraction(math.comb(2 * n, n), 4**n)
-        total = total + c_n * math.comb(n, k - n) * (2 * u) ** (2 * n - k) * (4 * v - u * u) ** (k - n)
-    return total
+    return sum(
+        Fraction(math.comb(2 * n, n), 4**n) * math.comb(n, k - n)
+        * (2 * u) ** (2 * n - k) * (4 * v - u * u) ** (k - n)
+        for n in range((k + 1) // 2, k + 1)
+    )
 
 
 def hodograph_pair_residuals(times: TodaTimes, u, v):
@@ -191,8 +191,7 @@ def find_toda_critical(t_3, x_c) -> TodaCritical:
     """
     if t_3 == 0 or x_c == 0:
         raise DomainError("need t_3 != 0 and x_c != 0 for a nondegenerate merging point")
-    u_c = _cbrt_like(-x_c / (6 * t_3) if isinstance(t_3, Fraction) or isinstance(x_c, Fraction)
-                     else -x_c / (6.0 * t_3))
+    u_c = _cbrt_like(-x_c / (6 * t_3))
     v_c = u_c * u_c
     t_c = -9 * t_3 * v_c
     return TodaCritical(u_c=u_c, v_c=v_c, t_c=t_c, x_c=x_c, t_3=t_3)

@@ -179,6 +179,22 @@ def test_tol_range_validated(capsys):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--t1", "nan"),
+    ("frames", "--from", "nan"),
+    ("frames", "--to", "nan"),
+    ("composite", "--switch", "nan"),
+    ("frames", "--switch", "nan"),
+    ("toda", "--xc", "inf"),
+    ("painleve", "--xi0", "inf"),
+], ids=" ".join)
+def test_non_finite_input_exit_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_frame_abscissas_shape():
     xs = frame_abscissas(0.6, 0.6402302, 8)
     assert xs[0] == 0.6 and xs[-1] == 0.6402302

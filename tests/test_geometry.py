@@ -1,5 +1,6 @@
 """Curve, projection and event tests for the interface geometry."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from heleshaw.errors import DomainError, OutOfRange
+from heleshaw.errors import DomainError, HeleShawError, OutOfRange
 from heleshaw.geometry import (
     CurveSpec,
     bubble_curve,
@@ -18,7 +19,7 @@ from heleshaw.geometry import (
     oplus_project,
     reexpand_curve_series,
 )
-from heleshaw.hodograph import KdVTimes, quintic_times, r_coeff
+from heleshaw.hodograph import KdVTimes, closed_u0, quintic_times, r_coeff
 from heleshaw.multiscale import build_composite
 from heleshaw.toda import build_toda_inner
 
@@ -195,6 +196,43 @@ def test_u_strictly_decreasing(comp):
     assert np.all(np.diff(us[outer]) < 0)
     assert np.all(np.diff(us[~outer]) < 0)
     assert np.all(np.diff(us) < 5e-4)
+
+
+def _sweep_scenario():
+    # a frames-sweep scenario in which separate bisections of a cusp and its
+    # zero-count-change can land one ulp apart, in either order
+    t_1, eps = -0.6275320980433127, 5.3572771129885615e-06
+    v_c = math.sqrt(-4.0 * t_1 / 5.0)
+    x_c, zoom = 1.25 * v_c**3, eps**0.8
+    comp = build_composite(t_1=t_1, eps=eps, x_switch=x_c - 20 * zoom, tol=1e-13)
+    return comp, (x_c - 400 * zoom, comp.x_star - 0.20974150441246414 * (comp.x_star - x_c))
+
+
+def _readme_scenario():
+    comp = build_composite(t_1=-0.8, eps=1e-5, tol=1e-11)
+    return comp, (0.6, comp.x_star)
+
+
+@pytest.mark.parametrize("scenario", [_readme_scenario, _sweep_scenario], ids=["readme", "sweep"])
+def test_events_at_exact_levels_cusp_first(scenario):
+    comp, window = scenario()
+    events = detect_events(comp, window)
+    assert events
+    kinds = [ev.kind for ev in events]
+    for i in (i for i, kind in enumerate(kinds) if kind == "cusp"):
+        assert kinds[i + 1:i + 2] == ["zero-count-change"]
+        assert events[i + 1].x_value == events[i].x_value
+    levels = np.array([1.0, -1.0, math.sqrt(6), -math.sqrt(6)]) * comp.v_c
+    for ev in events:
+        assert np.min(np.abs(levels - ev.u_value)) < 1e-12
+
+
+def test_switch_jump_straddling_a_level_raises(comp):
+    # the shifted outer branch ends below u = 4/5 while the inner one starts
+    # above it: the glued field crosses the cusp level twice
+    shifted = dataclasses.replace(comp, outer=lambda x: closed_u0(x, -0.8) - 0.1)
+    with pytest.raises(HeleShawError):
+        detect_events(shifted, (0.6, comp.x_star))
 
 
 def test_empty_event_range(comp):
