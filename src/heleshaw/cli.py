@@ -130,6 +130,13 @@ def _checked_tol(args, config) -> float:
     return tol
 
 
+def _checked_xi0(args, config) -> float:
+    xi0 = float(_resolve(args, config, "xi0"))
+    if not 10.0 <= xi0 <= 1000.0:
+        raise ConfigError(f"xi0 = {xi0} outside the validated range [10, 1000]")
+    return xi0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heleshaw", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="flat key = value configuration file")
@@ -214,6 +221,8 @@ def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
 
 def _cmd_gd(args, config, outdir) -> int:
     n = int(_resolve(args, config, "n", 3))
+    if not 0 <= n <= 16:
+        raise ConfigError(f"n = {n} outside the validated range 0..16")
     fmt_kind = _resolve(args, config, "format")
     polys = gd_polynomials(n)
     if fmt_kind == "json":
@@ -249,7 +258,7 @@ def _cmd_trace(args, config, outdir) -> int:
 
 
 def _cmd_painleve(args, config, outdir) -> int:
-    xi0 = float(_resolve(args, config, "xi0"))
+    xi0 = _checked_xi0(args, config)
     xi_min = float(_resolve(args, config, "xi_min"))
     tol = _checked_tol(args, config)
     n = int(_resolve(args, config, "n", 2000))
@@ -283,7 +292,7 @@ def _cmd_composite(args, config, outdir) -> int:
     t1 = float(_resolve(args, config, "t1"))
     switch = float(_resolve(args, config, "switch"))
     tol = _checked_tol(args, config)
-    xi0 = float(_resolve(args, config, "xi0"))
+    xi0 = _checked_xi0(args, config)
     comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol, xi0=xi0)
     x_from = float(_resolve(args, config, "x_from", 0.6))
     x_to_raw = _resolve(args, config, "x_to")
@@ -306,11 +315,14 @@ def _cmd_frames(args, config, outdir) -> int:
     switch = float(_resolve(args, config, "switch"))
     tol = _checked_tol(args, config)
     count = int(_resolve(args, config, "count"))
+    if count < 1:
+        raise ConfigError(f"count = {count} must be at least 1")
     n_samples = int(_resolve(args, config, "n_samples"))
-    comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol)
     x_from = float(_resolve(args, config, "x_from", 0.6))
-    x_to_raw = _resolve(args, config, "x_to")
-    x_to = float(x_to_raw) if x_to_raw is not None else 0.6402302
+    x_to = float(_resolve(args, config, "x_to", 0.6402302))
+    if not x_from < x_to:
+        raise ConfigError(f"frame window from {x_from} to {x_to} is empty")
+    comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol)
     xs = frame_abscissas(x_from, x_to, count)
     manifest = emit_frames(comp, xs, outdir, n=n_samples)
     print(json_text({

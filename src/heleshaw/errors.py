@@ -53,6 +53,10 @@ class StepSizeUnderflow(HeleShawError):
     """Integrator step size underflowed away from a detected pole."""
 
 
+class CertificationFailed(HeleShawError):
+    """A constructed solution failed its own consistency check."""
+
+
 class SeedUnreliable(HeleShawError):
     """Seeding abscissa too small for the asymptotic series to be trusted."""
 

@@ -3,9 +3,15 @@
 The tritronquee branch is the unique solution with no poles in a wide sector
 around the positive real axis; on the real axis it decays like
 W ~ -sqrt(xi/6) as xi -> +infinity and blows up at a first negative pole
-xi* ~ -2.384.  It is constructed by seeding a formal asymptotic series at a
-large abscissa xi_0 and integrating downward with an adaptive embedded
-Runge-Kutta method (DOP853, dense output kept).
+xi* ~ -2.3841687696.  It is constructed by seeding a formal asymptotic
+series at a large abscissa xi_0 and integrating downward with a Taylor
+method of order TAYLOR_ORDER: W(xi_n + s) = sum a_k s^k with
+(k + 2)(k + 1) a_{k+2} = 6 sum_{i<=k} a_i a_{k-i} - [k = 0] xi_n - [k = 1].
+The step h = min_k (STEP_EPS tol max(1, |W|) / |a_k|)^(1/k) over the last
+two coefficients keeps the truncated tail near STEP_EPS tol (Jorba & Zou,
+Exp. Math. 14, 2005).  Each step's polynomial is the dense output.  The
+last step ends exactly at W = BLOWUP_THRESHOLD, where the Laurent form
+W ~ (xi - xi*)^-2 gives the pole xi* = xi_N - W_N^(-1/2) to O(W_N^(-5/2)).
 
 No shooting is needed: linearizing around the branch gives delta'' = 12 W
 delta, and 12 W < 0 on the positive axis, so perturbations oscillate instead
@@ -13,36 +19,27 @@ of growing.  That stability assumption is not taken on faith; the tests
 check the overlap between the integrated solution and the series on
 [xi_0 - 5, xi_0].
 
-Residual certification works on the ODE in integral form.  For a span
-[a, b] covered by the dense output,
-
-    defect(a, b) = | W'(b) - W'(a) - int_a^b (6 W^2 - xi) dxi |
-
-vanishes for an exact solution.  Quadrature is applied piecewise between
-solver nodes, where the interpolant is a single polynomial, so Gauss-8 is
-exact and the defect measures genuine inconsistency of (W, W') with the
-equation rather than quadrature error.
+Residual certification works on the ODE in integral form: for a span
+[a, b] of the dense output, defect = | W'(b) - W'(a) - int_a^b (6 W^2 - xi) |
+vanishes for an exact solution.  Between nodes the integrand is a
+polynomial of degree 2 TAYLOR_ORDER, which Gauss-Legendre with
+TAYLOR_ORDER + 1 points integrates exactly, so the defect measures genuine
+inconsistency of (W, W') with the equation rather than quadrature error.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    DomainError,
-    NoPoleInRange,
-    OutOfRange,
-    SeedUnreliable,
-    StepSizeUnderflow,
-    TooCloseToPole,
-)
+from .errors import (CertificationFailed, DomainError, NoPoleInRange, OutOfRange,
+                     SeedUnreliable, StepSizeUnderflow, TooCloseToPole)
 
 #: |W| beyond this is treated as blown up (double poles grow fast)
 BLOWUP_THRESHOLD = 1.0e6
@@ -50,6 +47,12 @@ BLOWUP_THRESHOLD = 1.0e6
 POLE_GUARD = 1.0e-3
 #: series seeding is refused below this abscissa
 SERIES_MIN_XI = 10.0
+#: degree of each step's Taylor polynomial
+TAYLOR_ORDER = 20
+#: size of the last two Taylor terms per step, relative to tol * max(1, |W|)
+STEP_EPS = 1.0e-3
+#: steps allowed per integration (xi0 = 1000 needs about 1.3k)
+MAX_STEPS = 10_000
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +96,31 @@ def asymptotic_series(xi, order: int = 4):
     return -s * poly, s * dpoly / (2.0 * xi)
 
 
+def _horner(coefs, s):
+    """(p(s), p'(s)) by synthetic division; coefs run from the top degree down.
+
+    The same operations run on floats and on arrays, so scalar and
+    vectorized evaluation agree bit for bit.
+    """
+    coefs = iter(coefs)
+    w, d = next(coefs), 0.0 * s
+    for c in coefs:
+        d = d * s + w
+        w = w * s + c
+    return w, d
+
+
 @dataclass
 class TritronqueeSolution:
     """Dense numerical tritronquee with certified residual.
 
-    nodes: the accepted solver steps (xi decreasing from xi0); the dense
-    output interpolant covers everything in between.  `pole` is the first
-    negative-axis pole when the integration reached blow-up, else None.
-    `residual_max` is the largest scaled integral-form defect over the
-    certification range [pole + 0.1, xi0] (see module docstring); it is
-    guaranteed < 100 * tol at construction.
+    nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
+    `_coef` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
+    ts[n] to ts[n + 1].  `pole` is the first negative-axis pole when the
+    integration reached blow-up, else None.  `residual_max` is the largest
+    scaled integral-form defect over the certification range
+    [pole + 0.1, xi0] (see module docstring); it is guaranteed < 100 * tol
+    at construction.
     """
 
     xi0: float
@@ -113,31 +131,41 @@ class TritronqueeSolution:
     pole: Optional[float]
     blew_up: bool
     series_order: int
+    _coef: np.ndarray = field(repr=False)
     residual_max: float = math.nan
-    _dense: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._rows = self._coef.tolist()
+        self._starts = self.ts[:-1].tolist()
+        self._keys = (-self.ts[:-1]).tolist()
 
     @property
     def xi_reached(self) -> float:
         return float(self.ts[-1])
 
-    def _check_range(self, xi: np.ndarray):
-        if self.pole is not None and np.any(np.abs(xi - self.pole) < POLE_GUARD):
+    def _check_range(self, lo, hi, near_pole: bool):
+        if near_pole:
             raise TooCloseToPole(f"xi within {POLE_GUARD} of the pole {self.pole:.6g}")
-        lo, hi = self.xi_reached, self.xi0
-        if np.any(xi > hi * (1 + 1e-15) + 1e-15) or np.any(xi < lo - 1e-15):
-            raise OutOfRange(f"xi outside covered range [{lo:.6g}, {hi:.6g}]")
+        if hi > self.xi0 * (1 + 1e-15) + 1e-15 or lo < self.xi_reached - 1e-15:
+            raise OutOfRange(f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
+
+    def _dense(self, xi: np.ndarray):
+        """(W, W') from the Taylor step whose span holds each abscissa."""
+        n = np.clip(np.searchsorted(-self.ts[:-1], -xi, side="right") - 1, 0, len(self._rows) - 1)
+        return _horner((col[n] for col in self._coef.T[::-1]), xi - self.ts[n])
 
     def eval(self, xi: float) -> tuple[float, float]:
         """Dense-output (W, W') at a single abscissa."""
-        self._check_range(np.asarray(xi, dtype=float))
-        w, wp = self._dense(xi)
-        return float(w), float(wp)
+        xi = float(xi)
+        self._check_range(xi, xi, self.pole is not None and abs(xi - self.pole) < POLE_GUARD)
+        n = min(max(bisect_right(self._keys, -xi) - 1, 0), len(self._rows) - 1)
+        return _horner(reversed(self._rows[n]), xi - self._starts[n])
 
     def eval_many(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xi = np.asarray(xi, dtype=float)
-        self._check_range(xi)
-        w, wp = self._dense(xi)
-        return w, wp
+        near = self.pole is not None and bool(np.any(np.abs(xi - self.pole) < POLE_GUARD))
+        self._check_range(xi.min(initial=np.inf), xi.max(initial=-np.inf), near)
+        return self._dense(xi)
 
     def eval_extended(self, xi):
         """Like eval, but continue with the seeding series above xi0.
@@ -146,166 +174,136 @@ class TritronqueeSolution:
         two representations agree to far below the integration tolerance at
         the junction.
         """
-        xi_arr = np.asarray(xi, dtype=float)
-        scalar = xi_arr.ndim == 0
-        xi_arr = np.atleast_1d(xi_arr)
-        w = np.empty_like(xi_arr)
-        wp = np.empty_like(xi_arr)
-        above = xi_arr > self.xi0
+        if np.ndim(xi) == 0:
+            if xi > self.xi0:
+                w, wp = asymptotic_series(float(xi), self.series_order)
+                return float(w), float(wp)
+            return self.eval(xi)
+        xi = np.asarray(xi, dtype=float)
+        w, wp, above = np.empty_like(xi), np.empty_like(xi), xi > self.xi0
         if above.any():
-            w[above], wp[above] = asymptotic_series(xi_arr[above], self.series_order)
-        if (~above).any():
-            w[~above], wp[~above] = self.eval_many(xi_arr[~above])
-        if scalar:
-            return float(w[0]), float(wp[0])
+            w[above], wp[above] = asymptotic_series(xi[above], self.series_order)
+        if not above.all():
+            w[~above], wp[~above] = self.eval_many(xi[~above])
         return w, wp
 
     def residual_defects(self, grid: np.ndarray) -> np.ndarray:
         """Integral-form defect of each span of a decreasing or increasing grid."""
-        return _span_defects(self._dense, self.ts, np.asarray(grid, dtype=float))
+        return _span_defects(self, np.asarray(grid, dtype=float))
 
 
-def _rhs(xi, y):
-    return (y[1], 6.0 * y[0] * y[0] - xi)
+def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
+    """Coefficients a_0..a_TAYLOR_ORDER at xi and the (negative) step to take."""
+    a = [w, wp]
+    for k in range(TAYLOR_ORDER - 1):
+        conv = sum(a[i] * a[k - i] for i in range(k + 1))
+        forcing = xi if k == 0 else 1.0 if k == 1 else 0.0
+        a.append((6.0 * conv - forcing) / ((k + 2) * (k + 1)))
+    scale = STEP_EPS * tol * max(1.0, abs(w))
+    h = min(((scale / abs(a[k])) ** (1.0 / k) for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER) if a[k]),
+            default=math.inf)
+    return a, (max(xi - h, xi_min) - xi)
+
+
+def _to_threshold(a: list, s: float) -> float:
+    """Newton for p(s) = BLOWUP_THRESHOLD; monotone from the far end, as W is convex."""
+    for _ in range(50):
+        w, wp = _horner(reversed(a), s)
+        s, s_prev = s - (w - BLOWUP_THRESHOLD) / wp, s
+        if s == s_prev:
+            break
+    return s
 
 
 def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 1e-11,
                           series_order: int = 4) -> TritronqueeSolution:
     """Integrate downward from a series seed at xi0 until xi_min or blow-up.
 
-    tol is both rtol and atol of the embedded error control.  The terminal
-    event W = BLOWUP_THRESHOLD stops the run just before the pole; the pole
-    location is then fitted from the last nodes.
+    tol scales the Taylor step control (module docstring); the errors of W
+    and of the pole stay below tol.  More than MAX_STEPS steps, or a step
+    that underflows, raise StepSizeUnderflow.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise DomainError("tol must lie in [1e-13, 1e-6]")
-    if xi0 < SERIES_MIN_XI:
+    if not xi0 >= SERIES_MIN_XI:
         raise SeedUnreliable(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
     if not xi_min < 0.0 < xi0:
         raise DomainError("need xi_min < 0 < xi0")
 
-    w0, wp0 = asymptotic_series(xi0, series_order)
+    w0, wp0 = asymptotic_series(float(xi0), series_order)
+    ts, ws, wps, rows = [float(xi0)], [float(w0)], [float(wp0)], []
+    blew_up = False
+    while ts[-1] > xi_min and not blew_up:
+        if len(rows) == MAX_STEPS:
+            raise StepSizeUnderflow(f"{MAX_STEPS} Taylor steps did not reach xi = {ts[-1]:.6g}")
+        xi = ts[-1]
+        a, s = _taylor_step(xi, ws[-1], wps[-1], tol, xi_min)
+        if not s < 0.0:
+            raise StepSizeUnderflow(f"step size underflow at xi = {xi:.6g}")
+        w, wp = _horner(reversed(a), s)
+        if not w < BLOWUP_THRESHOLD:
+            blew_up = True
+            s = (xi + _to_threshold(a, s)) - xi
+            w, wp = _horner(reversed(a), s)
+        rows.append(a)
+        ts.append(xi + s)
+        ws.append(w)
+        wps.append(wp)
 
-    def blowup(xi, y):
-        return y[0] - BLOWUP_THRESHOLD
-
-    blowup.terminal = True
-    blowup.direction = 1
-
-    res = solve_ivp(
-        _rhs, (xi0, xi_min), (w0, wp0), method="DOP853",
-        rtol=tol, atol=tol, dense_output=True, events=[blowup],
-    )
-    if res.status == -1:
-        raise StepSizeUnderflow(f"integrator failed away from a pole: {res.message}")
-
-    blew_up = bool(res.t_events[0].size)
-    ts = res.t
-    ws, wps = res.y
-    pole = _fit_pole(ts, ws) if blew_up else None
-    if pole is not None and pole >= 0.0:
-        raise RuntimeError(f"internal failure: pole fitted on the positive axis ({pole})")
+    pole = ts[-1] - ws[-1] ** -0.5 if blew_up else None
+    if pole is not None and not pole < 0.0:
+        raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
 
     sol = TritronqueeSolution(
-        xi0=float(xi0), tol=float(tol), ts=ts, ws=ws, wps=wps,
-        pole=pole, blew_up=blew_up, series_order=series_order, _dense=res.sol,
+        xi0=float(xi0), tol=float(tol), ts=np.array(ts), ws=np.array(ws), wps=np.array(wps),
+        pole=pole, blew_up=blew_up, series_order=series_order, _coef=np.array(rows),
     )
     sol.residual_max = _certify(sol)
     return sol
 
 
 def _certify(sol: TritronqueeSolution) -> float:
-    """Max scaled defect over solver steps in [pole + 0.1, xi0].
-
-    The defect of one step is compared against the local scale of the
-    right-hand side, mirroring the integrator's mixed absolute/relative
-    error control; an exact solution gives zero.
-    """
+    """Max defect of the Taylor steps in [pole + 0.1, xi0], each relative to
+    1 + max |6 W^2 - xi| on its step (zero for an exact solution)."""
     lo = sol.pole + 0.1 if sol.pole is not None else sol.xi_reached
     ts = sol.ts[sol.ts >= lo]
     if len(ts) < 2:
         return 0.0
-    defects = _span_defects(sol._dense, sol.ts, ts, return_scale=True)
-    worst = float(np.max(defects))
+    worst = float(np.max(_span_defects(sol, ts, return_scale=True)))
     if not worst < 100.0 * sol.tol:
-        raise RuntimeError(f"residual certification failed: {worst:.3e} >= 100*tol")
+        raise CertificationFailed(f"residual certification failed: {worst:.3e} >= 100*tol")
     return worst
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(TAYLOR_ORDER + 1)
 
 
-def _span_defects(dense, knots: np.ndarray, grid: np.ndarray, return_scale: bool = False) -> np.ndarray:
-    """|W'(b) - W'(a) - int (6W^2 - xi)| per grid span, split at solver knots.
+def _span_defects(sol: TritronqueeSolution, grid: np.ndarray, return_scale: bool = False) -> np.ndarray:
+    """|W'(b) - W'(a) - int (6W^2 - xi)| per grid span, split at the nodes.
 
-    Splitting keeps every quadrature panel inside a single interpolant
-    polynomial, where Gauss-8 integrates the degree-14 integrand exactly.
+    Splitting keeps every quadrature panel inside a single Taylor
+    polynomial, where the Gauss rule integrates the integrand exactly.
     """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    knots_sorted = np.sort(knots)
-    pieces = []
-    spans = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        inner = knots_sorted[(knots_sorted > a) & (knots_sorted < b)]
-        cuts = np.concatenate(([a], inner, [b]))
-        pieces.append(cuts)
-        spans.append((a, b))
-
-    # all quadrature points in one dense-output call
-    panel_a = np.concatenate([c[:-1] for c in pieces])
-    panel_b = np.concatenate([c[1:] for c in pieces])
-    centers = 0.5 * (panel_a + panel_b)
-    half = 0.5 * (panel_b - panel_a)
-    pts = (centers[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    w_pts = dense(pts)[0].reshape(len(panel_a), -1)
-    rhs = 6.0 * w_pts**2 - pts.reshape(len(panel_a), -1)
-    panel_ints = (rhs @ _GAUSS_W) * half
-
-    ends = np.unique(np.concatenate([np.asarray(s) for s in spans]))
-    wp_ends = {e: dense(e)[1] for e in ends}
-
-    out = np.empty(len(spans))
-    pos = 0
-    for i, ((a, b), cuts) in enumerate(zip(spans, pieces)):
-        n_panels = len(cuts) - 1
-        integral = float(np.sum(panel_ints[pos:pos + n_panels]))
-        defect = abs(float(wp_ends[b] - wp_ends[a]) - integral)
-        if return_scale:
-            seg = rhs[pos:pos + n_panels]
-            scale = 1.0 + float(np.max(np.abs(seg)))
-            defect /= scale
-        out[i] = defect
-        pos += n_panels
-    return out
-
-
-def _fit_pole(ts: np.ndarray, ws: np.ndarray, stop_diff: float = 1e-6) -> float:
-    """Estimate xi* from the forced Laurent behaviour W ~ (xi - xi*)^-2.
-
-    Each blown-up node gives the estimate xi - W^(-1/2), whose systematic
-    error decays like (xi - xi*)^5; walking toward the pole, the first pair
-    of successive estimates closer than stop_diff is accepted.
-    """
-    mask = ws > 1e3
-    if not mask.any():
-        raise NoPoleInRange("no nodes deep enough into blow-up to fit a pole")
-    xs = ts[mask][-20:]
-    vs = ws[mask][-20:]
-    estimates = xs - vs**-0.5
-    prev = None
-    for e in estimates:
-        if prev is not None and abs(e - prev) < stop_diff:
-            return float(e)
-        prev = e
-    return float(estimates[-1])
+    grid = np.sort(grid)
+    if not (len(grid) >= 2 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+        raise DomainError("residual grid needs two or more distinct finite abscissas")
+    cuts = np.union1d(grid, sol.ts[(sol.ts > grid[0]) & (sol.ts < grid[-1])])
+    half = 0.5 * np.diff(cuts)
+    pts = (cuts[:-1] + half)[:, None] + half[:, None] * _GAUSS_X
+    rhs = 6.0 * sol._dense(pts)[0] ** 2 - pts
+    first_panel = np.searchsorted(cuts, grid[:-1])
+    integrals = np.add.reduceat((rhs @ _GAUSS_W) * half, first_panel)
+    defects = np.abs(np.diff(sol._dense(grid)[1]) - integrals)
+    if return_scale:
+        defects /= 1.0 + np.maximum.reduceat(np.abs(rhs).max(axis=1), first_panel)
+    return defects
 
 
 def find_first_negative_pole(sol: TritronqueeSolution) -> float:
     """First pole on the negative axis; requires the integration to have blown up."""
     if not sol.blew_up:
         raise NoPoleInRange("integration reached xi_min without blow-up")
-    return _fit_pole(sol.ts, sol.ws)
+    return sol.pole
 
 
 def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:

@@ -1,9 +1,15 @@
 """CLI behaviour: subcommands, config precedence, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import heleshaw
+from heleshaw import painleve
 from heleshaw.cli import frame_abscissas, load_config, main
 from heleshaw.errors import ConfigError
 
@@ -195,6 +201,33 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gd", "--n", "-1"),
+    ("gd", "--n", "40"),
+    ("frames", "--count", "0"),
+    ("frames", "--count", "-3"),
+    ("frames", "--from", "0.64", "--to", "0.6"),
+    ("frames", "--from", "0.62", "--to", "0.62"),
+    ("painleve", "--xi0", "1e6"),
+    ("painleve", "--xi0", "9.5"),
+    ("composite", "--xi0", "2000"),
+], ids=" ".join)
+def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_certificate_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(painleve, "STEP_EPS", 1e4)  # steps far too long for tol
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "painleve")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "certification failed" in err
+
+
 def test_frame_abscissas_shape():
     xs = frame_abscissas(0.6, 0.6402302, 8)
     assert xs[0] == 0.6 and xs[-1] == 0.6402302
@@ -203,3 +236,11 @@ def test_frame_abscissas_shape():
     assert xs[-1] - xs[-2] < (xs[1] - xs[0]) / 100
     assert frame_abscissas(0.6, 0.64, 1) == [0.64]
     assert frame_abscissas(0.6, 0.64, 0) == []
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, heleshaw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

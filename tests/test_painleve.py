@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import sympy
 
+from heleshaw import painleve
 from heleshaw.errors import (
     DomainError,
     NoPoleInRange,
     OutOfRange,
     SeedUnreliable,
+    StepSizeUnderflow,
     TooCloseToPole,
 )
 from heleshaw.painleve import (
@@ -21,6 +23,17 @@ from heleshaw.painleve import (
     integrate_tritronquee,
     laurent_leading_coefficient,
 )
+
+
+#: W on the real axis and the first pole, from a 40-digit mpmath Taylor run
+#: seeded by the order-8 series at xi = 30 (independent of this package)
+W_REF = {
+    20.0: -1.82579390538515522,
+    10.0: -1.29120197122541515,
+    0.0: -0.187554308340494894,
+    -2.0: 6.74868071988330558,
+}
+POLE_REF = -2.38416876956881664
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +140,27 @@ def test_seed_guard():
         integrate_tritronquee(tol=1e-5)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-13])
+def test_against_mpmath_reference(tol):
+    sol = integrate_tritronquee(tol=tol)
+    for xi, w_ref in W_REF.items():
+        assert abs(sol.eval(xi)[0] - w_ref) <= 10 * tol, xi
+    assert abs(sol.pole - POLE_REF) <= 100 * tol
+
+
+def test_scalar_and_vector_eval_bitwise_equal(sol):
+    xs = np.concatenate([np.linspace(sol.pole + 2 * painleve.POLE_GUARD, 30.0, 997), sol.ts[:-1]])
+    w, wp = sol.eval_many(xs)
+    for x, wv, wpv in zip(xs, w, wp):
+        assert sol.eval(x) == (wv, wpv)
+        assert sol.eval_extended(float(x)) == (wv, wpv)
+
+
+def test_step_budget_bounds_large_seed():
+    with pytest.raises(StepSizeUnderflow):
+        integrate_tritronquee(xi0=1e6)
+
+
 def test_eval_at_seed_is_exact(sol):
     w0, wp0 = asymptotic_series(30.0, 4)
     w, wp = sol.eval(30.0)
@@ -199,6 +233,12 @@ def test_eval_extended_crosses_seed(sol):
 
 def test_certificate_bound(sol):
     assert sol.residual_max < 100 * sol.tol
+
+
+@pytest.mark.parametrize("grid", [[1.0], [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf]], ids=str)
+def test_residual_grid_guard(sol, grid):
+    with pytest.raises(DomainError):
+        sol.residual_defects(np.array(grid))
 
 
 def test_absolute_residual_grid():
