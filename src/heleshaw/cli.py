@@ -29,16 +29,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .diffpoly import gd_polynomials
+# Each subcommand imports its own layers (and numpy) when it runs, so that
+# e.g. `gd` loads only diffpoly and `critical` only hodograph.
 from .errors import ConfigError, HeleShawError
-from .geometry import emit_frames
-from .hodograph import closed_u0, find_critical_25
-from .multiscale import build_composite, overlap_report
-from .painleve import POLE_GUARD, integrate_tritronquee
 from .textio import json_text, write_csv
-from .toda import build_toda_inner, toda_composite
 
 ENV_OUTDIR = "HELESHAW_OUTDIR"
 
@@ -60,6 +54,7 @@ DEFAULTS = {
 }
 
 _CONFIG_KEYS = set(DEFAULTS) | {"outdir"}
+FORMATS = ("text", "json")
 
 
 def load_config(path) -> dict:
@@ -82,6 +77,8 @@ def load_config(path) -> dict:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "format" and val not in FORMATS:
+            raise ConfigError(f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}")
         if key in ("format", "outdir"):
             values[key] = val
         elif key in ("n", "count", "n_samples"):
@@ -116,6 +113,13 @@ def _outdir(args, config) -> Path:
     return path
 
 
+def _checked_count(args, config, key: str, fallback=None) -> int:
+    value = int(_resolve(args, config, key, fallback))
+    if value < 1:
+        raise ConfigError(f"{key} = {value} must be at least 1")
+    return value
+
+
 def _checked_eps(args, config) -> float:
     eps = float(_resolve(args, config, "eps"))
     if not 0.0 < eps <= 1e-2:
@@ -145,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gd", help="Gel'fand-Dikii polynomials")
     p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=("text", "json"))
+    p.add_argument("--format", choices=FORMATS)
 
     p = sub.add_parser("critical", help="quintic-finger critical point")
     p.add_argument("--t1", type=float)
@@ -208,6 +212,8 @@ def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
     The topological events cluster within ~2.4e-4 of the critical point, so
     uniform placement would waste most frames on the featureless outer arc.
     """
+    import numpy as np
+
     if count <= 0:
         return []
     if count == 1:
@@ -224,6 +230,8 @@ def _cmd_gd(args, config, outdir) -> int:
     if not 0 <= n <= 16:
         raise ConfigError(f"n = {n} outside the validated range 0..16")
     fmt_kind = _resolve(args, config, "format")
+    from .diffpoly import gd_polynomials
+
     polys = gd_polynomials(n)
     if fmt_kind == "json":
         payload = {"polynomials": [
@@ -240,6 +248,8 @@ def _cmd_gd(args, config, outdir) -> int:
 
 
 def _cmd_critical(args, config, outdir) -> int:
+    from .hodograph import find_critical_25
+
     cp = find_critical_25(float(_resolve(args, config, "t1")))
     print(json_text({"m": cp.m, "x_c": float(cp.x_c), "v_c": float(cp.v_c), "c": float(cp.c)}))
     return 0
@@ -249,7 +259,11 @@ def _cmd_trace(args, config, outdir) -> int:
     t1 = float(_resolve(args, config, "t1"))
     x_from = _resolve(args, config, "x_from", 0.58)
     x_to = _resolve(args, config, "x_to", 0.6399)
-    n = int(_resolve(args, config, "n", 200))
+    n = _checked_count(args, config, "n", 200)
+    import numpy as np
+
+    from .hodograph import closed_u0
+
     xs = np.linspace(float(x_from), float(x_to), n)
     path = outdir / "trace.csv"
     rows = write_csv(path, "x,u0", ((x, closed_u0(float(x), t1)) for x in xs))
@@ -261,7 +275,11 @@ def _cmd_painleve(args, config, outdir) -> int:
     xi0 = _checked_xi0(args, config)
     xi_min = float(_resolve(args, config, "xi_min"))
     tol = _checked_tol(args, config)
-    n = int(_resolve(args, config, "n", 2000))
+    n = _checked_count(args, config, "n", 2000)
+    import numpy as np
+
+    from .painleve import POLE_GUARD, integrate_tritronquee
+
     sol = integrate_tritronquee(xi0=xi0, xi_min=xi_min, tol=tol)
     lo = sol.pole + 2 * POLE_GUARD if sol.pole is not None else sol.xi_reached
     xs = np.linspace(lo, xi0, n)
@@ -280,8 +298,10 @@ def _cmd_match(args, config, outdir) -> int:
     t1 = float(_resolve(args, config, "t1"))
     x_from = _resolve(args, config, "x_from", 0.6365)
     x_to = _resolve(args, config, "x_to", 0.6395)
-    n = int(_resolve(args, config, "n", 601))
+    n = _checked_count(args, config, "n", 601)
     tol = _checked_tol(args, config)
+    from .multiscale import build_composite, overlap_report
+
     comp = build_composite(t_1=t1, eps=eps, tol=tol)
     print(json_text(overlap_report(comp, (float(x_from), float(x_to)), n)))
     return 0
@@ -293,11 +313,15 @@ def _cmd_composite(args, config, outdir) -> int:
     switch = float(_resolve(args, config, "switch"))
     tol = _checked_tol(args, config)
     xi0 = _checked_xi0(args, config)
+    n = _checked_count(args, config, "n", 2000)
+    import numpy as np
+
+    from .multiscale import build_composite
+
     comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol, xi0=xi0)
     x_from = float(_resolve(args, config, "x_from", 0.6))
     x_to_raw = _resolve(args, config, "x_to")
     x_to = float(x_to_raw) if x_to_raw is not None else comp.x_star - 2e-7
-    n = int(_resolve(args, config, "n", 2000))
     xs = np.linspace(x_from, x_to, n)
     us = comp.eval_many(xs)
     path = outdir / "composite.csv"
@@ -314,14 +338,15 @@ def _cmd_frames(args, config, outdir) -> int:
     t1 = float(_resolve(args, config, "t1"))
     switch = float(_resolve(args, config, "switch"))
     tol = _checked_tol(args, config)
-    count = int(_resolve(args, config, "count"))
-    if count < 1:
-        raise ConfigError(f"count = {count} must be at least 1")
-    n_samples = int(_resolve(args, config, "n_samples"))
+    count = _checked_count(args, config, "count")
+    n_samples = _checked_count(args, config, "n_samples")
     x_from = float(_resolve(args, config, "x_from", 0.6))
     x_to = float(_resolve(args, config, "x_to", 0.6402302))
     if not x_from < x_to:
         raise ConfigError(f"frame window from {x_from} to {x_to} is empty")
+    from .geometry import emit_frames
+    from .multiscale import build_composite
+
     comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol)
     xs = frame_abscissas(x_from, x_to, count)
     manifest = emit_frames(comp, xs, outdir, n=n_samples)
@@ -337,7 +362,11 @@ def _cmd_toda(args, config, outdir) -> int:
     xc = float(_resolve(args, config, "xc"))
     eps = _checked_eps(args, config)
     tol = _checked_tol(args, config)
-    n = int(_resolve(args, config, "n", 500))
+    n = _checked_count(args, config, "n", 500)
+    import numpy as np
+
+    from .toda import build_toda_inner, toda_composite
+
     inner = build_toda_inner(t3, xc, eps, tol=tol)
     t_from = _resolve(args, config, "x_from", -30.0)
     t_to_raw = _resolve(args, config, "x_to")

@@ -10,10 +10,14 @@ The weight of a monomial is ``sum(order + 2)`` over its factors.  The n-th
 Gel'fand-Dikii polynomial R_n is weight-homogeneous of weight 2n and is
 produced by
 
-    d/dx R_{n+1} = (1/4 d3/dx3 + u d/dx + 1/2 u_x) R_n,      R_0 = 1,
+    d/dx R_{n+1} = (1/4 d3/dx3 + u d/dx + 1/2 u_x) R_n,      R_0 = 1.
 
-with the integration constant fixed so that the derivative-free part of R_n
-is binom(2n, n) u^n / 4^n, i.e. the dispersionless coefficient generated by
+The right-hand side is integrated exactly by parts (:meth:`DiffPoly.integrate`):
+the highest derivative u_k of each monomial is absorbed into a derivative of
+u_{k-1}, one order at a time from the top down, so no linear system is
+solved.  The antiderivative is taken with zero constant term, which fixes
+the integration constant so that the derivative-free part of R_n is
+binom(2n, n) u^n / 4^n, i.e. the dispersionless coefficient generated by
 z / sqrt(z^2 - u).
 
 Everything here is immutable and pure; values can be shared freely between
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import JetTooShort, NotExactDerivative
 
@@ -52,10 +56,6 @@ class Monomial:
     @property
     def weight(self) -> int:
         return sum(k + 2 for k in self.orders)
-
-    @property
-    def factors(self) -> int:
-        return len(self.orders)
 
     @property
     def is_constant(self) -> bool:
@@ -184,39 +184,38 @@ class DiffPoly:
         return DiffPoly(acc)
 
     def integrate(self) -> "DiffPoly":
-        """Inverse of :meth:`derive`, with zero constant term.
+        """Inverse of :meth:`derive`, with zero constant term, by parts.
 
-        Derivation preserves the factor count and raises the weight by one,
-        so the problem splits into independent exact linear solves per
-        (factor count, weight) block.  Raises :class:`NotExactDerivative`
-        when the polynomial is not a total derivative (e.g. u^2).
+        Top derivative orders are removed from the highest down to 1.  A
+        monomial c u_k u_{k-1}^p N, where N only holds orders <= k-2, is
+
+            D(c/(p+1) u_{k-1}^{p+1} N) - c/(p+1) u_{k-1}^{p+1} D(N),
+
+        and the remainder has top order k-1.  A total derivative is linear in
+        its top derivative, so a repeated top order, a leftover u^m or a
+        constant raises :class:`NotExactDerivative` (e.g. for u^2 or u_x^2).
+        The antiderivative with zero constant term is unique, so the result
+        does not depend on the order of the steps.
         """
-        groups: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            if mono.is_constant:
-                raise NotExactDerivative("constant term is not a total derivative")
-            groups.setdefault((mono.factors, mono.weight), {})[mono] = coeff
-
+        rest = dict(self._terms)
         out: dict[Monomial, Fraction] = {}
-        for (nfac, wt), rhs in groups.items():
-            order_sum = wt - 1 - 2 * nfac
-            candidates = [Monomial(p) for p in _ascending_partitions(order_sum, nfac)] if order_sum >= 0 else []
-            if not candidates:
-                raise NotExactDerivative(f"no antiderivative candidates of weight {wt - 1}")
-            columns = [DiffPoly.monomial(c.orders).derive()._terms for c in candidates]
-            basis = sorted({*rhs, *itertools.chain.from_iterable(columns)})
-            index = {m: i for i, m in enumerate(basis)}
-            rows = [[Fraction(0)] * len(candidates) for _ in basis]
-            for j, col in enumerate(columns):
-                for mono, c in col.items():
-                    rows[index[mono]][j] = c
-            b = [rhs.get(m, Fraction(0)) for m in basis]
-            solution = _solve_exact(rows, b)
-            if solution is None:
-                raise NotExactDerivative("inconsistent linear system: not in the image of derive")
-            for cand, c in zip(candidates, solution):
-                if c:
-                    out[cand] = out.get(cand, Fraction(0)) + c
+        for k in range(self.max_order(), 0, -1):
+            for mono in [m for m in rest if m.max_order == k]:
+                orders, c = mono.orders, rest.pop(mono)
+                if not c:
+                    continue
+                if orders[-2:-1] == (k,):
+                    raise NotExactDerivative(f"{mono} repeats its top derivative: not a total derivative")
+                p = orders.count(k - 1)
+                below, lifted = orders[:-1 - p], (k - 1,) * (p + 1)
+                q = c / (p + 1)
+                prim = Monomial(below + lifted)
+                out[prim] = out.get(prim, Fraction(0)) + q
+                for i in range(len(below)):
+                    bumped = Monomial(below[:i] + (below[i] + 1,) + below[i + 1:] + lifted)
+                    rest[bumped] = rest.get(bumped, Fraction(0)) - q
+        if any(rest.values()):
+            raise NotExactDerivative(f"{DiffPoly(rest)} is left over: not a total derivative")
         return DiffPoly(out)
 
     # -- queries -----------------------------------------------------------
@@ -286,47 +285,6 @@ class DiffPoly:
         ]
 
 
-def _ascending_partitions(total: int, parts: int, minimum: int = 0) -> Iterator[tuple[int, ...]]:
-    """All sorted tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total + 1):
-        for rest in _ascending_partitions(total - first, parts - 1, first):
-            yield (first, *rest)
-
-
-def _solve_exact(rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows * x = b exactly over Q; None if inconsistent."""
-    aug = [row[:] + [bv] for row, bv in zip(rows, b)]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for row in aug:
-        if row[-1] and not any(row[:-1]):
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][-1]
-    return x
-
-
 # -- Gel'fand-Dikii recursion ------------------------------------------------
 
 def gd_next(r_n: DiffPoly) -> DiffPoly:
@@ -339,11 +297,11 @@ def gd_next(r_n: DiffPoly) -> DiffPoly:
     inconsistency (the right-hand side of the recursion is always exact).
     """
     u = DiffPoly.field()
-    du = u.derive()
+    dr = r_n.derive()
     rhs = (
-        Fraction(1, 4) * r_n.derive().derive().derive()
-        + u * r_n.derive()
-        + Fraction(1, 2) * du * r_n
+        Fraction(1, 4) * dr.derive().derive()
+        + u * dr
+        + Fraction(1, 2) * u.derive() * r_n
     )
     return rhs.integrate()
 

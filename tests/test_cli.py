@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, config precedence, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,17 @@ def test_load_config_bad_number_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "critical")
     assert code == 2
     assert "config error" in err
+
+
+def test_config_format_validated(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("format = xml\n")
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    code, out, err = run(capsys, "--config", str(cfg), "gd")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "format" in err
 
 
 def test_missing_config_exit_2(tmp_path, capsys):
@@ -92,6 +104,16 @@ def test_gd_json(capsys):
     code, out, _ = run(capsys, "gd", "--n", "1", "--format", "json")
     payload = json.loads(out)
     assert payload["polynomials"][1]["terms"] == [{"orders": [0], "num": "1", "den": "2"}]
+
+
+@pytest.mark.parametrize("n, digest", [
+    (14, "d49a5363182b3bea8ddf2ffcdfbc80cbee9185b250394737101e65d59a708780"),
+    (16, "53062c4d0d5fb2929ce482aa0be717496de921d943a950b132be5de22039d50c"),
+])
+def test_gd_json_digest(capsys, n, digest):
+    code, out, _ = run(capsys, "gd", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_trace_csv(tmp_path, capsys):
@@ -211,6 +233,14 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv):
     ("painleve", "--xi0", "1e6"),
     ("painleve", "--xi0", "9.5"),
     ("composite", "--xi0", "2000"),
+    ("trace", "--n", "-5"),
+    ("trace", "--n", "0"),
+    ("painleve", "--n", "-1"),
+    ("match", "--n", "0"),
+    ("composite", "--n", "0"),
+    ("toda", "--n", "-1"),
+    ("frames", "--n-samples", "0"),
+    ("frames", "--n-samples", "-1"),
 ], ids=" ".join)
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
@@ -239,8 +269,30 @@ def test_frame_abscissas_shape():
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the package or the CLI loads no numpy, scipy or layer module,
+    and `gd` and `critical` each load only their own layer, without numpy."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, heleshaw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy'))
+stages = []
+import heleshaw
+stages.append(loaded())
+from heleshaw.cli import main
+stages.append(loaded())
+for argv in (['gd', '--n', '3'], ['critical']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    stages.append(loaded())
+print(json.dumps(stages))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    cli = ["heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio"]
+    assert json.loads(out.stdout) == [
+        ["heleshaw"],
+        cli,
+        sorted([*cli, "heleshaw.diffpoly"]),
+        sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
+    ]

@@ -68,9 +68,10 @@ def test_integrate_linear():
     assert UX.scale(Fraction(1, 2)).integrate() == U.scale(Fraction(1, 2))
 
 
-def test_integrate_not_exact():
+@pytest.mark.parametrize("poly", [U * U, UX * UX, U * UX * UX, UXX * UXX], ids=str)
+def test_integrate_not_exact(poly):
     with pytest.raises(NotExactDerivative):
-        (U * U).integrate()
+        poly.integrate()
 
 
 def test_integrate_constant_not_exact():
