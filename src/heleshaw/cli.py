@@ -12,13 +12,15 @@ frames     interface frames frame_<i>.csv plus manifest.json with events
 toda       CSV (t~, u, v) of the regularized merging flow plus JSON summary
 
 Configuration is a flat `key = value` file (# comments allowed) selected
-with --config; explicit flags override file values, which override the
-built-in defaults.  The output directory resolves flag > HELESHAW_OUTDIR
-> current directory.  All numbers are printed with 17 significant digits,
-so identical configurations yield byte-identical files.
+with --config.  Each option resolves flag > config file > default, and the
+output directory flag > config file > HELESHAW_OUTDIR > current directory.
+The table OPTIONS declares every option once: its type, default and
+validated range.  All numbers are printed with 17 significant digits, so
+identical configurations yield byte-identical files.
 
-Exit codes: 0 success, 1 domain/numerical errors (one diagnostic line on
-stderr), 2 configuration errors.
+Exit codes: 0 success, 1 domain or arithmetic error, 2 configuration error
+(an unparsable command line or a value outside its validated range); both
+errors print one diagnostic line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 # Each subcommand imports its own layers (and numpy) when it runs, so that
 # e.g. `gd` loads only diffpoly and `critical` only hodograph.
@@ -35,30 +38,70 @@ from .errors import ConfigError, HeleShawError
 from .textio import json_text, write_csv
 
 ENV_OUTDIR = "HELESHAW_OUTDIR"
-
-DEFAULTS = {
-    "n": None,          # per-subcommand below
-    "format": "text",
-    "t1": -0.8,
-    "t3": 1.0,
-    "xc": 1.0,
-    "eps": 1e-5,
-    "switch": 0.638,
-    "xi0": 30.0,
-    "xi_min": -6.0,
-    "tol": 1e-11,
-    "x_from": None,
-    "x_to": None,
-    "count": 8,
-    "n_samples": 400,
-}
-
-_CONFIG_KEYS = set(DEFAULTS) | {"outdir"}
 FORMATS = ("text", "json")
 
 
+class Option(NamedTuple):
+    """Value type, default and accepted values [lo, hi] (or choices) of one option."""
+
+    type: type
+    default: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False  # (lo, hi] instead of [lo, hi]
+    choices: tuple | None = None
+
+    def check(self, name: str, value) -> None:
+        """Raise ConfigError, naming the value `name`, unless it is accepted."""
+        if self.choices:
+            if value not in self.choices:
+                raise ConfigError(f"{name} must be one of {', '.join(self.choices)}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} = {value} is not a finite number")
+        elif not (self.lo < value if self.lo_open else self.lo <= value) or value > self.hi:
+            bracket = "(" if self.lo_open else "["
+            raise ConfigError(f"{name} = {value} outside the validated range {bracket}{self.lo:g}, {self.hi:g}]")
+
+
+def _count(default: int) -> Option:
+    return Option(int, default, 1)
+
+
+def _window(x_from: float, x_to: float | None) -> dict:
+    """--from/--to; a `None` end defaults to a value computed from the solution."""
+    return {"x_from": Option(float, x_from), "x_to": Option(float, x_to)}
+
+
+_T1 = Option(float, -0.8)
+_EPS = Option(float, 1e-5, 0.0, 1e-2, lo_open=True)
+_TOL = Option(float, 1e-11, 1e-13, 1e-6)
+_XI0 = Option(float, 30.0, 10.0, 1000.0)
+_SWITCH = Option(float, 0.638)
+
+#: subcommand -> option key -> Option, in the order of the flags
+OPTIONS = {
+    "gd": {"n": Option(int, 3, 0, 16), "format": Option(str, "text", choices=FORMATS)},
+    "critical": {"t1": _T1},
+    "trace": {"t1": _T1, **_window(0.58, 0.6399), "n": _count(200)},
+    "painleve": {"xi0": _XI0, "xi_min": Option(float, -6.0), "tol": _TOL, "n": _count(2000)},
+    "match": {"eps": _EPS, "t1": _T1, **_window(0.6365, 0.6395), "n": _count(601), "tol": _TOL},
+    "composite": {"eps": _EPS, "t1": _T1, **_window(0.6, None), "n": _count(2000),
+                  "switch": _SWITCH, "tol": _TOL, "xi0": _XI0},
+    "frames": {**_window(0.6, 0.6402302), "count": _count(8), "eps": _EPS, "switch": _SWITCH,
+               "t1": _T1, "n_samples": _count(400), "tol": _TOL},
+    "toda": {"t3": Option(float, 1.0), "xc": Option(float, 1.0), "eps": _EPS,
+             **_window(-30.0, None), "n": _count(500), "tol": _TOL},
+}
+# a key has the same type in every subcommand that takes it
+_CONFIG_KEYS = {"outdir": Option(str, None)} | {k: o for opts in OPTIONS.values() for k, o in opts.items()}
+
+
 def load_config(path) -> dict:
-    """Flat `key = value` parser; unknown keys and bad values are errors."""
+    """Flat `key = value` parser; unknown keys and bad values are errors.
+
+    Any subcommand's key is accepted.  Values are only typed here (and a
+    `format` checked); their ranges are checked when a subcommand uses them.
+    """
     values: dict = {}
     try:
         text = Path(path).read_text()
@@ -74,135 +117,50 @@ def load_config(path) -> dict:
         key = key.strip().replace("-", "_")
         if key in ("from", "to"):
             key = f"x_{key}"
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
+        opt = _CONFIG_KEYS.get(key)
+        if opt is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "format" and val not in FORMATS:
-            raise ConfigError(f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}")
-        if key in ("format", "outdir"):
-            values[key] = val
-        elif key in ("n", "count", "n_samples"):
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} needs an integer") from exc
-        else:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} needs a number") from exc
+        try:
+            values[key] = opt.type(val.strip())
+        except ValueError as exc:
+            kind = "an integer" if opt.type is int else "a number"
+            raise ConfigError(f"{path}:{lineno}: {key} needs {kind}") from exc
+        if opt.choices:
+            opt.check(f"{path}:{lineno}: {key}", values[key])
     return values
 
 
-def _resolve(args, config: dict, key: str, fallback=None):
-    """Flag > config file > fallback > DEFAULTS; non-finite numbers are rejected."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, fallback)
-    if value is None:
-        value = DEFAULTS.get(key)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} = {value} is not a finite number")
-    return value
+def resolve(command: str, args, config: dict) -> dict:
+    """The options of `command` at flag > config file > default, each validated.
+
+    Also holds `outdir`: flag > config file > $HELESHAW_OUTDIR > current directory.
+    """
+    values = {"outdir": Path(args.outdir or config.get("outdir") or os.environ.get(ENV_OUTDIR) or ".")}
+    for key, opt in OPTIONS[command].items():
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, opt.default)
+        if value is not None:
+            opt.check(key, value)
+        values[key] = value
+    return values
 
 
-def _outdir(args, config) -> Path:
-    picked = getattr(args, "outdir", None) or config.get("outdir") or os.environ.get(ENV_OUTDIR) or "."
-    path = Path(picked)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _checked_count(args, config, key: str, fallback=None) -> int:
-    value = int(_resolve(args, config, key, fallback))
-    if value < 1:
-        raise ConfigError(f"{key} = {value} must be at least 1")
-    return value
-
-
-def _checked_eps(args, config) -> float:
-    eps = float(_resolve(args, config, "eps"))
-    if not 0.0 < eps <= 1e-2:
-        raise ConfigError(f"eps = {eps} outside the validated range (0, 1e-2]")
-    return eps
-
-
-def _checked_tol(args, config) -> float:
-    tol = float(_resolve(args, config, "tol"))
-    if not 1e-13 <= tol <= 1e-6:
-        raise ConfigError(f"tol = {tol} outside the validated range [1e-13, 1e-6]")
-    return tol
-
-
-def _checked_xi0(args, config) -> float:
-    xi0 = float(_resolve(args, config, "xi0"))
-    if not 10.0 <= xi0 <= 1000.0:
-        raise ConfigError(f"xi0 = {xi0} outside the validated range [10, 1000]")
-    return xi0
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="heleshaw", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="heleshaw", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--outdir", help=f"output directory (also ${ENV_OUTDIR})")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gd", help="Gel'fand-Dikii polynomials")
-    p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=FORMATS)
-
-    p = sub.add_parser("critical", help="quintic-finger critical point")
-    p.add_argument("--t1", type=float)
-
-    p = sub.add_parser("trace", help="outer branch u0(x) as CSV")
-    p.add_argument("--t1", type=float)
-    p.add_argument("--from", dest="x_from", type=float)
-    p.add_argument("--to", dest="x_to", type=float)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("painleve", help="tritronquee solution as CSV + summary")
-    p.add_argument("--xi0", type=float)
-    p.add_argument("--xi-min", dest="xi_min", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--n", type=int)
-
-    p = sub.add_parser("match", help="inner/outer matching errors")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--from", dest="x_from", type=float)
-    p.add_argument("--to", dest="x_to", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("composite", help="glued solution u(x) as CSV")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--from", dest="x_from", type=float)
-    p.add_argument("--to", dest="x_to", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--switch", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--xi0", type=float)
-
-    p = sub.add_parser("frames", help="interface frames plus event manifest")
-    p.add_argument("--from", dest="x_from", type=float)
-    p.add_argument("--to", dest="x_to", type=float)
-    p.add_argument("--count", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--switch", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("toda", help="regularized merging flow (t~, u, v)")
-    p.add_argument("--t3", type=float)
-    p.add_argument("--xc", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--from", dest="x_from", type=float)
-    p.add_argument("--to", dest="x_to", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float)
-
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for key, opt in options.items():
+            flag = "--" + key.removeprefix("x_").replace("_", "-")
+            p.add_argument(flag, dest=key, type=opt.type, choices=opt.choices)
     return parser
 
 
@@ -225,66 +183,55 @@ def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
     return [float(x) for x in xs]
 
 
-def _cmd_gd(args, config, outdir) -> int:
-    n = int(_resolve(args, config, "n", 3))
-    if not 0 <= n <= 16:
-        raise ConfigError(f"n = {n} outside the validated range 0..16")
-    fmt_kind = _resolve(args, config, "format")
+def _cmd_gd(opts) -> int:
+    """Gel'fand-Dikii polynomials"""
     from .diffpoly import gd_polynomials
 
-    polys = gd_polynomials(n)
-    if fmt_kind == "json":
-        payload = {"polynomials": [
-            {"n": k, "terms": [
-                {"orders": t["orders"], "num": t["num"], "den": t["den"]}
-                for t in poly.to_json_terms()
-            ]} for k, poly in enumerate(polys)
-        ]}
-        print(json_text(payload))
+    polys = gd_polynomials(opts["n"])
+    if opts["format"] == "json":
+        print(json_text({"polynomials": [
+            {"n": k, "terms": poly.to_json_terms()} for k, poly in enumerate(polys)
+        ]}))
     else:
         for k, poly in enumerate(polys):
             print(f"R_{k} = {poly}")
     return 0
 
 
-def _cmd_critical(args, config, outdir) -> int:
+def _cmd_critical(opts) -> int:
+    """quintic-finger critical point"""
     from .hodograph import find_critical_25
 
-    cp = find_critical_25(float(_resolve(args, config, "t1")))
+    cp = find_critical_25(opts["t1"])
     print(json_text({"m": cp.m, "x_c": float(cp.x_c), "v_c": float(cp.v_c), "c": float(cp.c)}))
     return 0
 
 
-def _cmd_trace(args, config, outdir) -> int:
-    t1 = float(_resolve(args, config, "t1"))
-    x_from = _resolve(args, config, "x_from", 0.58)
-    x_to = _resolve(args, config, "x_to", 0.6399)
-    n = _checked_count(args, config, "n", 200)
+def _cmd_trace(opts) -> int:
+    """outer branch u0(x) as CSV"""
     import numpy as np
 
     from .hodograph import closed_u0
 
-    xs = np.linspace(float(x_from), float(x_to), n)
-    path = outdir / "trace.csv"
-    rows = write_csv(path, "x,u0", ((x, closed_u0(float(x), t1)) for x in xs))
+    xs = np.linspace(opts["x_from"], opts["x_to"], opts["n"])
+    path = opts["outdir"] / "trace.csv"
+    rows = write_csv(path, "x,u0", ((x, closed_u0(float(x), opts["t1"])) for x in xs))
     print(json_text({"file": str(path), "rows": rows}))
     return 0
 
 
-def _cmd_painleve(args, config, outdir) -> int:
-    xi0 = _checked_xi0(args, config)
-    xi_min = float(_resolve(args, config, "xi_min"))
-    tol = _checked_tol(args, config)
-    n = _checked_count(args, config, "n", 2000)
+def _cmd_painleve(opts) -> int:
+    """tritronquee solution as CSV + summary"""
     import numpy as np
 
     from .painleve import POLE_GUARD, integrate_tritronquee
 
-    sol = integrate_tritronquee(xi0=xi0, xi_min=xi_min, tol=tol)
+    xi0, tol = opts["xi0"], opts["tol"]
+    sol = integrate_tritronquee(xi0=xi0, xi_min=opts["xi_min"], tol=tol)
     lo = sol.pole + 2 * POLE_GUARD if sol.pole is not None else sol.xi_reached
-    xs = np.linspace(lo, xi0, n)
+    xs = np.linspace(lo, xi0, opts["n"])
     w, wp = sol.eval_many(xs)
-    path = outdir / "painleve.csv"
+    path = opts["outdir"] / "painleve.csv"
     rows = write_csv(path, "xi,W,Wp", zip(xs, w, wp))
     print(json_text({
         "xi0": xi0, "tol": tol, "pole": sol.pole,
@@ -293,90 +240,67 @@ def _cmd_painleve(args, config, outdir) -> int:
     return 0
 
 
-def _cmd_match(args, config, outdir) -> int:
-    eps = _checked_eps(args, config)
-    t1 = float(_resolve(args, config, "t1"))
-    x_from = _resolve(args, config, "x_from", 0.6365)
-    x_to = _resolve(args, config, "x_to", 0.6395)
-    n = _checked_count(args, config, "n", 601)
-    tol = _checked_tol(args, config)
+def _cmd_match(opts) -> int:
+    """inner/outer matching errors"""
     from .multiscale import build_composite, overlap_report
 
-    comp = build_composite(t_1=t1, eps=eps, tol=tol)
-    print(json_text(overlap_report(comp, (float(x_from), float(x_to)), n)))
+    comp = build_composite(t_1=opts["t1"], eps=opts["eps"], tol=opts["tol"])
+    print(json_text(overlap_report(comp, (opts["x_from"], opts["x_to"]), opts["n"])))
     return 0
 
 
-def _cmd_composite(args, config, outdir) -> int:
-    eps = _checked_eps(args, config)
-    t1 = float(_resolve(args, config, "t1"))
-    switch = float(_resolve(args, config, "switch"))
-    tol = _checked_tol(args, config)
-    xi0 = _checked_xi0(args, config)
-    n = _checked_count(args, config, "n", 2000)
+def _cmd_composite(opts) -> int:
+    """glued solution u(x) as CSV"""
     import numpy as np
 
     from .multiscale import build_composite
 
-    comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol, xi0=xi0)
-    x_from = float(_resolve(args, config, "x_from", 0.6))
-    x_to_raw = _resolve(args, config, "x_to")
-    x_to = float(x_to_raw) if x_to_raw is not None else comp.x_star - 2e-7
-    xs = np.linspace(x_from, x_to, n)
+    comp = build_composite(t_1=opts["t1"], eps=opts["eps"], x_switch=opts["switch"],
+                           tol=opts["tol"], xi0=opts["xi0"])
+    x_to = comp.x_star - 2e-7 if opts["x_to"] is None else opts["x_to"]
+    xs = np.linspace(opts["x_from"], x_to, opts["n"])
     us = comp.eval_many(xs)
-    path = outdir / "composite.csv"
+    path = opts["outdir"] / "composite.csv"
     rows = write_csv(path, "x,u", zip(xs, us))
     print(json_text({
-        "file": str(path), "rows": rows, "eps": eps, "x_switch": switch,
+        "file": str(path), "rows": rows, "eps": opts["eps"], "x_switch": opts["switch"],
         "x_star": comp.x_star,
     }))
     return 0
 
 
-def _cmd_frames(args, config, outdir) -> int:
-    eps = _checked_eps(args, config)
-    t1 = float(_resolve(args, config, "t1"))
-    switch = float(_resolve(args, config, "switch"))
-    tol = _checked_tol(args, config)
-    count = _checked_count(args, config, "count")
-    n_samples = _checked_count(args, config, "n_samples")
-    x_from = float(_resolve(args, config, "x_from", 0.6))
-    x_to = float(_resolve(args, config, "x_to", 0.6402302))
+def _cmd_frames(opts) -> int:
+    """interface frames plus event manifest"""
+    x_from, x_to = opts["x_from"], opts["x_to"]
     if not x_from < x_to:
         raise ConfigError(f"frame window from {x_from} to {x_to} is empty")
     from .geometry import emit_frames
     from .multiscale import build_composite
 
-    comp = build_composite(t_1=t1, eps=eps, x_switch=switch, tol=tol)
-    xs = frame_abscissas(x_from, x_to, count)
-    manifest = emit_frames(comp, xs, outdir, n=n_samples)
+    comp = build_composite(t_1=opts["t1"], eps=opts["eps"], x_switch=opts["switch"], tol=opts["tol"])
+    xs = frame_abscissas(x_from, x_to, opts["count"])
+    manifest = emit_frames(comp, xs, opts["outdir"], n=opts["n_samples"])
     print(json_text({
-        "outdir": str(outdir), "frames": len(manifest["frames"]),
+        "outdir": str(opts["outdir"]), "frames": len(manifest["frames"]),
         "events": len(manifest["events"]), "x_star": comp.x_star,
     }))
     return 0
 
 
-def _cmd_toda(args, config, outdir) -> int:
-    t3 = float(_resolve(args, config, "t3"))
-    xc = float(_resolve(args, config, "xc"))
-    eps = _checked_eps(args, config)
-    tol = _checked_tol(args, config)
-    n = _checked_count(args, config, "n", 500)
+def _cmd_toda(opts) -> int:
+    """regularized merging flow (t~, u, v)"""
     import numpy as np
 
     from .toda import build_toda_inner, toda_composite
 
-    inner = build_toda_inner(t3, xc, eps, tol=tol)
-    t_from = _resolve(args, config, "x_from", -30.0)
-    t_to_raw = _resolve(args, config, "x_to")
-    t_to = float(t_to_raw) if t_to_raw is not None else inner.t_tilde_pole - 1e-2
-    ts = np.linspace(float(t_from), t_to, n)
+    inner = build_toda_inner(opts["t3"], opts["xc"], opts["eps"], tol=opts["tol"])
+    t_to = inner.t_tilde_pole - 1e-2 if opts["x_to"] is None else opts["x_to"]
+    ts = np.linspace(opts["x_from"], t_to, opts["n"])
     rows_iter = []
     for tt in ts:
         u, v = toda_composite(float(tt), inner)
         rows_iter.append((tt, u, v))
-    path = outdir / "toda.csv"
+    path = opts["outdir"] / "toda.csv"
     rows = write_csv(path, "t_tilde,u,v", rows_iter)
     crit = inner.crit
     print(json_text({
@@ -389,6 +313,7 @@ def _cmd_toda(args, config, outdir) -> int:
     return 0
 
 
+#: subcommand -> handler; each handler's docstring is its --help line
 _COMMANDS = {
     "gd": _cmd_gd,
     "critical": _cmd_critical,
@@ -402,20 +327,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}
+        opts = resolve(args.command, args, config)
+        opts["outdir"].mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        outdir = _outdir(args, config)
-        return _COMMANDS[args.command](args, config, outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except HeleShawError as exc:
+    except (HeleShawError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

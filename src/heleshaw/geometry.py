@@ -201,6 +201,8 @@ def _chebyshev_points(a: float, b: float, n: int) -> np.ndarray:
 
 
 def _sample_segments(spec: CurveSpec, segments: list[tuple[float, float]], n: int):
+    if not segments:
+        raise DomainError("empty sampling window")
     total = sum(b - a for a, b in segments)
     samples: list[tuple[float, float]] = []
     zero_map = {round(z, 15): z for z in spec.real_zeros()}
@@ -266,8 +268,6 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
         if seg_hi > seg_lo:
             cuts = [seg_lo] + [z for z in zeros if seg_lo < z < seg_hi] + [seg_hi]
             segments += [(p, q) for p, q in zip(cuts[:-1], cuts[1:]) if q > p]
-    if not segments:
-        raise DomainError("empty sampling window")
     return InterfaceFrame(x=float(x_label), samples=_sample_segments(spec, segments, n))
 
 

@@ -68,9 +68,6 @@ class ScalingMapKdV:
     def x_from_inner(self, x_tilde, x_c):
         return x_c + self.zoom * x_tilde
 
-    def t_to_inner(self, t, t_c):
-        return (t - t_c) / self.zoom
-
 
 @dataclass(frozen=True)
 class LeadingODE:
@@ -93,16 +90,10 @@ class LeadingODE:
 
 @dataclass(frozen=True)
 class PIReduction:
-    """Affine maps u1 = alpha W, x~ = beta xi carrying the reduced ODE to P-I."""
+    """Coefficients of u1 = alpha W, x~ = beta xi, the maps carrying the reduced ODE to P-I."""
 
     alpha: float
     beta: float
-
-    def xi_of_xtilde(self, x_tilde):
-        return x_tilde / self.beta
-
-    def u1_of_w(self, w):
-        return self.alpha * w
 
 
 def build_leading_ode(cp: CriticalPoint, times_c: KdVTimes | None = None) -> LeadingODE:

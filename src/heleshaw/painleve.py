@@ -84,16 +84,21 @@ def asymptotic_series(xi, order: int = 4):
     if np.any(np.asarray(xi) < SERIES_MIN_XI):
         raise DomainError(f"series unreliable below xi = {SERIES_MIN_XI}")
     s = np.sqrt(xi / 6.0)
-    t = 1.0 / np.sqrt(6.0 * xi**5)
-    poly = 0.0 * xi
-    dpoly = 0.0 * xi
-    tk = 1.0 + 0.0 * xi
-    for k, b in enumerate(_series_coefficients(order)):
-        bk = float(b)
-        poly = poly + bk * tk
-        dpoly = dpoly + (5 * k - 1) * bk * tk
-        tk = tk * t
-    return -s * poly, s * dpoly / (2.0 * xi)
+    # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains
+    with np.errstate(over="ignore"):
+        try:
+            t = 1.0 / np.sqrt(6.0 * xi**5)
+        except OverflowError:  # raised by float ** where an array gives inf
+            t = 0.0
+        poly = 0.0 * xi
+        dpoly = 0.0 * xi
+        tk = 1.0 + 0.0 * xi
+        for k, b in enumerate(_series_coefficients(order)):
+            bk = float(b)
+            poly = poly + bk * tk
+            dpoly = dpoly + (5 * k - 1) * bk * tk
+            tk = tk * t
+        return -s * poly, s * dpoly / (2.0 * xi)
 
 
 def _horner(coefs, s):

@@ -8,18 +8,21 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 
 def fmt(value) -> str:
-    """17-significant-digit rendering of a number (ints stay ints)."""
+    """17-significant-digit rendering of a number (ints stay ints).
+
+    NaN and infinities are a DomainError: no output carries a non-finite value.
+    """
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     v = float(value)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
+    if not math.isfinite(v):
+        raise DomainError(f"non-finite result {v} cannot be written")
     return f"{v:.17g}"
 
 

@@ -1,17 +1,25 @@
 """CLI behaviour: subcommands, config precedence, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heleshaw
 from heleshaw import painleve
-from heleshaw.cli import frame_abscissas, load_config, main
+from heleshaw.cli import OPTIONS, frame_abscissas, load_config, main
 from heleshaw.errors import ConfigError
 
 
@@ -241,6 +249,10 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv):
     ("toda", "--n", "-1"),
     ("frames", "--n-samples", "0"),
     ("frames", "--n-samples", "-1"),
+    ("gd", "--n", "abc"),
+    ("gd", "--format", "xml"),
+    ("trace", "--bogus", "1"),
+    pytest.param((), id="no subcommand"),
 ], ids=" ".join)
 def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
@@ -248,6 +260,69 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+#: upper bounds on the drawn sizes, so that each run stays short
+SIZE_CAPS = {"n": 50, "count": 3, "n_samples": 50, ("gd", "n"): 10}
+
+
+def _option_values(command, key, opt):
+    """Every value the option table accepts for one option (sizes capped)."""
+    if opt.choices:
+        return st.sampled_from(opt.choices)
+    if opt.type is int:
+        return st.integers(opt.lo, min(opt.hi, SIZE_CAPS.get((command, key), SIZE_CAPS[key])))
+    return st.floats(min_value=opt.lo if math.isfinite(opt.lo) else None,
+                     max_value=opt.hi if math.isfinite(opt.hi) else None,
+                     exclude_min=opt.lo_open, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for key, opt in OPTIONS[command].items():
+        value = draw(st.none() | _option_values(command, key, opt))
+        if value is not None:
+            argv.append(f"--{key.removeprefix('x_').replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_argvs())
+@example(argv=["gd", "--n", "abc"])
+@example(argv=["gd", "--format", "xml"])
+@example(argv=["trace", "--bogus", "1"])
+@example(argv=[])
+@example(argv=["trace", "--t1=-1e300"])
+@example(argv=["match", "--t1=-1e300"])
+@example(argv=["frames", "--t1=-1e300"])
+@example(argv=["toda", "--xc=-1e300"])
+@example(argv=["trace", "--from=-1e308", "--to", "0.5"])
+@example(argv=["toda", "--from=-1e308"])
+@example(argv=["trace", "--t1=-1e-300", "--from=0", "--n", "7"])
+@example(argv=["critical", "--t1=-1e308"])
+@example(argv=["toda", "--t3=5e-324", "--n", "7"])
+@example(argv=["frames", "--eps", "1e-300"])
+@example(argv=["composite", "--eps", "1e-300"])
+@example(argv=["match", "--eps", "1e-300"])
+@example(argv=["frames", "--t1=-1e-300", "--switch=-1", "--from=-1", "--count=2"])
+def test_any_input_ends_cleanly(argv):
+    """Every input ends in a result or in exit 1 or 2 with one stderr line;
+    a result carries no warning and no non-finite number."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--outdir", outdir, *argv])
+        assert time.perf_counter() - start < 10
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) == (code != 0)
+        if code == 0:
+            assert [str(w.message) for w in caught] == []
+            texts = [out.getvalue()] + [f.read_text() for f in Path(outdir).iterdir()]
+            assert not any("NaN" in text or "Infinity" in text for text in texts)
 
 
 def test_failed_certificate_exit_1(tmp_path, capsys, monkeypatch):

@@ -108,6 +108,12 @@ def test_finger_domain_error():
         finger_curve(0.9, quintic_times(-0.8, x=0.5), X_range=(0.5, 2.0))
 
 
+def test_finger_empty_window_domain_error():
+    # at u = 1e17 the default window (u, u + 1.5) rounds to a single point
+    with pytest.raises(DomainError, match="empty sampling window"):
+        finger_curve(1e17, quintic_times(-0.8, x=0.5))
+
+
 def test_finger_exact_zero_insertion():
     u = 0.7
     frame = finger_curve(u, quintic_times(-0.8, x=0.5), X_range=(u, 3.0))

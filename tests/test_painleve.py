@@ -1,6 +1,7 @@
 """Tritronquee construction tests: series, integration, pole, residuals."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,16 @@ def test_series_domain_guard():
         asymptotic_series(9.0, 4)
     with pytest.raises(DomainError):
         asymptotic_series(30.0, 9)
+
+
+def test_series_far_out_is_leading_term():
+    # 6 xi^5 overflows at xi = 1e70: float ** raises, an array gives inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, wp = asymptotic_series(1e70)
+        ws, wps = asymptotic_series(np.array([1e70]))
+    assert (w, wp) == (ws[0], wps[0])
+    assert w == -math.sqrt(1e70 / 6.0)
 
 
 # -- integration ------------------------------------------------------------
