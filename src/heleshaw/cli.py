@@ -18,7 +18,7 @@ The table OPTIONS declares every option once: its type, default and
 validated range.  All numbers are printed with 17 significant digits, so
 identical configurations yield byte-identical files.
 
-Exit codes: 0 success, 1 domain or arithmetic error, 2 configuration error
+Exit codes: 0 success, 1 domain, arithmetic or write error, 2 configuration error
 (an unparsable command line or a value outside its validated range); both
 errors print one diagnostic line on stderr.
 """
@@ -63,8 +63,9 @@ class Option(NamedTuple):
             raise ConfigError(f"{name} = {value} outside the validated range {bracket}{self.lo:g}, {self.hi:g}]")
 
 
-def _count(default: int) -> Option:
-    return Option(int, default, 1)
+def _count(default: int, hi: int = 10**6) -> Option:
+    """A size: at least 1, and at most `hi`, which bounds the memory a run asks for."""
+    return Option(int, default, 1, hi)
 
 
 def _window(x_from: float, x_to: float | None) -> dict:
@@ -87,8 +88,8 @@ OPTIONS = {
     "match": {"eps": _EPS, "t1": _T1, **_window(0.6365, 0.6395), "n": _count(601), "tol": _TOL},
     "composite": {"eps": _EPS, "t1": _T1, **_window(0.6, None), "n": _count(2000),
                   "switch": _SWITCH, "tol": _TOL, "xi0": _XI0},
-    "frames": {**_window(0.6, 0.6402302), "count": _count(8), "eps": _EPS, "switch": _SWITCH,
-               "t1": _T1, "n_samples": _count(400), "tol": _TOL},
+    "frames": {**_window(0.6, 0.6402302), "count": _count(8, 10**4), "eps": _EPS, "switch": _SWITCH,
+               "t1": _T1, "n_samples": _count(400, 10**5), "tol": _TOL},
     "toda": {"t3": Option(float, 1.0), "xc": Option(float, 1.0), "eps": _EPS,
              **_window(-30.0, None), "n": _count(500), "tol": _TOL},
 }
@@ -207,6 +208,15 @@ def _cmd_critical(opts) -> int:
     return 0
 
 
+def _write_table(opts, name: str, header: str, columns, **summary) -> int:
+    """CSV `name` of the columns, then the JSON summary, rendered first so that its failure writes no file."""
+    path = opts["outdir"] / name
+    text = json_text({"file": str(path), "rows": len(columns[0]), **summary})
+    write_csv(path, header, zip(*columns))
+    print(text)
+    return 0
+
+
 def _cmd_trace(opts) -> int:
     """outer branch u0(x) as CSV"""
     import numpy as np
@@ -214,10 +224,7 @@ def _cmd_trace(opts) -> int:
     from .hodograph import closed_u0
 
     xs = np.linspace(opts["x_from"], opts["x_to"], opts["n"])
-    path = opts["outdir"] / "trace.csv"
-    rows = write_csv(path, "x,u0", ((x, closed_u0(float(x), opts["t1"])) for x in xs))
-    print(json_text({"file": str(path), "rows": rows}))
-    return 0
+    return _write_table(opts, "trace.csv", "x,u0", (xs, closed_u0(xs, opts["t1"])))
 
 
 def _cmd_painleve(opts) -> int:
@@ -230,14 +237,8 @@ def _cmd_painleve(opts) -> int:
     sol = integrate_tritronquee(xi0=xi0, xi_min=opts["xi_min"], tol=tol)
     lo = sol.pole + 2 * POLE_GUARD if sol.pole is not None else sol.xi_reached
     xs = np.linspace(lo, xi0, opts["n"])
-    w, wp = sol.eval_many(xs)
-    path = opts["outdir"] / "painleve.csv"
-    rows = write_csv(path, "xi,W,Wp", zip(xs, w, wp))
-    print(json_text({
-        "xi0": xi0, "tol": tol, "pole": sol.pole,
-        "residual_max": sol.residual_max, "file": str(path), "rows": rows,
-    }))
-    return 0
+    return _write_table(opts, "painleve.csv", "xi,W,Wp", (xs, *sol.eval_many(xs)),
+                        xi0=xi0, tol=tol, pole=sol.pole, residual_max=sol.residual_max)
 
 
 def _cmd_match(opts) -> int:
@@ -259,14 +260,8 @@ def _cmd_composite(opts) -> int:
                            tol=opts["tol"], xi0=opts["xi0"])
     x_to = comp.x_star - 2e-7 if opts["x_to"] is None else opts["x_to"]
     xs = np.linspace(opts["x_from"], x_to, opts["n"])
-    us = comp.eval_many(xs)
-    path = opts["outdir"] / "composite.csv"
-    rows = write_csv(path, "x,u", zip(xs, us))
-    print(json_text({
-        "file": str(path), "rows": rows, "eps": opts["eps"], "x_switch": opts["switch"],
-        "x_star": comp.x_star,
-    }))
-    return 0
+    return _write_table(opts, "composite.csv", "x,u", (xs, comp.eval_many(xs)),
+                        eps=opts["eps"], x_switch=opts["switch"], x_star=comp.x_star)
 
 
 def _cmd_frames(opts) -> int:
@@ -296,21 +291,11 @@ def _cmd_toda(opts) -> int:
     inner = build_toda_inner(opts["t3"], opts["xc"], opts["eps"], tol=opts["tol"])
     t_to = inner.t_tilde_pole - 1e-2 if opts["x_to"] is None else opts["x_to"]
     ts = np.linspace(opts["x_from"], t_to, opts["n"])
-    rows_iter = []
-    for tt in ts:
-        u, v = toda_composite(float(tt), inner)
-        rows_iter.append((tt, u, v))
-    path = opts["outdir"] / "toda.csv"
-    rows = write_csv(path, "t_tilde,u,v", rows_iter)
     crit = inner.crit
-    print(json_text({
-        "file": str(path), "rows": rows,
-        "u_c": float(crit.u_c), "v_c": float(crit.v_c),
-        "t_c": float(crit.t_c), "x_c": float(crit.x_c),
-        "identity_residual": crit.identity_residual(),
-        "t_tilde_pole": inner.t_tilde_pole,
-    }))
-    return 0
+    return _write_table(opts, "toda.csv", "t_tilde,u,v", (ts, *toda_composite(ts, inner)),
+                        u_c=float(crit.u_c), v_c=float(crit.v_c), t_c=float(crit.t_c),
+                        x_c=float(crit.x_c), identity_residual=crit.identity_residual(),
+                        t_tilde_pole=inner.t_tilde_pole)
 
 
 #: subcommand -> handler; each handler's docstring is its --help line
@@ -331,12 +316,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else {}
         opts = resolve(args.command, args, config)
-        opts["outdir"].mkdir(parents=True, exist_ok=True)
+        try:
+            opts["outdir"].mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {opts['outdir']}: {exc.strerror}") from exc
         return _COMMANDS[args.command](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (HeleShawError, ArithmeticError) as exc:
+    except (HeleShawError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ at most once per branch and its abscissa follows by bisection there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError, NoConvergence
 from .hodograph import KdVTimes, r_coeff
 from .multiscale import CompositeSolution
-from .textio import fmt, json_text
+from .textio import atomic_open, json_text, write_csv
 from .toda import TodaInner, toda_composite
 
 
@@ -191,39 +191,31 @@ class InterfaceFrame:
 
     x: float
     samples: list[tuple[float, float]]
-    events_so_far: list[Event] = field(default_factory=list)
 
 
-def _chebyshev_points(a: float, b: float, n: int) -> np.ndarray:
-    # cosine clustering toward both ends: faithful square-root behaviour
-    theta = np.linspace(0.0, math.pi, max(n, 4))
-    return a + (b - a) * 0.5 * (1.0 - np.cos(theta))
-
-
-def _sample_segments(spec: CurveSpec, segments: list[tuple[float, float]], n: int):
+def _sample_segments(spec: CurveSpec, spans: list[tuple[float, float]], n: int):
+    """Samples of Y on the spans, cut at the curve zeros and cosine-clustered per segment."""
+    zeros = spec.real_zeros()
+    segments = []
+    for lo, hi in spans:
+        cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
+        segments += [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
     if not segments:
         raise DomainError("empty sampling window")
     total = sum(b - a for a, b in segments)
-    samples: list[tuple[float, float]] = []
-    zero_map = {round(z, 15): z for z in spec.real_zeros()}
-    for a, b in segments:
-        m = max(8, int(round(n * (b - a) / total))) if total > 0 else n
-        xs = _chebyshev_points(a, b, m)
-        ys = spec.y(xs)
-        for xv, yv in zip(xs, ys):
-            # snap to the analytic zeros: exact coordinates, exact Y = 0
-            key = round(float(xv), 15)
-            if key in zero_map:
-                samples.append((zero_map[key], 0.0))
-            else:
-                samples.append((float(xv), float(yv)))
-    # dedupe shared endpoints, keep x increasing
-    samples.sort(key=lambda p: p[0])
-    out = [samples[0]]
-    for p in samples[1:]:
-        if p[0] > out[-1][0]:
-            out.append(p)
-    return out
+    # cosine clustering toward both ends of each segment: faithful square-root behaviour
+    thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
+    xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])
+    ys = spec.y(xs)
+    # snap to the analytic zeros: exact coordinates, exact Y = 0
+    for z in zeros:
+        hit = np.abs(xs - z) <= 1e-15 * max(1.0, abs(z))
+        xs[hit], ys[hit] = z, 0.0
+    # x increasing, shared endpoints once
+    order = np.argsort(xs, kind="stable")
+    xs, ys = xs[order], ys[order]
+    keep = np.concatenate(([True], xs[1:] > xs[:-1]))
+    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
 
 
 def finger_curve(u: float, times: KdVTimes, X_range: Optional[tuple[float, float]] = None,
@@ -240,9 +232,7 @@ def finger_curve(u: float, times: KdVTimes, X_range: Optional[tuple[float, float
     lo, hi = float(X_range[0]), float(X_range[1])
     if lo < spec.u - 1e-12 * (1 + abs(spec.u)):
         raise DomainError(f"requested X below the branch point u = {spec.u}")
-    cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
-    segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-    return InterfaceFrame(x=float(times.x), samples=_sample_segments(spec, segments, n))
+    return InterfaceFrame(x=float(times.x), samples=_sample_segments(spec, [(lo, hi)], n))
 
 
 def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, float]] = None,
@@ -262,13 +252,8 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
     lo, hi = float(X_range[0]), float(X_range[1])
     if lo > a - 1e-15 and hi < b + 1e-15:
         raise DomainError("requested window lies strictly inside the tip gap")
-    zeros = spec.real_zeros()
-    segments = []
-    for seg_lo, seg_hi in ((lo, min(a, hi)), (max(b, lo), hi)):
-        if seg_hi > seg_lo:
-            cuts = [seg_lo] + [z for z in zeros if seg_lo < z < seg_hi] + [seg_hi]
-            segments += [(p, q) for p, q in zip(cuts[:-1], cuts[1:]) if q > p]
-    return InterfaceFrame(x=float(x_label), samples=_sample_segments(spec, segments, n))
+    spans = [(lo, min(a, hi)), (max(b, lo), hi)]
+    return InterfaceFrame(x=float(x_label), samples=_sample_segments(spec, spans, n))
 
 
 # -- event detection -----------------------------------------------------
@@ -289,8 +274,7 @@ def _bisect_to_machine(fn, lo, hi, flo):
 _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 
 
-def detect_events(comp: CompositeSolution, x_range: tuple[float, float],
-                  resolution: int = 10_000) -> list[Event]:
+def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list[Event]:
     """Ordered topological events of the composite flow on x_range.
 
     The event levels are the real roots of two polynomials in u taken from
@@ -301,8 +285,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float],
     (outer below x_switch, inner above), so each root inside a branch's
     u-range is carried to x by one bisection to machine precision on that
     branch.  Events are sorted by x, coincident ones in the order cusp,
-    zero-count-change, root-coalescence.  `resolution` is unused; it is
-    accepted for compatibility.
+    zero-count-change, root-coalescence.
 
     Raises NoConvergence when the jump of u at x_switch straddles a root,
     since the glued field then has no single crossing of it.
@@ -322,7 +305,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float],
     branches = []  # (x_a, x_b, u(x_a), u(x_b), u) with u decreasing on [x_a, x_b]
     if lo < x_switch:
         b = min(hi, x_switch)
-        branches.append((lo, b, comp.outer(lo), comp.outer(b), comp.outer))
+        branches.append((lo, b, comp.outer_u(lo), comp.outer_u(b), comp.outer_u))
     if hi > x_switch:
         a = max(lo, x_switch)
         branches.append((a, hi, comp.inner_u(a), comp.inner_u(hi), comp.inner_u))
@@ -355,46 +338,30 @@ def emit_frames(source, abscissas: Sequence[float], outdir, n: int = 400,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     abscissas = [float(x) for x in abscissas]
-
+    # the branch data of all frames come first, so an abscissa out of range writes no file
     if isinstance(source, CompositeSolution):
-        comp = source
-
-        def frame_at(x: float) -> InterfaceFrame:
-            u = comp.eval(x)
-            lo = max(u, X_range[0]) if X_range else u
-            hi_x = X_range[1] if X_range else max(2.5, u + 1.0)
-            return finger_curve(u, comp.cp.times_c.with_x(x), X_range=(lo, hi_x), n=n)
-
         if events is None and abscissas:
-            events = detect_events(comp, (min(abscissas), max(abscissas)))
-    elif isinstance(source, TodaInner):
-        inner = source
+            events = detect_events(source, (min(abscissas), max(abscissas)))
 
-        def frame_at(t_tilde: float) -> InterfaceFrame:
-            u, v = toda_composite(t_tilde, inner)
-            return bubble_curve(u, v, float(inner.crit.t_3), X_range=X_range, n=n, x_label=t_tilde)
+        def finger_at(x: float, u: float) -> InterfaceFrame:
+            window = (max(u, X_range[0]), X_range[1]) if X_range else (u, max(2.5, u + 1.0))
+            return finger_curve(u, source.cp.times_c.with_x(x), X_range=window, n=n)
+
+        frames = map(finger_at, abscissas, source.eval_many(abscissas).tolist())
+    elif isinstance(source, TodaInner):
+        us, vs = toda_composite(np.array(abscissas), source)
+        frames = (bubble_curve(u, v, float(source.crit.t_3), X_range=X_range, n=n, x_label=t)
+                  for t, u, v in zip(abscissas, us.tolist(), vs.tolist()))
     else:
-        frame_at = source
+        frames = map(source, abscissas)
 
     events = events or []
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
-    for index, x in enumerate(abscissas):
-        frame = frame_at(x)
-        frame.events_so_far = [ev for ev in events if ev.x_value <= x]
+    for index, (x, frame) in enumerate(zip(abscissas, frames)):
         name = f"frame_{index:03d}.csv"
-        path = outdir / name
-        with open(path, "w") as fh:
-            fh.write("X,Y\n")
-            for xv, yv in frame.samples:
-                fh.write(f"{fmt(xv)},{fmt(yv)}\n")
-        manifest["frames"].append({
-            "index": index,
-            "x": x,
-            "file": name,
-            "n_samples": len(frame.samples),
-            "n_events_so_far": len(frame.events_so_far),
-        })
-    with open(outdir / "manifest.json", "w") as fh:
-        fh.write(json_text(manifest))
-        fh.write("\n")
+        write_csv(outdir / name, "X,Y", frame.samples)
+        manifest["frames"].append({"index": index, "x": x, "file": name, "n_samples": len(frame.samples),
+                                   "n_events_so_far": sum(ev.x_value <= x for ev in events)})
+    with atomic_open(outdir / "manifest.json") as fh:
+        fh.write(json_text(manifest) + "\n")
     return manifest

@@ -24,7 +24,6 @@ hodograph equation becomes (5/8) v^3 + (3/2) t_1 v + x = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,34 +235,52 @@ def _bisect(times: KdVTimes, lo: float, hi: float, atol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def closed_u0(x: float, t_1: float) -> float:
-    """Closed-form single-valued branch of (5/8) u^3 + (3/2) t_1 u + x = 0.
+def _fold_newton(d, k, v_c):
+    """Newton iterate for delta^2 (delta + 3 v_c) = k, on floats or arrays."""
+    return d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c))
 
-    Cardano's expression
 
-        u = (2/5)^(2/3) A^(1/3) - 2 (2/5)^(1/3) t_1 / A^(1/3),
-        A = sqrt(5 (4 t_1^3 + 5 x^2)) - 5 x,
+def closed_u0(x, t_1):
+    """Outer branch of (5/8) u^3 + (3/2) t_1 u + x = 0, elementwise on x <= x_c (t_1 < 0).
 
-    is evaluated with principal complex branches.  For -x_c < x < x_c the
-    square-root argument is negative (casus irreducibilis: three real roots)
-    and the two terms are complex conjugates, so the principal branch returns
-    the largest real root -- exactly the branch reached by continuity from
-    the fold at x_c, where u -> v_c.  For t_1 < 0 and x <= x_c this is the
-    physical finger branch; past x_c the branch folds away and we refuse.
+    With u = v_c + delta the cubic reads delta^2 (delta + 3 v_c) = k, k = (8/5)(x_c - x),
+    increasing and convex in delta >= 0.  Its root delta >= 0 is the largest real
+    root, reached by continuity from the fold (u = v_c exactly at x_c).  Newton
+    from min(k^(1/3), sqrt(k / (3 v_c))), an upper bound, decreases monotonically
+    to it and stops when no iterate moves: no complex arithmetic, no casus
+    irreducibilis.  Past x_c the branch has folded away: refused.  A scalar x gives
+    a float from the same Newton sequence on floats, bit for bit the array result.
     """
+    import numpy as np  # here, so that `critical` runs without numpy
+
     if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
     v_c = math.sqrt(-4.0 * t_1 / 5.0)
     x_c = -t_1 * v_c
-    if x > x_c:
-        raise DomainError(f"x={x} beyond the catastrophe point x_c={x_c}: branch folded")
-    disc = 5.0 * (4.0 * t_1**3 + 5.0 * x**2)
-    a = cmath.sqrt(complex(disc)) - 5.0 * x
-    cbrt = a ** (1.0 / 3.0)
-    u = (2.0 / 5.0) ** (2.0 / 3.0) * cbrt - 2.0 * (2.0 / 5.0) ** (1.0 / 3.0) * t_1 / cbrt
-    if abs(u.imag) > 1e-9 * (1.0 + abs(u.real)):
-        raise DomainError(f"branch evaluation left the real axis (imag={u.imag:.2e})")
-    return u.real
+    scalar = isinstance(x, (int, float))
+    top = x if scalar else np.max(x, initial=-math.inf)
+    if top > x_c:
+        raise DomainError(f"x={top} beyond the catastrophe point x_c={x_c}: branch folded")
+    if scalar:  # scalar callers loop over points: the same Newton sequence on floats
+        k = 1.6 * (x_c - float(x))
+        d = min(float(np.cbrt(k)), math.sqrt(k / (3.0 * v_c)))
+        while d > 0 and (nd := _fold_newton(d, k, v_c)) < d:
+            d = nd
+        finite = math.isfinite(d)
+    else:
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite result below
+            k = 1.6 * (x_c - np.asarray(x, dtype=float))
+            d = np.minimum(np.cbrt(k), np.sqrt(k / (3.0 * v_c)))
+            for _ in range(100):
+                nd = _fold_newton(d, k, v_c)  # nan where d = k = 0: already the root
+                if not np.any(nd < d):
+                    break
+                d = np.fmin(nd, d)
+        finite = np.isfinite(d).all()
+    if not finite:
+        raise DomainError(f"outer branch is not finite at t_1={t_1} (overflow)")
+    u = v_c + d
+    return u if scalar or u.ndim else float(u)
 
 
 def find_critical_25(t_1):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -174,7 +173,6 @@ class CompositeSolution:
     reduction: PIReduction
     tritronquee: TritronqueeSolution
     x_switch: float
-    outer: Callable[[float], float]
 
     @property
     def eps(self) -> float:
@@ -208,29 +206,25 @@ class CompositeSolution:
         return float(u) if np.ndim(x) == 0 else u
 
     def outer_u(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.outer(float(xi)) for xi in xs])
-        return float(out[0]) if np.ndim(x) == 0 else out
+        """The closed-form outer hodograph branch at physical x <= x_c."""
+        return closed_u0(x, self.cp.times_c.t[0])
 
     def eval(self, x: float) -> float:
-        """Outer branch below x_switch, inner branch on [x_switch, x_star)."""
-        if x >= self.x_star:
-            raise OutOfRange(f"x = {x} is at or beyond x* = {self.x_star}")
-        if x < self.x_switch:
-            return self.outer(float(x))
-        return self.inner_u(float(x))
+        """u at one abscissa: the 0-d case of eval_many."""
+        return self.eval_many(x)
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+    def eval_many(self, xs):
+        """Outer branch below x_switch, inner branch on [x_switch, x_star)."""
         xs = np.asarray(xs, dtype=float)
         if np.any(xs >= self.x_star):
-            raise OutOfRange("abscissa at or beyond x*")
+            raise OutOfRange(f"x = {xs.max()} is at or beyond x* = {self.x_star}")
         out = np.empty_like(xs)
         lo = xs < self.x_switch
         if lo.any():
             out[lo] = self.outer_u(xs[lo])
-        if (~lo).any():
+        if not lo.all():
             out[~lo] = self.inner_u(xs[~lo])
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.638,
@@ -248,10 +242,8 @@ def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.63
     if not trit.blew_up:
         raise DomainError("composite needs a tritronquee integrated through its pole")
     scaling = ScalingMapKdV(eps=eps, m=cp.m)
-    return CompositeSolution(
-        cp=cp, scaling=scaling, ode=ode, reduction=red, tritronquee=trit,
-        x_switch=x_switch, outer=lambda x: closed_u0(x, t_1),
-    )
+    return CompositeSolution(cp=cp, scaling=scaling, ode=ode, reduction=red, tritronquee=trit,
+                             x_switch=x_switch)
 
 
 def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: int = 601) -> dict:

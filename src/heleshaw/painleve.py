@@ -84,8 +84,8 @@ def asymptotic_series(xi, order: int = 4):
     if np.any(np.asarray(xi) < SERIES_MIN_XI):
         raise DomainError(f"series unreliable below xi = {SERIES_MIN_XI}")
     s = np.sqrt(xi / 6.0)
-    # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains
-    with np.errstate(over="ignore"):
+    # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains (inf: nan)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
             t = 1.0 / np.sqrt(6.0 * xi**5)
         except OverflowError:  # raised by float ** where an array gives inf

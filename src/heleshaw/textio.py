@@ -1,14 +1,21 @@
 """Deterministic text output: every number printed with 17 significant digits.
 
 Fixed-format floats make re-runs byte-identical and round-trip exactly
-through float(), which is what the file-diffing workflow relies on.
+through float(), which is what the file-diffing workflow relies on.  Files
+are renamed into place when complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
+from itertools import chain, islice
+from pathlib import Path
 
 from .errors import DomainError
+
+CHUNK_ROWS = 256  # rows per call of the row format string; larger chunks grew peak RSS
 
 
 def fmt(value) -> str:
@@ -52,12 +59,39 @@ def json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+@contextmanager
+def atomic_open(path):
+    """Write to a temporary file beside `path`; it replaces `path` only if the block succeeds."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: str, rows) -> int:
-    """Write rows of floats under a one-line header; returns the row count."""
+    """Write rows of floats, one per header column, atomically; returns the row count.
+
+    Rows are formatted in chunks by one format string; a non-finite value is a DomainError.
+    """
+    width = header.count(",") + 1
+    line = ",".join(["{:.17g}"] * width) + "\n"
+    rows = iter(rows)
     n = 0
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-            n += 1
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            values = tuple(map(float, chain.from_iterable(chunk)))
+            if len(values) != width * len(chunk):
+                raise ValueError(f"every row needs {width} values for the header {header!r}")
+            text = (line * len(chunk)).format(*values)
+            if "n" in text:  # only nan and inf spell a letter n
+                bad = next(v for v in values if not math.isfinite(v))
+                raise DomainError(f"non-finite result {bad} cannot be written")
+            fh.write(text)
+            n += len(chunk)
     return n

@@ -176,7 +176,7 @@ def test_criterion_6_matching_experiment():
 def test_criterion_7_event_sequence():
     t0 = time.perf_counter()
     comp = build_composite(t_1=-4 / 5, eps=1e-5, tol=1e-11)
-    events = detect_events(comp, (0.6, comp.x_star), resolution=10_000)
+    events = detect_events(comp, (0.6, comp.x_star))
     dt = time.perf_counter() - t0
     kinds = [ev.kind for ev in events]
     assert kinds == ["cusp", "zero-count-change", "cusp",

@@ -203,6 +203,73 @@ def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envdir" / "trace.csv").exists()
 
 
+def test_outdir_naming_a_file_exit_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    code, out, err = run(capsys, "--outdir", str(afile), "critical")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert afile.read_text() == "keep"
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys):
+    # every u of this run is nan; the writer refuses it before any file appears
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--t3=5e-324", "--n", "7")
+    assert code == 1
+    assert "non-finite" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rerun_replaces_file_whole(tmp_path, capsys):
+    code, _, _ = run(capsys, "--outdir", str(tmp_path / "fresh"), "trace", "--n", "5")
+    assert code == 0
+    target = tmp_path / "trace.csv"
+    target.write_text("x,u0\n" + "1,2\n" * 100)
+    code, _, _ = run(capsys, "--outdir", str(tmp_path), "trace", "--n", "5")
+    assert code == 0
+    assert target.read_bytes() == (tmp_path / "fresh" / "trace.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "trace.csv"]
+
+
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    (tmp_path / "trace.csv").mkdir()
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "trace", "--n", "5")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def test_failed_rerun_keeps_previous_file(tmp_path, capsys):
+    code, _, _ = run(capsys, "--outdir", str(tmp_path), "toda", "--n", "7")
+    assert code == 0
+    before = (tmp_path / "toda.csv").read_bytes()
+    code, _, _ = run(capsys, "--outdir", str(tmp_path), "toda", "--t3=5e-324", "--n", "7")
+    assert code == 1
+    assert (tmp_path / "toda.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["toda.csv"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_output_digests_at_default_arguments(tmp_path, capsys):
+    """The files that do not touch the outer branch are pinned byte for byte."""
+    for sub in ("painleve", "toda", "frames", "composite"):
+        code, _, _ = run(capsys, "--outdir", str(tmp_path), sub)
+        assert code == 0
+    assert _sha256((tmp_path / "painleve.csv").read_bytes()) == (
+        "d0031c8a671ef2410e74aeac675c054c907784010b8c1294ea2e6cf0bc6f90cc")
+    assert _sha256((tmp_path / "toda.csv").read_bytes()) == (
+        "0b43d4c318a67e7028083fabfbf3d7ca2d9ab9169a002efe4f023ebcaa590349")
+    assert _sha256((tmp_path / "manifest.json").read_bytes()) == (
+        "3d85b205c12971b041bf533e10f7164043abb8dcd4f667eb18068331f5d7ab92")
+    # composite rows on the inner branch, x >= x_switch = 0.638
+    rows = (tmp_path / "composite.csv").read_text().splitlines(keepends=True)[1:]
+    inner = "".join(row for row in rows if float(row.split(",")[0]) >= 0.638)
+    assert _sha256(inner.encode()) == "074368338979f7ca54fc1109b5e71bf36b93cf7c6897b47d1b0eacfe96de2b9e"
+
+
 def test_eps_range_validated(capsys):
     code, _, err = run(capsys, "match", "--eps", "0.5")
     assert code == 2
@@ -249,6 +316,9 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv):
     ("toda", "--n", "-1"),
     ("frames", "--n-samples", "0"),
     ("frames", "--n-samples", "-1"),
+    ("trace", "--n", "1000001"),
+    ("frames", "--count", "10001"),
+    ("frames", "--n-samples", "100001"),
     ("gd", "--n", "abc"),
     ("gd", "--format", "xml"),
     ("trace", "--bogus", "1"),

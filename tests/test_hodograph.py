@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -147,6 +149,48 @@ def test_closed_u0_negative_x_continuity():
     right = closed_u0(-0.64 + 1e-9, -0.8)
     assert abs(left - right) < 1e-4
     assert left > 1.59  # continues the largest root, near +1.6
+
+
+@pytest.mark.parametrize("t1", [-0.5, -0.73, -0.8, -1.2])
+def test_closed_u0_at_the_fold_is_v_c(t1):
+    cp = find_critical_25(t1)
+    for u in (closed_u0(cp.x_c, t1), closed_u0(np.array([cp.x_c]), t1)[0]):
+        assert abs(u - cp.v_c) <= 2 * math.ulp(cp.v_c)
+
+
+def _largest_real_root(x: float, t1: float):
+    """40-digit largest real root of (5/8) u^3 + (3/2) t_1 u + x = 0."""
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpf(5) / 8, 0, 1.5 * mpmath.mpf(t1), mpmath.mpf(x)],
+                                 maxsteps=200, extraprec=200)
+        return max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
+
+
+@pytest.mark.parametrize("t1", [-0.5, -0.8, -1.2])
+def test_closed_u0_against_mpmath(t1):
+    # |u - u_ref| <= 2 eps (|u_ref| + |x_c| |du/dx|): two rounding errors of
+    # x_c carried through the fold's slope du/dx = -1/((15/8) u^2 + (3/2) t_1)
+    cp = find_critical_25(t1)
+    xs = np.concatenate([cp.x_c - np.logspace(-15, -1, 29), np.linspace(-3 * cp.x_c, cp.x_c - 0.1, 21)])
+    for x, u in zip(xs, closed_u0(xs, t1)):
+        ref = _largest_real_root(float(x), t1)
+        slope = 1 / abs(mpmath.mpf(15) / 8 * ref**2 + 1.5 * mpmath.mpf(t1))
+        assert abs(u - ref) <= 2 * 2.0**-52 * (abs(ref) + abs(cp.x_c) * slope), x
+
+
+def test_closed_u0_scalar_and_array_bitwise_equal():
+    rng = np.random.default_rng(5)
+    for t1 in (-0.5, -0.73, -0.8, -1.2, -3.0, -1e-3):
+        cp = find_critical_25(t1)
+        xs = np.concatenate([cp.x_c - np.logspace(-17, 1, 300), rng.uniform(-3 * cp.x_c, cp.x_c, 300),
+                             [cp.x_c, -1e300]])
+        assert closed_u0(xs, t1).tolist() == [closed_u0(float(x), t1) for x in xs]
+
+
+def test_closed_u0_array_refuses_any_folded_point():
+    with pytest.raises(DomainError):
+        closed_u0(np.array([0.5, 0.65]), -0.8)
+    assert closed_u0(np.array([]), -0.8).shape == (0,)
 
 
 def test_closed_u0_fold_asymptotics_little_o():
