@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "diffpoly": ("DiffPoly", "Monomial", "gd_next", "gd_polynomials"),
     "hodograph": (
-        "CriticalPoint", "KdVTimes", "c_coeff", "closed_u0", "eval_H", "eval_dH",
-        "find_critical", "find_critical_25", "quintic_times", "r_coeff", "solve_branch",
+        "CriticalPoint", "KdVTimes", "branch_root", "c_coeff", "closed_u0", "eval_H", "eval_dH",
+        "find_critical", "find_critical_25", "hodograph_poly", "quintic_times", "r_coeff", "solve_branch",
     ),
     "painleve": ("TritronqueeSolution", "asymptotic_series", "find_first_negative_pole", "integrate_tritronquee"),
     "multiscale": (

@@ -25,10 +25,6 @@ class DerivativeVanishes(HeleShawError):
     """Newton derivative vanished: at or beyond a gradient catastrophe."""
 
 
-class SingularJacobian(HeleShawError):
-    """2-d Newton hit a singular Jacobian (critical point of the map)."""
-
-
 class DegenerateReduction(HeleShawError):
     """The multiscale reduction degenerates (leading multiplier vanishes)."""
 

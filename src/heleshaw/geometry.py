@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .hodograph import KdVTimes, r_coeff
+from .hodograph import KdVTimes, _bisect_to_machine, r_coeff
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
 from .toda import TodaInner, toda_composite
@@ -258,19 +258,6 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
 
 # -- event detection -----------------------------------------------------
 
-def _bisect_to_machine(fn, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = fn(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 
 
@@ -326,14 +313,13 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
 
 # -- frame emission ------------------------------------------------------
 
-def emit_frames(source, abscissas: Sequence[float], outdir, n: int = 400,
-                events: Optional[list[Event]] = None,
-                X_range: Optional[tuple[float, float]] = None) -> dict:
+def emit_frames(source: CompositeSolution | TodaInner, abscissas: Sequence[float], outdir,
+                n: int = 400, events: Optional[list[Event]] = None) -> dict:
     """Write frame_<index>.csv per abscissa plus a JSON manifest with events.
 
-    `source` is a KdV CompositeSolution (finger frames; events detected over
-    the abscissa span unless given), a TodaInner (bubble frames at inner
-    times t~), or a callable  abscissa -> InterfaceFrame.
+    `source` is a KdV CompositeSolution (finger frames on X in [u, max(2.5, u + 1)];
+    events detected over the abscissa span unless given) or a TodaInner
+    (bubble frames at inner times t~).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -344,16 +330,13 @@ def emit_frames(source, abscissas: Sequence[float], outdir, n: int = 400,
             events = detect_events(source, (min(abscissas), max(abscissas)))
 
         def finger_at(x: float, u: float) -> InterfaceFrame:
-            window = (max(u, X_range[0]), X_range[1]) if X_range else (u, max(2.5, u + 1.0))
-            return finger_curve(u, source.cp.times_c.with_x(x), X_range=window, n=n)
+            return finger_curve(u, source.cp.times_c.with_x(x), X_range=(u, max(2.5, u + 1.0)), n=n)
 
         frames = map(finger_at, abscissas, source.eval_many(abscissas).tolist())
-    elif isinstance(source, TodaInner):
-        us, vs = toda_composite(np.array(abscissas), source)
-        frames = (bubble_curve(u, v, float(source.crit.t_3), X_range=X_range, n=n, x_label=t)
-                  for t, u, v in zip(abscissas, us.tolist(), vs.tolist()))
     else:
-        frames = map(source, abscissas)
+        us, vs = toda_composite(np.array(abscissas), source)
+        frames = (bubble_curve(u, v, float(source.crit.t_3), n=n, x_label=t)
+                  for t, u, v in zip(abscissas, us.tolist(), vs.tolist()))
 
     events = events or []
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}

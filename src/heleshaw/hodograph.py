@@ -13,9 +13,16 @@ folds and derivatives of v blow up (gradient catastrophe).  Near such a point
 
 which is what the multiscale reduction removes.
 
-All coefficient formulas are evaluated in exact rational arithmetic and only
-degrade to float when the inputs are floats, so the downstream reduced-ODE
-construction can be carried out exactly for rational critical data.
+H is a polynomial in v.  hodograph_poly gives its coefficients, exact (int
+or Fraction) for exact times, and eval_H / eval_dH are Horner evaluations of
+them and of their derivatives, so the downstream reduced-ODE construction can
+be carried out exactly for rational critical data.
+
+Branches are roots of the float image of H, found by one fold-aware root
+finder, branch_root: a damped Newton that, where H' vanishes, takes the best
+of the Newton iterate, the double root (the root of H') and a bisected sign
+change.  find_critical is the same Newton on dH/dv, and heleshaw.toda solves
+the eliminated cubic of the Toda pair with branch_root.
 
 The worked configuration throughout is the quintic finger class
 (t_3 = 2/7, all other deformation times zero except t_1), for which the
@@ -115,124 +122,136 @@ def c_coeff(j: int, r: int, v):
     if j < r:
         return 0 * v
     coeff = (2 * j + 1) * _halfint_rising_coeff(r, j - r)
-    return coeff * v ** (j - r)
+    try:
+        return coeff * v ** (j - r)
+    except OverflowError:
+        raise DomainError(f"residue coefficient c_{{{j},{r}}}(v) = {coeff} v^{j - r} "
+                          f"overflows at v = {v!r}") from None
 
 
-# -- the hodograph function H and its v-derivatives ------------------------
+# -- the hodograph polynomial H and its v-derivatives ----------------------
+
+def hodograph_poly(times: KdVTimes) -> list:
+    """Coefficients of H in v, ascending: x, then (2k+1) t_k binom(2k,k)/4^k.
+
+    Exact (int or Fraction) for exact times, float for float times.
+    """
+    coeffs = [times.x] + [0] * len(times.t)
+    for k, tk in times.items():
+        coeffs[k] = Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k) * tk
+    return coeffs
+
+
+def _derivative(coeffs: list, j: int = 1) -> list:
+    """Ascending coefficients of the j-th derivative of the polynomial `coeffs`."""
+    return [math.perm(k, j) * c for k, c in enumerate(coeffs)][j:]
+
+
+def _horner(coeffs: list, v):
+    total = 0 * v
+    for c in reversed(coeffs):
+        total = total * v + c
+    return total
+
 
 def eval_H(times: KdVTimes, v):
-    """H(t, v) = sum (2k+1) t_k r_k(v) + x."""
-    total = times.x
-    for k, tk in times.items():
-        total = total + (2 * k + 1) * tk * r_coeff(k, v)
-    return total
+    """H(t, v) = x + sum (2k+1) t_k r_k(v), exact for exact input."""
+    return _horner(hodograph_poly(times), v)
 
 
 def eval_dH(times: KdVTimes, v, j: int):
-    """j-th v-derivative of H (term-wise, exact falling factorials)."""
+    """j-th v-derivative of H, exact for exact input."""
     if j < 0:
         raise DomainError("derivative order must be non-negative")
-    if j == 0:
-        return eval_H(times, v)
-    total = 0 * v
-    for k, tk in times.items():
-        if k >= j:
-            dr = math.perm(k, j) * math.comb(2 * k, k) * v ** (k - j) / 4**k  # j-th derivative of r_k
-            total = total + (2 * k + 1) * tk * dr
-    return total
+    return _horner(_derivative(hodograph_poly(times), j), v)
 
 
-def _h_scale(times: KdVTimes, v: float) -> float:
-    scale = abs(times.x) + 1.0
-    for k, tk in times.items():
-        scale += abs((2 * k + 1) * tk * r_coeff(k, float(abs(v)) + 1e-300))
-    return scale
+# -- fold-aware polynomial roots ---------------------------------------------
+
+def poly_scales(coeffs: list, v: float) -> tuple[float, float]:
+    """Term magnitudes 1 + sum |c_k| |v|^k of p and 1 + sum k |c_k| |v|^(k-1) of p'."""
+    mags, r = [abs(c) for c in coeffs], abs(v)
+    return 1.0 + _horner(mags, r), 1.0 + _horner(_derivative(mags), r)
 
 
-# -- branch solving ---------------------------------------------------------
+def _newton(coeffs: list, v: float, atol: float, fold: float, maxiter: int):
+    """Damped Newton on the float polynomial `coeffs` from v; returns (v, at_fold).
 
-def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13, maxiter: int = 80) -> float:
-    """Newton root of H(t, v) = 0 on the branch selected by the seed.
-
-    Bisection fallback when Newton stalls but a sign change brackets a root
-    near the seed; a double-root polish (Newton on dH/dv) handles the exact
-    fold abscissa, where the branch root degenerates.  Branch continuity
-    under small parameter steps is the caller's contract: reuse the previous
-    root as the next seed.
-
-    Raises DerivativeVanishes at/beyond the catastrophe (fold), NoConvergence
-    when no root is reachable from the seed (multivalued region entered).
+    Each step is clipped to (1 + |v|)/2, which keeps the iterate on the seeded
+    branch.  It stops one step after |p| <= atol or once a step is at most
+    1e-15 (1 + |v|), and stops at a fold, without stepping, where |p'| <= fold.
     """
-    v = float(seed)
-    scale = _h_scale(times, v)
-    dscale = abs(eval_dH(times, max(abs(v), 1.0), 1)) + 1.0
+    slope = _derivative(coeffs)
     for _ in range(maxiter):
-        h = eval_H(times, v)
-        if abs(h) < tol * scale:
-            dh = eval_dH(times, v, 1)
-            if abs(dh) < 1e-6 * dscale:
-                # near-double root: |H| underestimates the v error; polish on dH/dv
-                polished = _double_root_polish(times, v)
-                if polished is not None and abs(eval_H(times, polished)) <= max(abs(h), 4e-16 * scale):
-                    return polished
-            return v
-        dh = eval_dH(times, v, 1)
-        if abs(dh) < 1e-6 * dscale:
-            bracket = _find_bracket(times, v)
-            if bracket is not None:
-                return _bisect(times, *bracket, tol * scale)
-            polished = _double_root_polish(times, v)
-            if polished is not None and abs(eval_H(times, polished)) < 10 * tol * scale:
-                return polished
-            raise DerivativeVanishes(
-                f"dH/dv ~ 0 at v={v:.6g} with |H|={abs(h):.2e}: at or beyond the fold"
-            )
-        step = h / dh
-        # crude damping keeps the iterate on the seeded branch
+        p, dp = _horner(coeffs, v), _horner(slope, v)
+        if abs(dp) <= fold:
+            return v, True
+        step = p / dp
         limit = 0.5 * (1.0 + abs(v))
         if abs(step) > limit:
             step = math.copysign(limit, step)
         v -= step
-    raise NoConvergence(f"no root within {maxiter} iterations from seed {seed!r}")
+        if abs(p) <= atol or abs(step) <= 1e-15 * (1.0 + abs(v)):
+            return v, False
+    raise NoConvergence(f"Newton did not converge within {maxiter} iterations")
 
 
-def _double_root_polish(times: KdVTimes, v0: float):
-    """Newton on dH/dv: quadratic convergence to a fold root (if one is near)."""
-    v = v0
-    for _ in range(60):
-        g = eval_dH(times, v, 1)
-        gp = eval_dH(times, v, 2)
-        if abs(gp) < 1e-300:
-            return None
-        step = g / gp
-        v -= step
-        if abs(step) < 1e-15 * (1.0 + abs(v)):
-            return v
-    return None
-
-
-def _find_bracket(times: KdVTimes, v0: float, radius: float = 0.5, n: int = 64):
-    h0 = eval_H(times, v0)
-    for i in range(1, n + 1):
-        d = radius * i / n
-        for v in (v0 - d, v0 + d):
-            if eval_H(times, v) * h0 < 0:
-                return (v0, v) if v > v0 else (v, v0)
-    return None
-
-
-def _bisect(times: KdVTimes, lo: float, hi: float, atol: float) -> float:
-    hlo = eval_H(times, lo)
+def _bisect_to_machine(fn, lo, hi, flo):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        hm = eval_H(times, mid)
-        if abs(hm) < atol or (hi - lo) < 1e-16 * max(1.0, abs(mid)):
-            return mid
-        if hlo * hm <= 0:
+        if mid == lo or mid == hi:
+            break
+        fm = fn(mid)
+        if flo * fm <= 0:
             hi = mid
         else:
-            lo, hlo = mid, hm
+            lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def branch_root(coeffs: list, seed: float, atol: float, dscale: float, maxiter: int) -> float:
+    """Root of the float polynomial `coeffs` on the branch that the seed selects.
+
+    Damped Newton from the seed.  Where it reaches a fold (|p'| <= 1e-6 dscale)
+    three candidates compete: the Newton iterate, the root of p' reached by
+    Newton from it (a double root of p), and the bisected root of the first
+    sign change of p within 0.5 of it.  The one with the smallest |p| is
+    returned; DerivativeVanishes is raised when even that has |p| > 10 atol,
+    which is the case at or beyond the fold.
+    """
+    v, at_fold = _newton(coeffs, float(seed), atol, 1e-6 * dscale, maxiter)
+    if not at_fold:
+        return v
+
+    def p(w):
+        return _horner(coeffs, w)
+
+    p0 = p(v)
+    candidates = [v, _newton(_derivative(coeffs), v, 0.0, 0.0, maxiter)[0]]
+    side = next((w for i in range(1, 65) for w in (v - i / 128, v + i / 128) if p(w) * p0 < 0), None)
+    if side is not None:
+        lo, hi = min(v, side), max(v, side)
+        candidates.append(_bisect_to_machine(p, lo, hi, p(lo)))
+    best = min(candidates, key=lambda w: abs(p(w)))
+    if abs(p(best)) > 10 * atol:
+        raise DerivativeVanishes(f"p' ~ 0 at v={v:.6g} with |p|={abs(p0):.2e}: at or beyond the fold")
+    return best
+
+
+def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13, maxiter: int = 80) -> float:
+    """Root of H(t, v) = 0 on the branch selected by the seed: branch_root on hodograph_poly.
+
+    The residual bound is tol (1 + sum |c_k| |seed|^k) over H's coefficients
+    c_k.  At the fold abscissa the double root v_c is returned.
+    Branch continuity under small parameter steps is the caller's contract:
+    reuse the previous root as the next seed.
+
+    Raises DerivativeVanishes at/beyond the catastrophe (fold), NoConvergence
+    when no root is reachable from the seed (multivalued region entered).
+    """
+    coeffs = [float(c) for c in hodograph_poly(times)]
+    scale, dscale = poly_scales(coeffs, seed)
+    return branch_root(coeffs, seed, tol * scale, dscale, maxiter)
 
 
 def _fold_newton(d, k, v_c):
@@ -310,32 +329,20 @@ def _sqrt_like(q):
 
 def find_critical(times: KdVTimes, m: int = 2, v_seed: float = 1.0, tol: float = 1e-12,
                   maxiter: int = 60) -> CriticalPoint:
-    """Damped Newton on {dH/dv = 0, H = 0} in (v, x) with t fixed (m = 2 only).
+    """Second-order catastrophe on the branch of v_seed: Newton on dH/dv, then x_c from H = 0.
 
+    The residual bound of dH/dv is tol times its magnitude from poly_scales.
     For m > 2 the system {d^j H = 0, j = 1..m-1; H = 0} in the two unknowns
     (v, x) is overdetermined; higher-order catastrophes need deformation
     times to move as well and are not supported.
     """
     if m != 2:
         raise UnsupportedOrder("only second-order critical points are searched for")
-    v = float(v_seed)
-    dscale = abs(eval_dH(times, max(abs(v), 1.0), 2)) + 1.0
-    for _ in range(maxiter):
-        g = eval_dH(times, v, 1)
-        if abs(g) < tol * dscale:
-            break
-        gp = eval_dH(times, v, 2)
-        if abs(gp) < 1e-14 * dscale:
-            raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
-        step = g / gp
-        limit = 0.5 * (1.0 + abs(v))
-        if abs(step) > limit:
-            step = math.copysign(limit, step)
-        v -= step
-    else:
-        raise NoConvergence("critical-point Newton did not converge")
-    h2 = eval_dH(times, v, 2)
-    if abs(h2) <= 0.0:
-        raise DerivativeVanishes("vanishing second derivative at the critical point")
+    slope = _derivative([float(c) for c in hodograph_poly(times)])
+    scale, dscale = poly_scales(slope, v_seed)
+    v, at_fold = _newton(slope, float(v_seed), tol * scale, 1e-14 * dscale, maxiter)
+    h2 = _horner(_derivative(slope), v)
+    if at_fold or h2 == 0:
+        raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
     x_c = times.x - eval_H(times, v)  # H is affine in x
     return CriticalPoint(m=2, times_c=times.with_x(x_c), v_c=v, c=-2.0 / h2)

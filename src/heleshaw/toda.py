@@ -7,8 +7,11 @@ active solves the pair
     t + 3 t_3 (u^2 + 2 v) = 0,        6 t_3 u v + x = 0,
 
 whose coefficients are the large-z expansion of r = z / sqrt((z-u)^2 - 4v);
-the bubble tips sit at a = u - 2 sqrt(v), b = u + 2 sqrt(v).  A second-order
-critical point (merging moment) occurs on v_c = u_c^2 with
+the bubble tips sit at a = u - 2 sqrt(v), b = u + 2 sqrt(v).  The first
+equation gives v = -(t + 3 t_3 u^2)/(6 t_3), which turns the second exactly
+into the cubic 3 t_3 u^3 + t u - x = 0; the pair is solved through it with
+hodograph.branch_root.  A second-order critical point (merging moment) is a
+double root of that cubic; it occurs on v_c = u_c^2 with
 
     t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0.
 
@@ -38,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, NoConvergence, SingularJacobian
+from .errors import DomainError
+from .hodograph import branch_root, poly_scales
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
@@ -67,7 +71,11 @@ class TodaCritical:
 
     def identity_residual(self) -> float:
         """4 t_c^3 + 81 t_3 x_c^2, scaled; vanishes for consistent data."""
-        lhs = 4 * self.t_c**3 + 81 * self.t_3 * self.x_c**2
+        try:
+            lhs = 4 * self.t_c**3 + 81 * self.t_3 * self.x_c**2
+        except OverflowError:
+            raise DomainError(f"identity residual 4 t_c^3 + 81 t_3 x_c^2 overflows at "
+                              f"t_c = {self.t_c!r}, x_c = {self.x_c!r}") from None
         scale = abs(4 * self.t_c**3) + abs(81 * self.t_3 * self.x_c**2)
         return abs(lhs) / scale if scale else 0.0
 
@@ -104,83 +112,20 @@ def hodograph_pair_residuals(times: TodaTimes, u, v):
 
 def solve_toda_hodograph(times: TodaTimes, seed: tuple[float, float],
                          tol: float = 1e-13, maxiter: int = 60) -> tuple[float, float]:
-    """2-d Newton on the hodograph pair; the seed selects the bubble branch.
+    """Root (u, v) of the hodograph pair on the bubble branch that seed[0] selects.
 
-    The Jacobian determinant is 36 t_3^2 (u^2 - v) and vanishes exactly on
-    the critical manifold; when Newton runs into it the solver falls back to
-    the eliminated cubic 3 t_3 u^3 + t u - x = 0 (v eliminated through the
-    first equation), whose double root at the merging point is polished by
-    Newton on its derivative.  SingularJacobian is raised only when even
-    that leaves a residual.
+    The first equation gives v = -(t + 3 t_3 u^2)/(6 t_3), and the second then
+    reads 3 t_3 u^3 + t u - x = 0.  u is the root of that cubic that
+    branch_root reaches from seed[0] (seed[1] is not used); its double root
+    is the merging point, where the pair's Jacobian 36 t_3^2 (u^2 - v)
+    vanishes.  Raises DerivativeVanishes at or beyond the merging point,
+    NoConvergence when no root is reachable from the seed.
     """
     t3 = times.t_3
-    u, v = float(seed[0]), float(seed[1])
-    s1 = abs(times.t) + 3 * abs(t3) * (u * u + 2 * abs(v)) + 1.0
-    s2 = abs(6 * t3 * u * v) + abs(times.x) + 1.0
-    for _ in range(maxiter):
-        f1, f2 = hodograph_pair_residuals(times, u, v)
-        det = 36 * t3 * t3 * (u * u - v)
-        near_singular = abs(det) < 1e-5 * (36 * t3 * t3) * (u * u + abs(v) + 1e-6)
-        if abs(f1) < tol * s1 and abs(f2) < tol * s2:
-            if near_singular:
-                # residual converged on the critical manifold: |F| underestimates
-                # the (u, v) error there, so polish through the eliminated cubic
-                try:
-                    pu, pv = _eliminated_solve(times, u, tol * max(s1, s2))
-                except SingularJacobian:
-                    return u, v
-                p1, p2 = hodograph_pair_residuals(times, pu, pv)
-                if abs(p1) + abs(p2) <= abs(f1) + abs(f2) + 1e-15 * (s1 + s2):
-                    return pu, pv
-            return u, v
-        if near_singular:
-            return _eliminated_solve(times, u, tol * max(s1, s2))
-        # J = [[6 t3 u, 6 t3], [6 t3 v, 6 t3 u]]
-        du = (f1 * (6 * t3 * u) - f2 * (6 * t3)) / det
-        dv = (f2 * (6 * t3 * u) - f1 * (6 * t3 * v)) / det
-        limit = 0.5 * (1.0 + abs(u) + abs(v))
-        norm = math.hypot(du, dv)
-        if norm > limit:
-            du, dv = du * limit / norm, dv * limit / norm
-        u, v = u - du, v - dv
-    raise NoConvergence(f"toda hodograph Newton stalled from seed {seed!r}")
-
-
-def _eliminated_solve(times: TodaTimes, u0: float, atol: float) -> tuple[float, float]:
-    """Solve 3 t_3 u^3 + t u - x = 0 near u0, double-root aware."""
-    t3, t, x = times.t_3, times.t, times.x
-
-    def g(u):
-        return 3 * t3 * u**3 + t * u - x
-
-    def gp(u):
-        return 9 * t3 * u * u + t
-
-    u = u0
-    for _ in range(80):
-        val, slope = g(u), gp(u)
-        if abs(slope) < 1e-8 * (abs(9 * t3 * u * u) + abs(t) + 1.0):
-            # fold of the cubic: polish on g'
-            for _ in range(60):
-                s2 = 18 * t3 * u
-                if s2 == 0:
-                    break
-                step = gp(u) / s2
-                u -= step
-                if abs(step) < 1e-15 * (1 + abs(u)):
-                    break
-            break
-        step = val / slope
-        u -= step
-        if abs(step) < 1e-16 * (1 + abs(u)):
-            break
-    v = -(t + 3 * t3 * u * u) / (6 * t3)
-    f1, f2 = hodograph_pair_residuals(times, u, v)
-    if abs(f1) + abs(f2) > 1e4 * atol:
-        raise SingularJacobian(
-            f"singular Jacobian with residuals ({f1:.2e}, {f2:.2e}): at the critical point"
-        )
-    return u, v
+    coeffs = [-float(times.x), float(times.t), 0.0, 3.0 * t3]
+    scale, dscale = poly_scales(coeffs, seed[0])
+    u = branch_root(coeffs, seed[0], tol * scale, dscale, maxiter)
+    return u, -(times.t + 3 * t3 * u * u) / (6 * t3)
 
 
 def find_toda_critical(t_3, x_c) -> TodaCritical:

@@ -332,6 +332,20 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("match", "--t1=-1e300"),
+    ("composite", "--t1=-1e300"),
+    ("frames", "--t1=-1e300"),
+    ("toda", "--xc=-1e300"),
+], ids=" ".join)
+def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "Numerical result out of range" not in err
+    assert "overflows at" in err
+
+
 #: upper bounds on the drawn sizes, so that each run stays short
 SIZE_CAPS = {"n": 50, "count": 3, "n_samples": 50, ("gd", "n"): 10}
 

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heleshaw.errors import DerivativeVanishes, DomainError, NoConvergence
@@ -19,6 +19,7 @@ from heleshaw.hodograph import (
     eval_dH,
     find_critical,
     find_critical_25,
+    hodograph_poly,
     quintic_times,
     r_coeff,
     solve_branch,
@@ -111,6 +112,20 @@ def test_eval_dH_matches_finite_difference():
     assert eval_dH(times, v, 1) == pytest.approx(fd, rel=1e-9)
     fd2 = (eval_dH(times, v + h, 1) - eval_dH(times, v - h, 1)) / (2 * h)
     assert eval_dH(times, v, 2) == pytest.approx(fd2, rel=1e-8)
+
+
+def test_eval_H_and_dH_exact_with_every_time_nonzero():
+    times = KdVTimes(Fraction(1, 9), (1, Fraction(-2, 3), 2))
+    v = Fraction(5, 7)
+    terms = list(enumerate(times.t, start=1))
+    weight = {k: (2 * k + 1) * Fraction(math.comb(2 * k, k), 4**k) for k, _ in terms}
+    got = eval_H(times, v)
+    assert isinstance(got, Fraction)
+    assert got == times.x + sum(weight[k] * tk * v**k for k, tk in terms)
+    for j in range(1, 5):
+        got = eval_dH(times, v, j)
+        assert isinstance(got, Fraction)
+        assert got == sum(weight[k] * tk * math.perm(k, j) * v ** (k - j) for k, tk in terms if k >= j)
 
 
 # -- closed_u0 ------------------------------------------------------------
@@ -300,3 +315,44 @@ def test_critical_point_residuals_method():
 def test_kdv_times_requires_two_slots():
     with pytest.raises(ValueError):
         KdVTimes(0.0, (1.0,))
+
+
+# -- the shared root finder against 40-digit roots ----------------------------
+
+@st.composite
+def _kdv_times(draw):
+    """3 or 4 deformation times, none of them zero, and an abscissa."""
+    times = st.floats(-2.0, 2.0).filter(lambda t: abs(t) >= 0.05)
+    return KdVTimes(draw(st.floats(-2.0, 2.0)), tuple(draw(st.lists(times, min_size=3, max_size=4))))
+
+
+def _nearest_root_distance(v, coeffs):
+    """Distance from v to the nearest complex root of the float polynomial `coeffs` (ascending)."""
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in reversed(coeffs)], maxsteps=400, extraprec=400)
+        gaps = sorted(abs(mpmath.mpf(v) - r) for r in roots)
+        # roots closer than 1e-4 are resolved only to about eps/1e-4 (sqrt(eps) when they
+        # merge): that fold regime is checked against its cubic in test_toda.py
+        assume(len(gaps) == 1 or gaps[1] - gaps[0] > 1e-4)
+        return float(gaps[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kdv_times(), st.floats(-2.0, 2.0))
+def test_solve_branch_lands_on_a_real_root(times, seed):
+    try:
+        v = solve_branch(times, seed)
+    except (DerivativeVanishes, NoConvergence):
+        return
+    assert _nearest_root_distance(v, hodograph_poly(times)) <= 1e-10 * (1 + abs(v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kdv_times(), st.floats(-2.0, 2.0))
+def test_find_critical_lands_on_a_real_root_of_dH(times, seed):
+    try:
+        cp = find_critical(times, v_seed=seed)
+    except (DerivativeVanishes, NoConvergence):
+        return
+    slope = [k * c for k, c in enumerate(hodograph_poly(times))][1:]
+    assert _nearest_root_distance(cp.v_c, slope) <= 1e-10 * (1 + abs(cp.v_c))

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
 
-from heleshaw.errors import DomainError
+from heleshaw.errors import DerivativeVanishes, DomainError, NoConvergence
 from heleshaw.painleve import integrate_tritronquee
 from heleshaw.toda import (
     TodaTimes,
@@ -117,6 +118,37 @@ def test_residuals_below_tolerance():
     u, v = solve_toda_hodograph(times, (0.8, 1.2))
     r1, r2 = hodograph_pair_residuals(times, u, v)
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+
+
+MERGING_POINTS = [(1.0, -6.0), (0.5, -1.0), (2.0, -0.3)]
+
+
+def _merging_times(t3, x_c, s):
+    """Times at t = t_c + s |t_c| of the merging point (t_3, x_c), and its u_c."""
+    crit = find_toda_critical(t3, x_c)
+    t_c = float(crit.t_c)
+    return TodaTimes(t=t_c + s * abs(t_c), t_3=t3, x=x_c), float(crit.u_c)
+
+
+@pytest.mark.parametrize("t3, x_c", MERGING_POINTS)
+@pytest.mark.parametrize("s", [-1e-2, -1e-4, -1e-6, -1e-8, -1e-11])
+def test_before_merging_solution_is_a_root_of_the_cubic(t3, x_c, s):
+    times, u_c = _merging_times(t3, x_c, s)
+    u, v = solve_toda_hodograph(times, (u_c, u_c * u_c))
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([3 * mpmath.mpf(t3), 0, mpmath.mpf(times.t), -mpmath.mpf(x_c)],
+                                 maxsteps=200, extraprec=200)
+        assert min(abs(u - r) for r in roots if abs(mpmath.im(r)) < 1e-30) <= 1e-10
+    r1, r2 = hodograph_pair_residuals(times, u, v)
+    assert abs(r1) <= 1e-12 and abs(r2) <= 1e-12
+
+
+@pytest.mark.parametrize("t3, x_c", MERGING_POINTS)
+@pytest.mark.parametrize("s", [1e-11, 1e-8, 1e-4])
+def test_past_merging_is_refused(t3, x_c, s):
+    times, u_c = _merging_times(t3, x_c, s)
+    with pytest.raises((DerivativeVanishes, NoConvergence)):
+        solve_toda_hodograph(times, (u_c, u_c * u_c))
 
 
 # -- critical point --------------------------------------------------------
