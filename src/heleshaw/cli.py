@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 # Each subcommand imports its own layers (and numpy) when it runs, so that
 # e.g. `gd` loads only diffpoly and `critical` only hodograph.
-from .errors import ConfigError, HeleShawError
+from .errors import ConfigError, DomainError, HeleShawError
 from .textio import json_text, write_csv
 
 ENV_OUTDIR = "HELESHAW_OUTDIR"
@@ -286,10 +286,14 @@ def _cmd_toda(opts) -> int:
     """regularized merging flow (t~, u, v)"""
     import numpy as np
 
+    from .painleve import POLE_GUARD
     from .toda import build_toda_inner, toda_composite
 
     inner = build_toda_inner(opts["t3"], opts["xc"], opts["eps"], tol=opts["tol"])
     t_to = inner.t_tilde_pole - 1e-2 if opts["x_to"] is None else opts["x_to"]
+    if opts["x_to"] is None and abs(inner.xi_of_ttilde(t_to) - inner.tritronquee.pole) < POLE_GUARD:
+        raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) = {inner.a:.3g} at t_3 = {opts['t3']!r}, "
+                          f"x_c = {opts['xc']!r} is too small: t~_pole - 0.01 is within {POLE_GUARD} of the pole")
     ts = np.linspace(opts["x_from"], t_to, opts["n"])
     crit = inner.crit
     return _write_table(opts, "toda.csv", "t_tilde,u,v", (ts, *toda_composite(ts, inner)),

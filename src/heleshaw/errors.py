@@ -18,11 +18,11 @@ class JetTooShort(HeleShawError):
 
 
 class NoConvergence(HeleShawError):
-    """Iteration failed to converge (typically: entered a multivalued region)."""
+    """A search has no single answer (e.g. an event level straddled by a jump)."""
 
 
 class DerivativeVanishes(HeleShawError):
-    """Newton derivative vanished: at or beyond a gradient catastrophe."""
+    """The seed's branch holds no root: it ends at a fold (gradient catastrophe)."""
 
 
 class DegenerateReduction(HeleShawError):

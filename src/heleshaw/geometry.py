@@ -22,7 +22,8 @@ relative to the branch point u(x):
     the remaining bubble is absorbed by the finger).
 
 Both conditions are polynomials in u alone, so the event levels are their
-real roots: u = +-v_c and u = +-sqrt(6) v_c for the quintic finger.  u(x)
+hodograph.real_roots: u = +-v_c and u = +-sqrt(6) v_c for the quintic finger
+(the same routine gives the prefactor roots of a curve's zeros).  u(x)
 decreases on each branch of the composite flow, so each level is crossed
 at most once per branch and its abscissa follows by bisection there.
 """
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .hodograph import KdVTimes, _bisect_to_machine, r_coeff
+from .hodograph import KdVTimes, r_coeff, real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
 from .toda import TodaInner, toda_composite
@@ -141,34 +142,9 @@ class CurveSpec:
     def real_zeros(self) -> list[float]:
         """Zeros of Y on the real locus: branch/tip points plus prefactor roots."""
         if self.kind == "finger":
-            zeros = [self.u]
-            zeros += [r for r in _poly_real_roots(self.poly) if r >= self.u]
-        else:
-            a, b = self.tips
-            zeros = [a, b]
-            zeros += [r for r in _poly_real_roots(self.poly) if r <= a or r >= b]
-        return sorted(set(zeros))
-
-
-def _poly_real_roots(poly: Sequence[float]) -> list[float]:
-    cs = [float(c) for c in poly]
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    if len(cs) <= 1:
-        return []
-    if len(cs) == 2:
-        return [-cs[0] / cs[1]]
-    if len(cs) == 3:
-        c0, c1, c2 = cs
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            return []
-        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
-        roots = {q / c2} | ({c0 / q} if q != 0 else {-c1 / (2 * c2)})
-        return sorted(roots)
-    roots = np.roots(cs[::-1])
-    scale = 1.0 + max(abs(c) for c in cs)
-    return sorted(r.real for r in roots if abs(r.imag) < 1e-9 * scale)
+            return sorted({self.u, *(r for r in real_roots(self.poly) if r >= self.u)})
+        a, b = self.tips
+        return sorted({a, b, *(r for r in real_roots(self.poly) if r <= a or r >= b)})
 
 
 # -- frames ------------------------------------------------------------------
@@ -226,9 +202,8 @@ def finger_curve(u: float, times: KdVTimes, X_range: Optional[tuple[float, float
     and the zeros themselves are hit exactly with Y = 0.
     """
     spec = CurveSpec(kind="finger", poly=tuple(float(c) for c in oplus_project(times, u)), u=float(u))
-    zeros = spec.real_zeros()
     if X_range is None:
-        X_range = (spec.u, max(zeros[-1] + 1.0, spec.u + 1.5))
+        X_range = (spec.u, max(spec.real_zeros()[-1] + 1.0, spec.u + 1.5))
     lo, hi = float(X_range[0]), float(X_range[1])
     if lo < spec.u - 1e-12 * (1 + abs(spec.u)):
         raise DomainError(f"requested X below the branch point u = {spec.u}")
@@ -258,24 +233,34 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
 
 # -- event detection -----------------------------------------------------
 
+def _bisect_to_machine(fn, lo, hi, flo):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = fn(mid)
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 
 
 def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list[Event]:
     """Ordered topological events of the composite flow on x_range.
 
-    The event levels are the real roots of two polynomials in u taken from
-    the float image of the prefactor table: g(u) = P(u; u), whose roots give
-    a cusp and, since P keeps its degree, a zero-count-change at the same x;
-    and the discriminant p_1^2 - 4 p_2 p_0 of the quadratic P, whose roots
-    give a root-coalescence.  u(x) decreases on each branch of the composite
-    (outer below x_switch, inner above), so each root inside a branch's
-    u-range is carried to x by one bisection to machine precision on that
-    branch.  Events are sorted by x, coincident ones in the order cusp,
-    zero-count-change, root-coalescence.
-
-    Raises NoConvergence when the jump of u at x_switch straddles a root,
-    since the glued field then has no single crossing of it.
+    The event levels are the real_roots of two polynomials in u from the
+    prefactor table: g(u) = P(u; u) (a cusp and, as P keeps its degree, a
+    zero-count-change) and the discriminant p_1^2 - 4 p_2 p_0 of the
+    quadratic P (a root-coalescence).  u(x) decreases on each branch of the
+    composite (outer below x_switch, inner above), so one bisection to
+    machine precision carries each level in a branch's u-range to x.  Events
+    are sorted by x, ties in the order cusp, zero-count-change,
+    root-coalescence.  Raises NoConvergence when the jump of u at x_switch
+    straddles a level: the glued field has no single crossing of it.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     hi = min(hi, comp.x_star - 2e-7)
@@ -285,8 +270,8 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     p0, p1, p2 = ([float(c) for c in row] for row in _prefactor_table(comp.cp.times_c))
     g = P.polyadd(P.polyadd(p0, [0.0] + p1), [0.0, 0.0] + p2)
     disc = P.polysub(P.polymul(p1, p1), 4.0 * P.polymul(p2, p0))
-    levels = [(r, ("cusp", "zero-count-change")) for r in _poly_real_roots(g)]
-    levels += [(r, ("root-coalescence",)) for r in _poly_real_roots(disc)]
+    levels = [(r, ("cusp", "zero-count-change")) for r in real_roots(g)]
+    levels += [(r, ("root-coalescence",)) for r in real_roots(disc)]
 
     x_switch = comp.x_switch
     branches = []  # (x_a, x_b, u(x_a), u(x_b), u) with u decreasing on [x_a, x_b]

@@ -18,11 +18,11 @@ or Fraction) for exact times, and eval_H / eval_dH are Horner evaluations of
 them and of their derivatives, so the downstream reduced-ODE construction can
 be carried out exactly for rational critical data.
 
-Branches are roots of the float image of H, found by one fold-aware root
-finder, branch_root: a damped Newton that, where H' vanishes, takes the best
-of the Newton iterate, the double root (the root of H') and a bisected sign
-change.  find_critical is the same Newton on dH/dv, and heleshaw.toda solves
-the eliminated cubic of the Toda pair with branch_root.
+A branch is the monotone piece of H between two folds (zeros of dH/dv).
+branch_root finds the root on the piece that holds a seed; real_roots, one
+routine for every polynomial (also behind heleshaw.geometry's event levels),
+splits the line at the critical points.  find_critical is branch_root on
+dH/dv, and heleshaw.toda solves the eliminated cubic of the Toda pair with it.
 
 The worked configuration throughout is the quintic finger class
 (t_3 = 2/7, all other deformation times zero except t_1), for which the
@@ -31,11 +31,12 @@ hodograph equation becomes (5/8) v^3 + (3/2) t_1 v + x = 0.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DerivativeVanishes, DomainError, NoConvergence, UnsupportedOrder
+from .errors import DerivativeVanishes, DomainError, UnsupportedOrder
 
 #: deformation time t_3 of the quintic finger configuration
 T3_QUINTIC = Fraction(2, 7)
@@ -84,9 +85,7 @@ class CriticalPoint:
 
     def residuals(self) -> list:
         """|d^j H| for j = 0 .. m-1 at the critical data (all should vanish)."""
-        out = [abs(eval_H(self.times_c, self.v_c))]
-        out += [abs(eval_dH(self.times_c, self.v_c, j)) for j in range(1, self.m)]
-        return out
+        return [abs(eval_dH(self.times_c, self.v_c, j)) for j in range(self.m)]
 
 
 # -- generating coefficients ----------------------------------------------
@@ -103,10 +102,7 @@ def r_coeff(k: int, v):
 
 def _halfint_rising_coeff(r: int, n: int) -> Fraction:
     """n-th series coefficient of (1 - w)^(-(2r+1)/2)."""
-    num = Fraction(1)
-    for i in range(n):
-        num *= Fraction(2 * r + 1 + 2 * i, 2)
-    return num / math.factorial(n)
+    return math.prod((Fraction(2 * r + 1 + 2 * i, 2) for i in range(n)), start=Fraction(1)) / math.factorial(n)
 
 
 def c_coeff(j: int, r: int, v):
@@ -166,92 +162,110 @@ def eval_dH(times: KdVTimes, v, j: int):
     return _horner(_derivative(hodograph_poly(times), j), v)
 
 
-# -- fold-aware polynomial roots ---------------------------------------------
+# -- real roots of a polynomial ----------------------------------------------
 
-def poly_scales(coeffs: list, v: float) -> tuple[float, float]:
-    """Term magnitudes 1 + sum |c_k| |v|^k of p and 1 + sum k |c_k| |v|^(k-1) of p'."""
-    mags, r = [abs(c) for c in coeffs], abs(v)
-    return 1.0 + _horner(mags, r), 1.0 + _horner(_derivative(mags), r)
+def poly_scale(coeffs: list, v: float) -> float:
+    """Term magnitude 1 + sum |c_k| |v|^k of the polynomial `coeffs` at v."""
+    return 1.0 + _horner([abs(c) for c in coeffs], abs(v))
 
 
-def _newton(coeffs: list, v: float, atol: float, fold: float, maxiter: int):
-    """Damped Newton on the float polynomial `coeffs` from v; returns (v, at_fold).
+def _piece_root(cs: list, a: float, b: float, pa: float) -> float:
+    """Root of p on [a, b], where p is monotone and p(a) = pa has the other sign than p(b).
 
-    Each step is clipped to (1 + |v|)/2, which keeps the iterate on the seeded
-    branch.  It stops one step after |p| <= atol or once a step is at most
-    1e-15 (1 + |v|), and stops at a fold, without stepping, where |p'| <= fold.
+    Newton from the midpoint, kept inside the shrinking bracket: a step that
+    leaves it, or that does not halve the step before last, bisects instead.
     """
-    slope = _derivative(coeffs)
-    for _ in range(maxiter):
-        p, dp = _horner(coeffs, v), _horner(slope, v)
-        if abs(dp) <= fold:
-            return v, True
-        step = p / dp
-        limit = 0.5 * (1.0 + abs(v))
-        if abs(step) > limit:
-            step = math.copysign(limit, step)
-        v -= step
-        if abs(p) <= atol or abs(step) <= 1e-15 * (1.0 + abs(v)):
-            return v, False
-    raise NoConvergence(f"Newton did not converge within {maxiter} iterations")
-
-
-def _bisect_to_machine(fn, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = fn(mid)
-        if flo * fm <= 0:
-            hi = mid
+    slope, x = _derivative(cs), 0.5 * a + 0.5 * b
+    step = last = b - a
+    for _ in range(2200):  # bisection alone reaches adjacent floats within this
+        px, dpx = _horner(cs, x), _horner(slope, x)
+        if px == 0.0:
+            return x
+        if (px < 0.0) == (pa < 0.0):
+            a, pa = x, px
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            b = x
+        newton = dpx != 0.0 and a < x - px / dpx < b and abs(2.0 * px) <= abs(last * dpx)
+        last, step = step, px / dpx if newton else x - (0.5 * a + 0.5 * b)
+        x -= step
+        if abs(step) <= 2.0**-50 * abs(x):
+            return x
+    return x
 
 
-def branch_root(coeffs: list, seed: float, atol: float, dscale: float, maxiter: int) -> float:
-    """Root of the float polynomial `coeffs` on the branch that the seed selects.
+def real_roots(coeffs: list) -> list[float]:
+    """Sorted real roots of the polynomial `coeffs` (ascending), a multiple root once.
 
-    Damped Newton from the seed.  Where it reaches a fold (|p'| <= 1e-6 dscale)
-    three candidates compete: the Newton iterate, the root of p' reached by
-    Newton from it (a double root of p), and the bisected root of the first
-    sign change of p within 0.5 of it.  The one with the smallest |p| is
-    returned; DerivativeVanishes is raised when even that has |p| > 10 atol,
-    which is the case at or beyond the fold.
+    Degrees 1 and 2 are closed forms.  A higher degree splits the real line
+    at the critical points of p (real_roots of p') and at the Cauchy bound.
+    p is monotone on each piece, so a piece holds a root exactly when p
+    changes sign across it (_piece_root).  A critical point where |p| is
+    within rounding of zero is a multiple root.
     """
-    v, at_fold = _newton(coeffs, float(seed), atol, 1e-6 * dscale, maxiter)
-    if not at_fold:
-        return v
+    cs = [float(c) for c in coeffs]
+    while cs and cs[-1] == 0.0:
+        cs.pop()
+    if len(cs) <= 2:
+        return [-cs[0] / cs[1]] if len(cs) == 2 else []
+    if len(cs) == 3:
+        c0, c1, c2 = cs
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            return []
+        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
+        roots = {q / c2} | ({c0 / q} if q != 0 else {-c1 / (2 * c2)})
+        return sorted(roots)
+    mags, crit = [abs(c) for c in cs], real_roots(_derivative(cs))
+    roots = [c for c in crit if abs(_horner(cs, c)) <= 2.0**-51 * len(cs) * _horner(mags, abs(c))]
+    bound = min(1.0 + max(mags[:-1]) / mags[-1], 1.7976931348623157e308)
+    ends = [-bound, *crit, bound]
+    for a, b in zip(ends, ends[1:]):
+        pa, pb = _horner(cs, a), _horner(cs, b)
+        if pa * pb < 0.0 and a not in roots and b not in roots:
+            roots.append(_piece_root(cs, a, b, pa))
+    return sorted(roots)
 
-    def p(w):
-        return _horner(coeffs, w)
 
-    p0 = p(v)
-    candidates = [v, _newton(_derivative(coeffs), v, 0.0, 0.0, maxiter)[0]]
-    side = next((w for i in range(1, 65) for w in (v - i / 128, v + i / 128) if p(w) * p0 < 0), None)
-    if side is not None:
-        lo, hi = min(v, side), max(v, side)
-        candidates.append(_bisect_to_machine(p, lo, hi, p(lo)))
-    best = min(candidates, key=lambda w: abs(p(w)))
-    if abs(p(best)) > 10 * atol:
-        raise DerivativeVanishes(f"p' ~ 0 at v={v:.6g} with |p|={abs(p0):.2e}: at or beyond the fold")
-    return best
+def branch_root(coeffs: list, seed: float, atol: float) -> float:
+    """Root of the polynomial `coeffs` on the monotone piece of p that holds the seed.
+
+    The piece runs between the nearest critical points of p on either side
+    of the seed; one within a few ulps of the seed joins its two pieces.
+    Newton from the seed runs first, and a limit inside the piece is its
+    root.  Otherwise the piece's roots are real_roots of p, the nearest to
+    the seed winning; without one, a bounding critical point with |p| <=
+    10 atol (a double root).  Without that either, the branch ends at a
+    fold: DerivativeVanishes.
+    """
+    cs, seed = [float(c) for c in coeffs], float(seed)
+    slope, gap = _derivative(cs), 4.0 * math.ulp(seed)
+    crit = real_roots(slope)
+    i, j = bisect.bisect_left(crit, seed - gap), bisect.bisect_right(crit, seed + gap)
+    lo, hi, x = ([-math.inf] + crit)[i], (crit + [math.inf])[j], seed
+    for _ in range(8 if i == j else 0):  # ample from a continuation seed; else the search below
+        px, dpx = _horner(cs, x), _horner(slope, x)
+        step = px / dpx if dpx else math.inf
+        x -= step
+        if not lo < x < hi:
+            break
+        if abs(px) <= atol or abs(step) <= 2.0**-50 * abs(x):
+            return x
+    roots = [r for r in real_roots(cs) if lo <= r <= hi]
+    roots = roots or [c for c in (lo, *crit[i:j], hi) if abs(_horner(cs, c)) <= 10.0 * atol]
+    if not roots:
+        raise DerivativeVanishes(f"no root on the branch of v={seed:.6g}: it ends at a fold")
+    return min(roots, key=lambda r: abs(r - seed))
 
 
-def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13, maxiter: int = 80) -> float:
-    """Root of H(t, v) = 0 on the branch selected by the seed: branch_root on hodograph_poly.
+def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13) -> float:
+    """Root of H(t, v) = 0 on the branch of the seed: branch_root on hodograph_poly.
 
-    The residual bound is tol (1 + sum |c_k| |seed|^k) over H's coefficients
-    c_k.  At the fold abscissa the double root v_c is returned.
-    Branch continuity under small parameter steps is the caller's contract:
+    atol is tol (1 + sum |c_k| |seed|^k) over H's coefficients c_k, so at the
+    fold abscissa the double root v_c is returned.  To continue a branch,
     reuse the previous root as the next seed.
-
-    Raises DerivativeVanishes at/beyond the catastrophe (fold), NoConvergence
-    when no root is reachable from the seed (multivalued region entered).
     """
     coeffs = [float(c) for c in hodograph_poly(times)]
-    scale, dscale = poly_scales(coeffs, seed)
-    return branch_root(coeffs, seed, tol * scale, dscale, maxiter)
+    return branch_root(coeffs, seed, tol * poly_scale(coeffs, seed))
 
 
 def _fold_newton(d, k, v_c):
@@ -311,27 +325,35 @@ def find_critical_25(t_1):
     """
     if not t_1 < 0:
         raise DomainError("critical point requires t_1 < 0")
-    v_c = _sqrt_like(-4 * t_1 / 5)
+    v_c = exact_root(-4 * t_1 / 5, 2)
     x_c = -t_1 * v_c
-    c = -8 / (15 * v_c)
-    times_c = quintic_times(t_1, x=x_c)
-    return CriticalPoint(m=2, times_c=times_c, v_c=v_c, c=c)
+    if abs(x_c) == math.inf:
+        raise DomainError(f"critical abscissa x_c = -t_1 v_c overflows at t_1 = {t_1!r}")
+    return CriticalPoint(m=2, times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
 
 
-def _sqrt_like(q):
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of the integer n >= 0: integer Newton from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while x > 1 and (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return min(x, n)  # 0 for n = 0
+
+
+def exact_root(q, k: int):
+    """Real k-th root of q (q >= 0 or k odd): exact for a Fraction of two k-th powers, else a float."""
     if isinstance(q, Fraction):
-        ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if ns * ns == q.numerator and ds * ds == q.denominator:
-            return Fraction(ns, ds)
-        return math.sqrt(float(q))
-    return math.sqrt(q)
+        root = Fraction(_iroot(abs(q.numerator), k), _iroot(q.denominator, k))
+        if root**k == abs(q):
+            return root if q >= 0 else -root
+        q = float(q)
+    return math.sqrt(q) if k == 2 else math.copysign(abs(q) ** (1.0 / k), q)
 
 
-def find_critical(times: KdVTimes, m: int = 2, v_seed: float = 1.0, tol: float = 1e-12,
-                  maxiter: int = 60) -> CriticalPoint:
-    """Second-order catastrophe on the branch of v_seed: Newton on dH/dv, then x_c from H = 0.
+def find_critical(times: KdVTimes, m: int = 2, v_seed: float = 1.0, tol: float = 1e-12) -> CriticalPoint:
+    """Second-order catastrophe on the branch of v_seed: branch_root on dH/dv, then x_c from H = 0.
 
-    The residual bound of dH/dv is tol times its magnitude from poly_scales.
+    The residual bound of dH/dv is tol times its magnitude from poly_scale.
     For m > 2 the system {d^j H = 0, j = 1..m-1; H = 0} in the two unknowns
     (v, x) is overdetermined; higher-order catastrophes need deformation
     times to move as well and are not supported.
@@ -339,10 +361,9 @@ def find_critical(times: KdVTimes, m: int = 2, v_seed: float = 1.0, tol: float =
     if m != 2:
         raise UnsupportedOrder("only second-order critical points are searched for")
     slope = _derivative([float(c) for c in hodograph_poly(times)])
-    scale, dscale = poly_scales(slope, v_seed)
-    v, at_fold = _newton(slope, float(v_seed), tol * scale, 1e-14 * dscale, maxiter)
+    v = branch_root(slope, v_seed, tol * poly_scale(slope, v_seed))
     h2 = _horner(_derivative(slope), v)
-    if at_fold or h2 == 0:
+    if abs(h2) <= tol * poly_scale(_derivative(slope), v):
         raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
     x_c = times.x - eval_H(times, v)  # H is affine in x
     return CriticalPoint(m=2, times_c=times.with_x(x_c), v_c=v, c=-2.0 / h2)

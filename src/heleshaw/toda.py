@@ -10,8 +10,9 @@ whose coefficients are the large-z expansion of r = z / sqrt((z-u)^2 - 4v);
 the bubble tips sit at a = u - 2 sqrt(v), b = u + 2 sqrt(v).  The first
 equation gives v = -(t + 3 t_3 u^2)/(6 t_3), which turns the second exactly
 into the cubic 3 t_3 u^3 + t u - x = 0; the pair is solved through it with
-hodograph.branch_root.  A second-order critical point (merging moment) is a
-double root of that cubic; it occurs on v_c = u_c^2 with
+hodograph.branch_root, on the monotone piece of the cubic that holds the
+seed.  A second-order critical point (merging moment) is a double root of
+that cubic, where two pieces meet; it occurs on v_c = u_c^2 with
 
     t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0.
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .hodograph import branch_root, poly_scales
+from .hodograph import branch_root, exact_root, poly_scale
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
@@ -111,20 +112,18 @@ def hodograph_pair_residuals(times: TodaTimes, u, v):
 # -- branch solving ---------------------------------------------------------
 
 def solve_toda_hodograph(times: TodaTimes, seed: tuple[float, float],
-                         tol: float = 1e-13, maxiter: int = 60) -> tuple[float, float]:
+                         tol: float = 1e-13) -> tuple[float, float]:
     """Root (u, v) of the hodograph pair on the bubble branch that seed[0] selects.
 
-    The first equation gives v = -(t + 3 t_3 u^2)/(6 t_3), and the second then
-    reads 3 t_3 u^3 + t u - x = 0.  u is the root of that cubic that
-    branch_root reaches from seed[0] (seed[1] is not used); its double root
-    is the merging point, where the pair's Jacobian 36 t_3^2 (u^2 - v)
-    vanishes.  Raises DerivativeVanishes at or beyond the merging point,
-    NoConvergence when no root is reachable from the seed.
+    With v = -(t + 3 t_3 u^2)/(6 t_3) from the first equation, u is
+    branch_root's root of the cubic 3 t_3 u^3 + t u - x = 0 on its monotone
+    piece around seed[0] (seed[1] is not used).  A fold of the cubic is the
+    merging point (the pair's Jacobian 36 t_3^2 (u^2 - v) vanishes there);
+    beyond it the piece holds no root and DerivativeVanishes is raised.
     """
     t3 = times.t_3
     coeffs = [-float(times.x), float(times.t), 0.0, 3.0 * t3]
-    scale, dscale = poly_scales(coeffs, seed[0])
-    u = branch_root(coeffs, seed[0], tol * scale, dscale, maxiter)
+    u = branch_root(coeffs, seed[0], tol * poly_scale(coeffs, seed[0]))
     return u, -(times.t + 3 * t3 * u * u) / (6 * t3)
 
 
@@ -136,24 +135,10 @@ def find_toda_critical(t_3, x_c) -> TodaCritical:
     """
     if t_3 == 0 or x_c == 0:
         raise DomainError("need t_3 != 0 and x_c != 0 for a nondegenerate merging point")
-    u_c = _cbrt_like(-x_c / (6 * t_3))
+    u_c = exact_root(-x_c / (6 * t_3), 3)
     v_c = u_c * u_c
     t_c = -9 * t_3 * v_c
     return TodaCritical(u_c=u_c, v_c=v_c, t_c=t_c, x_c=x_c, t_3=t_3)
-
-
-def _cbrt_like(q):
-    if isinstance(q, Fraction):
-        for sign in (1, -1):
-            num, den = sign * q.numerator, q.denominator
-            if num >= 0:
-                rn, rd = round(num ** (1 / 3)), round(den ** (1 / 3))
-                for cn in (rn - 1, rn, rn + 1):
-                    for cd in (rd - 1, rd, rd + 1):
-                        if cd > 0 and cn**3 == num and cd**3 == den:
-                            return sign * Fraction(cn, cd)
-        q = float(q)
-    return math.copysign(abs(q) ** (1.0 / 3.0), q)
 
 
 # -- inner solution ----------------------------------------------------------
@@ -173,7 +158,11 @@ class TodaInner:
     def __post_init__(self):
         if not self.eps > 0:
             raise DomainError("eps must be positive")
-        if not float(self.a) > 0:
+        a, crit = self.a, self.crit
+        if a in (0.0, math.inf) and math.isfinite(self.u_c):  # a itself leaves the float range
+            raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) {'overflows' if a else 'underflows'} "
+                              f"at t_3 = {crit.t_3!r}, x_c = {crit.x_c!r}")
+        if not a > 0:
             raise DomainError("similarity constant a = 2 u_c^2/(3 t_3) must be positive "
                               "(t_3 > 0) for the tritronquee matching direction")
 

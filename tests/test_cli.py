@@ -337,6 +337,8 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("composite", "--t1=-1e300"),
     ("frames", "--t1=-1e300"),
     ("toda", "--xc=-1e300"),
+    ("critical", "--t1=-1e300"),
+    ("toda", "--t3=1e-300"),
 ], ids=" ".join)
 def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
     code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
@@ -344,6 +346,15 @@ def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert "Numerical result out of range" not in err
     assert "overflows at" in err
+
+
+def test_vanishing_similarity_constant_names_it_exit_1(tmp_path, capsys):
+    # a = 2 u_c^2/(3 t_3) ~ 2e-201 stretches t~ so far that t~_pole - 0.01 is the pole image
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--xc=-1e-300")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert "similarity constant a" in err and "x_c = -1e-300" in err
+    assert not list(tmp_path.iterdir())
 
 
 #: upper bounds on the drawn sizes, so that each run stays short

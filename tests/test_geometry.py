@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -124,6 +125,28 @@ def test_finger_exact_zero_insertion():
     assert len(roots) == 1
     c = [float(q) for q in oplus_project(quintic_times(-0.8), u)]
     assert np.polynomial.polynomial.polyval(roots[0], c) == pytest.approx(0.0, abs=1e-13)
+
+
+def _distinct_real_roots_40(poly):
+    """Distinct real roots of the float polynomial `poly` (ascending), from 40-digit mpmath roots."""
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(poly)], maxsteps=2000, extraprec=800)
+        real = sorted(float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-15)
+    return [r for i, r in enumerate(real) if i == 0 or r - real[i - 1] > 1e-12]
+
+
+@pytest.mark.parametrize("roots", [
+    (1, 1, -2), (1, 1, 1), (0.5, 0.5, 3), (1, 1, -1, -1), (0.5, 0.5, 0.5, -1),
+    (-0.25, -0.25, -0.25, -0.25), (2, 2, 3, -1), (1.5, 1.5, 1.5, 2.5), (-1, -1, 0.75, 0.75),
+], ids=str)
+def test_finger_real_zeros_multiple_prefactor_roots(roots):
+    # dyadic roots keep the float coefficients exact: each multiple root must be one zero
+    poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
+    u = -1.5
+    zeros = CurveSpec("finger", poly, u).real_zeros()
+    expected = [u] + [r for r in _distinct_real_roots_40(poly) if r >= u]
+    assert len(zeros) == len(expected)
+    assert all(abs(z - e) <= 1e-12 for z, e in zip(zeros, expected))
 
 
 # -- bubble curve -----------------------------------------------------------

@@ -356,3 +356,32 @@ def test_find_critical_lands_on_a_real_root_of_dH(times, seed):
         return
     slope = [k * c for k, c in enumerate(hodograph_poly(times))][1:]
     assert _nearest_root_distance(cp.v_c, slope) <= 1e-10 * (1 + abs(cp.v_c))
+
+
+def _real_roots_40(coeffs):
+    """Real roots of the float polynomial `coeffs` (ascending), from 40-digit mpmath roots."""
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in reversed(coeffs)], maxsteps=400, extraprec=400)
+        return sorted(float(mpmath.re(r)) for r in roots if abs(mpmath.im(r)) < 1e-25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kdv_times(), st.floats(-2.0, 2.0))
+def test_solve_branch_stays_on_the_seeds_monotone_piece(times, seed):
+    """The branch is the piece of H between the folds (zeros of dH/dv) around the seed."""
+    coeffs = hodograph_poly(times)
+    roots = _real_roots_40(coeffs)
+    folds = _real_roots_40([k * c for k, c in enumerate(coeffs)][1:])
+    # a root within 1e-4 of a fold is a near-double root, resolved only to about sqrt(eps)
+    assume(all(abs(r - f) > 1e-4 for r in roots for f in folds))
+    assume(all(abs(seed - f) > 1e-9 for f in folds))
+    lo = max((f for f in folds if f < seed), default=-math.inf)
+    hi = min((f for f in folds if f > seed), default=math.inf)
+    on_piece = [r for r in roots if lo < r < hi]
+    try:
+        v = solve_branch(times, seed)
+    except DerivativeVanishes:
+        assert not on_piece
+        return
+    assert len(on_piece) == 1
+    assert abs(v - on_piece[0]) <= 1e-10 * (1 + abs(v))

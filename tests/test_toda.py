@@ -168,6 +168,14 @@ def test_critical_exact_fractions():
     assert 4 * crit.t_c**3 + 81 * crit.t_3 * crit.x_c**2 == 0
 
 
+def test_critical_exact_beyond_float_range():
+    # -x_c/(6 t_3) = 10^402 is no float, but it is an exact cube
+    crit = find_toda_critical(Fraction(1), Fraction(-6 * 10**402))
+    assert crit.u_c == 10**134 and isinstance(crit.u_c, Fraction)
+    assert crit.t_c == -9 * 10**268
+    assert find_toda_critical(Fraction(1), Fraction(81, 4)).u_c == Fraction(-3, 2)
+
+
 @pytest.mark.parametrize("t3", [0.5, 1.0, 2.0])
 def test_critical_identity_sweep(t3):
     crit = find_toda_critical(t3, 1.0)  # the x_c = 1 convention: u_c < 0
