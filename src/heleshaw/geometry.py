@@ -62,12 +62,23 @@ def _prefactor_table(times: KdVTimes) -> list[list]:
     return table
 
 
+def _float_table(times: KdVTimes) -> list[list[float]]:
+    """_prefactor_table rounded to floats, for the float paths (frames and events)."""
+    return [[float(c) for c in row] for row in _prefactor_table(times)]
+
+
+def _prefactor_at(table: list[list], v) -> list:
+    """Prefactor coefficients (ascending in X) at u = v from a prefactor table."""
+    return [sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in table]
+
+
 def oplus_project(times: KdVTimes, v) -> list:
     """Prefactor coefficients (ascending in X) of the finger curve at u = v.
 
-    Evaluates _prefactor_table; exact for Fraction inputs.
+    Evaluates _prefactor_table; exact for Fraction inputs.  For a float v each
+    product c * v**m is float(c) * v**m, the bits of the float table of frames.
     """
-    return [sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in _prefactor_table(times)]
+    return _prefactor_at(_prefactor_table(times), v)
 
 
 def reexpand_curve_series(coeffs: Sequence, v, n_terms: int) -> list:
@@ -110,9 +121,8 @@ class CurveSpec:
     def __post_init__(self):
         if self.kind not in ("finger", "bubbles"):
             raise DomainError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "bubbles":
-            if self.v is None or self.v < 0:
-                raise DomainError("bubble curve needs v >= 0")
+        if self.kind == "bubbles" and (self.v is None or self.v < 0):
+            raise DomainError("bubble curve needs v >= 0")
 
     @property
     def tips(self) -> tuple[float, float]:
@@ -201,13 +211,18 @@ def finger_curve(u: float, times: KdVTimes, X_range: Optional[tuple[float, float
     Sampling is densest near the curve zeros (cosine clustering per segment)
     and the zeros themselves are hit exactly with Y = 0.
     """
-    spec = CurveSpec(kind="finger", poly=tuple(float(c) for c in oplus_project(times, u)), u=float(u))
+    return _finger_frame(_float_table(times), float(u), float(times.x), X_range, n)
+
+
+def _finger_frame(table: list, u: float, x: float, X_range: Optional[tuple], n: int) -> InterfaceFrame:
+    """finger_curve from a float prefactor table, which emit_frames builds once for all frames."""
+    spec = CurveSpec(kind="finger", poly=tuple(_prefactor_at(table, u)), u=u)
     if X_range is None:
-        X_range = (spec.u, max(spec.real_zeros()[-1] + 1.0, spec.u + 1.5))
+        X_range = (u, max(spec.real_zeros()[-1] + 1.0, u + 1.5))
     lo, hi = float(X_range[0]), float(X_range[1])
-    if lo < spec.u - 1e-12 * (1 + abs(spec.u)):
-        raise DomainError(f"requested X below the branch point u = {spec.u}")
-    return InterfaceFrame(x=float(times.x), samples=_sample_segments(spec, [(lo, hi)], n))
+    if lo < u - 1e-12 * (1 + abs(u)):
+        raise DomainError(f"requested X below the branch point u = {u}")
+    return InterfaceFrame(x=x, samples=_sample_segments(spec, [(lo, hi)], n))
 
 
 def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, float]] = None,
@@ -217,8 +232,6 @@ def bubble_curve(u: float, v: float, t_3: float, X_range: Optional[tuple[float, 
     The real locus excludes the open tip gap (a, b); requesting samples
     inside it is a domain error.  v = 0 is the merging moment (tips touch).
     """
-    if v < 0:
-        raise DomainError("bubble curve needs v >= 0")
     spec = CurveSpec(kind="bubbles", poly=(3.0 * t_3 * u, 3.0 * t_3), u=float(u), v=float(v))
     a, b = spec.tips
     if X_range is None:
@@ -267,7 +280,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     if not lo < hi:
         return []
     P = np.polynomial.polynomial
-    p0, p1, p2 = ([float(c) for c in row] for row in _prefactor_table(comp.cp.times_c))
+    p0, p1, p2 = _float_table(comp.cp.times_c)
     g = P.polyadd(P.polyadd(p0, [0.0] + p1), [0.0, 0.0] + p2)
     disc = P.polysub(P.polymul(p1, p1), 4.0 * P.polymul(p2, p0))
     levels = [(r, ("cusp", "zero-count-change")) for r in real_roots(g)]
@@ -314,10 +327,9 @@ def emit_frames(source: CompositeSolution | TodaInner, abscissas: Sequence[float
         if events is None and abscissas:
             events = detect_events(source, (min(abscissas), max(abscissas)))
 
-        def finger_at(x: float, u: float) -> InterfaceFrame:
-            return finger_curve(u, source.cp.times_c.with_x(x), X_range=(u, max(2.5, u + 1.0)), n=n)
-
-        frames = map(finger_at, abscissas, source.eval_many(abscissas).tolist())
+        table = _float_table(source.cp.times_c)
+        frames = (_finger_frame(table, u, x, (u, max(2.5, u + 1.0)), n)
+                  for x, u in zip(abscissas, source.eval_many(abscissas).tolist()))
     else:
         us, vs = toda_composite(np.array(abscissas), source)
         frames = (bubble_curve(u, v, float(source.crit.t_3), n=n, x_label=t)

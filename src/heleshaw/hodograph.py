@@ -326,9 +326,10 @@ def find_critical_25(t_1):
     if not t_1 < 0:
         raise DomainError("critical point requires t_1 < 0")
     v_c = exact_root(-4 * t_1 / 5, 2)
-    x_c = -t_1 * v_c
-    if abs(x_c) == math.inf:
-        raise DomainError(f"critical abscissa x_c = -t_1 v_c overflows at t_1 = {t_1!r}")
+    x_c = -t_1 * v_c  # nonzero, as t_1 < 0
+    if x_c == 0 or abs(x_c) == math.inf:
+        raise DomainError(f"critical abscissa x_c = -t_1 v_c {'underflows' if x_c == 0 else 'overflows'} "
+                          f"at t_1 = {t_1!r}")
     return CriticalPoint(m=2, times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
 
 
@@ -346,7 +347,12 @@ def exact_root(q, k: int):
         root = Fraction(_iroot(abs(q.numerator), k), _iroot(q.denominator, k))
         if root**k == abs(q):
             return root if q >= 0 else -root
-        q = float(q)
+        try:
+            q = float(q)
+        except OverflowError:
+            exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+            raise DomainError(f"radicand {'-' if q < 0 else ''}10^{exponent:.2f} (root of order {k}) "
+                              "is no exact power and leaves the float range") from None
     return math.sqrt(q) if k == 2 else math.copysign(abs(q) ** (1.0 / k), q)
 
 

@@ -12,6 +12,9 @@ two coefficients keeps the truncated tail near STEP_EPS tol (Jorba & Zou,
 Exp. Math. 14, 2005).  Each step's polynomial is the dense output.  The
 last step ends exactly at W = BLOWUP_THRESHOLD, where the Laurent form
 W ~ (xi - xi*)^-2 gives the pole xi* = xi_N - W_N^(-1/2) to O(W_N^(-5/2)).
+The solution depends on no flow parameter: equal arguments and step
+constants (TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD) share one
+certified, frozen, read-only solution; the last CACHE_SIZE settings are kept, failures never.
 
 No shooting is needed: linearizing around the branch gives delta'' = 12 W
 delta, and 12 W < 0 on the positive axis, so perturbations oscillate instead
@@ -53,6 +56,8 @@ TAYLOR_ORDER = 20
 STEP_EPS = 1.0e-3
 #: steps allowed per integration (xi0 = 1000 needs about 1.3k)
 MAX_STEPS = 10_000
+#: integrations kept by integrate_tritronquee, one per distinct setting
+CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=None)
@@ -115,17 +120,17 @@ def _horner(coefs, s):
     return w, d
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TritronqueeSolution:
-    """Dense numerical tritronquee with certified residual.
+    """Dense numerical tritronquee with certified residual; immutable.
 
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
     `_coef` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
     ts[n] to ts[n + 1].  `pole` is the first negative-axis pole when the
     integration reached blow-up, else None.  `residual_max` is the largest
     scaled integral-form defect over the certification range
-    [pole + 0.1, xi0] (see module docstring); it is guaranteed < 100 * tol
-    at construction.
+    [pole + 0.1, xi0] (see module docstring); construction certifies it
+    < 100 * tol or raises CertificationFailed.  Its arrays are read-only.
     """
 
     xi0: float
@@ -137,12 +142,15 @@ class TritronqueeSolution:
     blew_up: bool
     series_order: int
     _coef: np.ndarray = field(repr=False)
-    residual_max: float = math.nan
+    residual_max: float = field(init=False)
 
     def __post_init__(self):
-        self._rows = self._coef.tolist()
-        self._starts = self.ts[:-1].tolist()
-        self._keys = (-self.ts[:-1]).tolist()
+        for array in (self.ts, self.ws, self.wps, self._coef):
+            array.setflags(write=False)
+        object.__setattr__(self, "_rows", tuple(map(tuple, self._coef.tolist())))  # frozen dataclass
+        object.__setattr__(self, "_starts", tuple(self.ts[:-1].tolist()))
+        object.__setattr__(self, "_keys", tuple((-self.ts[:-1]).tolist()))
+        object.__setattr__(self, "residual_max", _certify(self))
 
     @property
     def xi_reached(self) -> float:
@@ -226,7 +234,7 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
 
     tol scales the Taylor step control (module docstring); the errors of W
     and of the pole stay below tol.  More than MAX_STEPS steps, or a step
-    that underflows, raise StepSizeUnderflow.
+    that underflows, raise StepSizeUnderflow; equal settings share one solution.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise DomainError("tol must lie in [1e-13, 1e-6]")
@@ -234,9 +242,15 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
         raise SeedUnreliable(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
     if not xi_min < 0.0 < xi0:
         raise DomainError("need xi_min < 0 < xi0")
+    return _integrate(float(xi0), float(xi_min), float(tol), series_order,
+                      (TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD))
 
-    w0, wp0 = asymptotic_series(float(xi0), series_order)
-    ts, ws, wps, rows = [float(xi0)], [float(w0)], [float(wp0)], []
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _integrate(xi0: float, xi_min: float, tol: float, series_order: int, step_constants) -> TritronqueeSolution:
+    """The integration; step_constants completes the cache key (the steps read the module's)."""
+    w0, wp0 = asymptotic_series(xi0, series_order)
+    ts, ws, wps, rows = [xi0], [float(w0)], [float(wp0)], []
     blew_up = False
     while ts[-1] > xi_min and not blew_up:
         if len(rows) == MAX_STEPS:
@@ -259,12 +273,10 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
     if pole is not None and not pole < 0.0:
         raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
 
-    sol = TritronqueeSolution(
-        xi0=float(xi0), tol=float(tol), ts=np.array(ts), ws=np.array(ws), wps=np.array(wps),
+    return TritronqueeSolution(
+        xi0=xi0, tol=tol, ts=np.array(ts), ws=np.array(ws), wps=np.array(wps),
         pole=pole, blew_up=blew_up, series_order=series_order, _coef=np.array(rows),
     )
-    sol.residual_max = _certify(sol)
-    return sol
 
 
 def _certify(sol: TritronqueeSolution) -> float:
@@ -292,7 +304,8 @@ def _span_defects(sol: TritronqueeSolution, grid: np.ndarray, return_scale: bool
     grid = np.sort(grid)
     if not (len(grid) >= 2 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
         raise DomainError("residual grid needs two or more distinct finite abscissas")
-    cuts = np.union1d(grid, sol.ts[(sol.ts > grid[0]) & (sol.ts < grid[-1])])
+    cuts = np.sort(np.concatenate((grid, sol.ts[(sol.ts > grid[0]) & (sol.ts < grid[-1])])))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # np.union1d without numpy.ma
     half = 0.5 * np.diff(cuts)
     pts = (cuts[:-1] + half)[:, None] + half[:, None] * _GAUSS_X
     rhs = 6.0 * sol._dense(pts)[0] ** 2 - pts

@@ -79,7 +79,7 @@ def write_csv(path, header: str, rows) -> int:
     Rows are formatted in chunks by one format string; a non-finite value is a DomainError.
     """
     width = header.count(",") + 1
-    line = ",".join(["{:.17g}"] * width) + "\n"
+    line = ",".join(["%.17g"] * width) + "\n"
     rows = iter(rows)
     n = 0
     with atomic_open(path) as fh:
@@ -88,7 +88,7 @@ def write_csv(path, header: str, rows) -> int:
             values = tuple(map(float, chain.from_iterable(chunk)))
             if len(values) != width * len(chunk):
                 raise ValueError(f"every row needs {width} values for the header {header!r}")
-            text = (line * len(chunk)).format(*values)
+            text = (line * len(chunk)) % values
             if "n" in text:  # only nan and inf spell a letter n
                 bad = next(v for v in values if not math.isfinite(v))
                 raise DomainError(f"non-finite result {bad} cannot be written")

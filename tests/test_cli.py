@@ -270,6 +270,24 @@ def test_output_digests_at_default_arguments(tmp_path, capsys):
     assert _sha256(inner.encode()) == "074368338979f7ca54fc1109b5e71bf36b93cf7c6897b47d1b0eacfe96de2b9e"
 
 
+def test_frame_digests_at_default_arguments(tmp_path, capsys):
+    """Every frame file of `frames` at its defaults is pinned byte for byte."""
+    code, _, _ = run(capsys, "--outdir", str(tmp_path), "frames")
+    assert code == 0
+    assert [_sha256((tmp_path / f"frame_{i:03d}.csv").read_bytes()) for i in range(8)] == [
+        "73ca93383b00f5f343018a9a8e90cb1cfd8406143c4a7e9dc10a8c360eca158c",
+        "e3f0531a3b3201db49c7340fca4d3129e9835b8924c81e8039eb0bfcf7792625",
+        "1b207fbf0621ae179448f594411b9156e160406ad1645d5d82f12cbd8612c641",
+        "9e0a7ad4b8c9a39fe62d6c443ff56269f97a36ec98d7640e6dcad843ff1bb965",
+        "273edefe0045f18a72c81842c0b49f8c7ee34937bc0d7a264074b1c77bdec07c",
+        "baaf3eaddb64435d5e7e9a1c3c591a129ccd524f7daa960e0e4dd5ee64a64c12",
+        "92aac774cd6c789aa2ddf2ae8579370ab51a8d13c43b2f9f55ff35cc38a89e6d",
+        "a1dadf7e62fd912053a4bc71fa0144c89c8d5d0768c78259d3141e2899525824",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"frame_{i:03d}.csv" for i in range(8)] + [
+        "manifest.json"]
+
+
 def test_eps_range_validated(capsys):
     code, _, err = run(capsys, "match", "--eps", "0.5")
     assert code == 2
@@ -346,6 +364,15 @@ def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert "Numerical result out of range" not in err
     assert "overflows at" in err
+
+
+@pytest.mark.parametrize("sub", ["critical", "match", "frames"])
+def test_underflowing_x_c_names_it_exit_1(tmp_path, capsys, sub):
+    # v_c = 8.9e-151, but x_c = -t_1 v_c = 8.9e-451 is zero in floats
+    code, out, err = run(capsys, "--outdir", str(tmp_path), sub, "--t1=-1e-300")
+    assert (code, out) == (1, "")
+    assert err == "error: critical abscissa x_c = -t_1 v_c underflows at t_1 = -1e-300\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_vanishing_similarity_constant_names_it_exit_1(tmp_path, capsys):
@@ -466,3 +493,20 @@ print(json.dumps(stages))
         sorted([*cli, "heleshaw.diffpoly"]),
         sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
     ]
+
+
+def test_numerical_subcommands_load_no_numpy_ma(tmp_path):
+    """numpy.ma costs about 20 ms to import; no subcommand needs it."""
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"""
+import contextlib, io, sys
+from heleshaw.cli import main
+for sub in ('painleve', 'match', 'composite', 'frames', 'toda'):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(['--outdir', {str(tmp_path)!r}, sub]) == 0
+    print(sub, 'numpy.ma' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["painleve", "False", "match", "False", "composite", "False",
+                                  "frames", "False", "toda", "False"]

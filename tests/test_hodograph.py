@@ -297,6 +297,21 @@ def test_find_critical_25_rejects_nonnegative_t1():
         find_critical_25(0.0)
 
 
+def test_find_critical_25_radicand_beyond_float_range_is_named():
+    # -4 t_1/5 = 10^401 + 1 is no exact square and no float
+    with pytest.raises(DomainError, match=r"radicand 10\^401\.00 .*float range"):
+        find_critical_25(Fraction(-5 * 10**401 - 5, 4))
+    # an exact square beyond the float range stays exact
+    assert find_critical_25(Fraction(-5 * 10**400, 4)).v_c == 10**200
+    assert find_critical_25(Fraction(-3, 4)).v_c == math.sqrt(0.6)
+
+
+def test_find_critical_25_underflowing_x_c_is_named():
+    # v_c = 8.9e-151 is a float, but x_c = -t_1 v_c = 8.9e-451 is not
+    with pytest.raises(DomainError, match=r"x_c = -t_1 v_c underflows at t_1 = -1e-300"):
+        find_critical_25(-1e-300)
+
+
 def test_find_critical_newton_matches_closed_form():
     closed = find_critical_25(-0.8)
     searched = find_critical(quintic_times(-0.8, x=0.0), m=2, v_seed=1.1)

@@ -1,5 +1,6 @@
 """Tritronquee construction tests: series, integration, pole, residuals."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ import sympy
 
 from heleshaw import painleve
 from heleshaw.errors import (
+    CertificationFailed,
     DomainError,
     NoPoleInRange,
     OutOfRange,
@@ -256,3 +258,53 @@ def test_absolute_residual_grid():
     tight = integrate_tritronquee(tol=1e-12)
     grid = np.linspace(tight.pole + 0.1, 30.0, 10_000)
     assert tight.residual_defects(grid).max() < 1e-8
+
+
+# -- shared immutable solutions ------------------------------------------------
+
+def test_equal_settings_share_one_solution(sol):
+    assert integrate_tritronquee(xi0=30, xi_min=-6, tol=1e-11) is sol
+    assert integrate_tritronquee() is sol
+    other = integrate_tritronquee(tol=1e-10)
+    assert other is not sol and other.tol == 1e-10
+    assert painleve._integrate.cache_info().maxsize == painleve.CACHE_SIZE
+
+
+def test_shared_solution_is_immutable(sol):
+    with pytest.raises(ValueError, match="read-only"):
+        sol.ws[0] = 0.0
+    for array in (sol.ts, sol.wps, sol._coef):
+        assert not array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.residual_max = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.pole = 1.0
+    assert all(type(rows) is tuple for rows in (sol._rows, sol._starts, sol._keys))
+    assert all(type(row) is tuple for row in sol._rows)
+
+
+def test_step_constants_key_the_cache(sol, monkeypatch):
+    assert integrate_tritronquee() is sol
+    monkeypatch.setattr(painleve, "STEP_EPS", 1e4)  # steps far too long for tol
+    with pytest.raises(CertificationFailed):
+        integrate_tritronquee()
+    monkeypatch.undo()
+    assert integrate_tritronquee() is sol
+
+
+def test_failed_integration_is_not_cached(monkeypatch):
+    calls = []
+
+    def failing_certify(candidate):
+        calls.append(candidate)
+        raise CertificationFailed("refused once")
+
+    settings = {"xi_min": -1.5, "tol": 3e-9}  # used by no other test
+    monkeypatch.setattr(painleve, "_certify", failing_certify)
+    with pytest.raises(CertificationFailed, match="refused once"):
+        integrate_tritronquee(**settings)
+    monkeypatch.undo()
+    first = integrate_tritronquee(**settings)
+    assert len(calls) == 1 and first is not calls[0]
+    assert first.residual_max < 100 * first.tol
+    assert integrate_tritronquee(**settings) is first
