@@ -27,14 +27,14 @@ _EXPORTS = {
         "CriticalPoint", "KdVTimes", "branch_root", "c_coeff", "closed_u0", "eval_H", "eval_dH", "find_critical",
         "find_critical_25", "hodograph_poly", "quintic_times", "r_coeff", "real_roots", "solve_branch",
     ),
-    "painleve": ("TritronqueeSolution", "asymptotic_series", "find_first_negative_pole", "integrate_tritronquee"),
+    "painleve": ("TritronqueeSolution", "asymptotic_series", "integrate_tritronquee"),
     "multiscale": (
         "CompositeSolution", "LeadingODE", "PIReduction", "ScalingMapKdV", "build_composite",
-        "build_leading_ode", "overlap_error", "overlap_report", "reduce_to_pi",
+        "build_leading_ode", "overlap_report", "reduce_to_pi",
     ),
     "toda": (
         "TodaCritical", "TodaInner", "TodaTimes", "build_toda_inner", "find_toda_critical",
-        "solve_toda_hodograph", "toda_composite", "toda_inner_V2", "toda_r_coeff",
+        "solve_toda_hodograph", "toda_composite", "toda_inner_V2",
     ),
     "geometry": (
         "CurveSpec", "Event", "InterfaceFrame", "bubble_curve", "detect_events", "emit_frames",

@@ -170,18 +170,20 @@ def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
 
     The topological events cluster within ~2.4e-4 of the critical point, so
     uniform placement would waste most frames on the featureless outer arc.
+    The distances to x_to run geometrically from the span down to 1e-4 of it,
+    as 10^(la + i step) in `math`: numpy's log10 and power pick SIMD kernels
+    by CPU, whose last bits differ between machines.
     """
-    import numpy as np
-
     if count <= 0:
         return []
     if count == 1:
         return [x_to]
     span = x_to - x_from
-    ds = np.geomspace(span, span * 1e-4, count)
-    xs = x_to - ds
-    xs[0], xs[-1] = x_from, x_to
-    return [float(x) for x in xs]
+    if not span * 1e-4 > 0:
+        raise DomainError(f"frame window from {x_from} to {x_to} is too narrow: 1e-4 of its span underflows")
+    la, lb = math.log10(span), math.log10(span * 1e-4)
+    step = (lb - la) / (count - 1)
+    return [x_from, *(x_to - 10.0 ** (i * step + la) for i in range(1, count - 1)), x_to]
 
 
 def _cmd_gd(opts) -> int:

@@ -41,10 +41,6 @@ class TooCloseToPole(HeleShawError):
     """Evaluation point is too close to a solution pole to be reliable."""
 
 
-class NoPoleInRange(HeleShawError):
-    """Integration finished without reaching a blow-up point."""
-
-
 class StepSizeUnderflow(HeleShawError):
     """Integrator step size underflowed away from a detected pole."""
 

@@ -81,28 +81,6 @@ def oplus_project(times: KdVTimes, v) -> list:
     return _prefactor_at(_prefactor_table(times), v)
 
 
-def reexpand_curve_series(coeffs: Sequence, v, n_terms: int) -> list:
-    """Coefficients of P(z^2) sqrt(z^2 - v) in decreasing odd powers of z.
-
-    Used as the oracle inverting oplus_project: the positive part must
-    reproduce (k + 1/2) t_k at z^(2k-1) exactly, and the z^(-1) coefficient
-    equals -H(t, v) + x ... i.e. x/2 exactly when the hodograph equation
-    holds.  Exact for Fraction inputs.  Entry [j] multiplies
-    z^(2(d - j) + 1) with d = deg P.
-    """
-    # sqrt(z^2 - v) = z * sum_n s_n (v/z^2)^n, s_n the (1-w)^(1/2) series
-    s = [Fraction(1)]
-    for n in range(1, n_terms + 1):
-        s.append(s[-1] * Fraction(2 * n - 3, 2 * n) if n > 1 else Fraction(-1, 2))
-    d = len(coeffs) - 1
-    out = [0 * coeffs[0]] * (d + n_terms + 1)
-    for j, c in enumerate(coeffs):          # c X^j -> c z^(2j+1) * series
-        for n, sn in enumerate(s):
-            # power z^(2j+1-2n): index by (d - j + n) in decreasing order
-            out[d - j + n] = out[d - j + n] + c * sn * v**n
-    return out
-
-
 # -- curve specifications ------------------------------------------------
 
 @dataclass(frozen=True)

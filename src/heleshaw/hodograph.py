@@ -83,10 +83,6 @@ class CriticalPoint:
     def x_c(self):
         return self.times_c.x
 
-    def residuals(self) -> list:
-        """|d^j H| for j = 0 .. m-1 at the critical data (all should vanish)."""
-        return [abs(eval_dH(self.times_c, self.v_c, j)) for j in range(self.m)]
-
 
 # -- generating coefficients ----------------------------------------------
 
@@ -281,7 +277,8 @@ def closed_u0(x, t_1):
     root, reached by continuity from the fold (u = v_c exactly at x_c).  Newton
     from min(k^(1/3), sqrt(k / (3 v_c))), an upper bound, decreases monotonically
     to it and stops when no iterate moves: no complex arithmetic, no casus
-    irreducibilis.  Past x_c the branch has folded away: refused.  A scalar x gives
+    irreducibilis.  Past x_c the branch has folded away: refused, as is an x_c
+    that leaves the float range (as in find_critical_25).  A scalar x gives
     a float from the same Newton sequence on floats, bit for bit the array result.
     """
     import numpy as np  # here, so that `critical` runs without numpy
@@ -289,7 +286,7 @@ def closed_u0(x, t_1):
     if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
     v_c = math.sqrt(-4.0 * t_1 / 5.0)
-    x_c = -t_1 * v_c
+    x_c = _fold_abscissa(t_1, v_c)
     scalar = isinstance(x, (int, float))
     top = x if scalar else np.max(x, initial=-math.inf)
     if top > x_c:
@@ -326,11 +323,17 @@ def find_critical_25(t_1):
     if not t_1 < 0:
         raise DomainError("critical point requires t_1 < 0")
     v_c = exact_root(-4 * t_1 / 5, 2)
-    x_c = -t_1 * v_c  # nonzero, as t_1 < 0
+    x_c = _fold_abscissa(t_1, v_c)
+    return CriticalPoint(m=2, times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
+
+
+def _fold_abscissa(t_1, v_c):
+    """x_c = -t_1 v_c, nonzero as t_1 < 0: refused where floats underflow it to 0 or overflow it."""
+    x_c = -t_1 * v_c
     if x_c == 0 or abs(x_c) == math.inf:
         raise DomainError(f"critical abscissa x_c = -t_1 v_c {'underflows' if x_c == 0 else 'overflows'} "
                           f"at t_1 = {t_1!r}")
-    return CriticalPoint(m=2, times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
+    return x_c
 
 
 def _iroot(n: int, k: int) -> int:

@@ -25,12 +25,15 @@ consequence of A = (4/3) d2H/dv2 at the critical point and holds exactly.
 The composite solution glues the outer hodograph branch to the rescaled
 inner tritronquee at a switch abscissa and is valid up to x*, the image of
 the first negative pole xi*:  x* = x_c + eps~^2 beta xi*.
+
+The exact identities of the reduction (the canonical form, the rational
+P-I coefficients and the inverse map back to A) are checked in the tests
+(tests/paper_identities.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,12 +64,6 @@ class ScalingMapKdV:
         """eps~^m, the width of the inner region."""
         return self.eps_tilde**self.m
 
-    def x_to_inner(self, x, x_c):
-        return (x - x_c) / self.zoom
-
-    def x_from_inner(self, x_tilde, x_c):
-        return x_c + self.zoom * x_tilde
-
 
 @dataclass(frozen=True)
 class LeadingODE:
@@ -79,12 +76,6 @@ class LeadingODE:
     b: tuple
     m: int
     v_c: object
-
-    def canonical_m2(self):
-        """(1, 3, rhs) of u1'' + 3 u1^2 = rhs * x~ for the m = 2 case."""
-        if self.m != 2:
-            raise UnsupportedOrder("canonical form implemented for m = 2 only")
-        return (1, 3, -8 / self.A)
 
 
 @dataclass(frozen=True)
@@ -126,34 +117,6 @@ def reduce_to_pi(ode: LeadingODE) -> PIReduction:
     beta = -(ratio ** (1.0 / 5.0))
     alpha = -2.0 * ratio ** (-2.0 / 5.0)
     return PIReduction(alpha=alpha, beta=beta)
-
-
-def pi_reduction_exact_coefficients(A: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (W'', W^2, xi) of the rescaled equation, exactly.
-
-    alpha and beta are irrational, but the normalized coefficients
-    (1, 3 alpha beta^2, 8 beta^3/(A alpha)) are rational: their fifth powers
-    are computed in exact arithmetic from alpha^5 = -32 (4/A)^2 and
-    beta^5 = -A/4, and the real fifth root is unique.  Raises if the
-    defining identities fail (they cannot, for A > 0).
-    """
-    if not (isinstance(A, Fraction) and A > 0):
-        raise DomainError("exact verification needs a positive Fraction A")
-    alpha5 = -32 * Fraction(4, 1) ** 2 / A**2
-    beta5 = -A / 4
-    # (alpha beta^2)^5 and (8 beta^3 / (A alpha))^5, both exact
-    ab2_5 = alpha5 * beta5**2
-    ratio5 = Fraction(8) ** 5 * beta5**3 / (A**5 * alpha5)
-    if ab2_5 != Fraction(-32) or ratio5 != 1:
-        raise ArithmeticError("fifth-power identities of the reduction failed")
-    # real fifth roots: alpha beta^2 = -2 (alpha < 0, beta^2 > 0),
-    # 8 beta^3/(A alpha) = 1 (both factors negative)
-    return (Fraction(1), 3 * Fraction(-2), Fraction(1))
-
-
-def recover_leading_multiplier(red: PIReduction) -> float:
-    """Invert the reduction maps: A = 8 beta^3 / alpha."""
-    return 8.0 * red.beta**3 / red.alpha
 
 
 @dataclass
@@ -262,8 +225,3 @@ def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: in
         "eps": comp.eps,
         "n": int(n),
     }
-
-
-def overlap_error(comp: CompositeSolution, interval: tuple[float, float], n: int = 601) -> float:
-    """Max over n uniform samples of |outer(x) - inner(x)|."""
-    return overlap_report(comp, interval, n)["max_abs_err"]

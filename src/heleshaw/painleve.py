@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CertificationFailed, DomainError, NoPoleInRange, OutOfRange,
-                     SeedUnreliable, StepSizeUnderflow, TooCloseToPole)
+from .errors import (CertificationFailed, DomainError, OutOfRange, SeedUnreliable, StepSizeUnderflow,
+                     TooCloseToPole)
 
 #: |W| beyond this is treated as blown up (double poles grow fast)
 BLOWUP_THRESHOLD = 1.0e6
@@ -315,18 +315,3 @@ def _span_defects(sol: TritronqueeSolution, grid: np.ndarray, return_scale: bool
     if return_scale:
         defects /= 1.0 + np.maximum.reduceat(np.abs(rhs).max(axis=1), first_panel)
     return defects
-
-
-def find_first_negative_pole(sol: TritronqueeSolution) -> float:
-    """First pole on the negative axis; requires the integration to have blown up."""
-    if not sol.blew_up:
-        raise NoPoleInRange("integration reached xi_min without blow-up")
-    return sol.pole
-
-
-def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:
-    """Fit of sigma in W ~ sigma (xi - xi*)^-2 from the last nodes (should be 1)."""
-    pole = find_first_negative_pole(sol)
-    mask = sol.ws > 1e3
-    xs, vs = sol.ts[mask][-10:], sol.ws[mask][-10:]
-    return float(np.mean(vs * (xs - pole) ** 2))

@@ -33,13 +33,17 @@ t~ -> -infinity selects the tritronquee and reproduces the pre-merging
 branch V2 ~ (u_c/3) sqrt(-t~/t_3) (sign valid on the u_c > 0 branch; the
 real cube root u_c = (-x_c/(6 t_3))^(1/3) is negative when x_c/t_3 > 0 and
 then the matched branch is the mirror one).
+
+The module computes the leading term, u_c - (eps~^2/u_c) V2 and v_c + eps~^2
+V2.  The higher-order terms (U3, U4), the generating coefficients of the
+pair, the shifted string equations and the exact P-I change of variables
+are checked in the tests (tests/paper_identities.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
@@ -81,34 +85,6 @@ class TodaCritical:
         return abs(lhs) / scale if scale else 0.0
 
 
-# -- generating coefficients -------------------------------------------------
-
-def toda_r_coeff(k: int, u, v):
-    """k-th large-z coefficient of z / sqrt((z-u)^2 - 4v), by series composition.
-
-    (1 - w)^(-1/2) with w = 2u/z - (u^2 - 4v)/z^2 gives
-
-        r_k = sum_n binom(2n,n)/4^n * binom(n, k-n) (2u)^(2n-k) (4v - u^2)^(k-n),
-
-    n over max(0, ceil(k/2)) .. k.  Exact for Fraction inputs.
-    """
-    if k < 0:
-        raise DomainError("k must be non-negative")
-    return sum(
-        Fraction(math.comb(2 * n, n), 4**n) * math.comb(n, k - n)
-        * (2 * u) ** (2 * n - k) * (4 * v - u * u) ** (k - n)
-        for n in range((k + 1) // 2, k + 1)
-    )
-
-
-def hodograph_pair_residuals(times: TodaTimes, u, v):
-    """(t + 3 t_3 (u^2 + 2v),  6 t_3 u v + x)."""
-    return (
-        times.t + 3 * times.t_3 * (u * u + 2 * v),
-        6 * times.t_3 * u * v + times.x,
-    )
-
-
 # -- branch solving ---------------------------------------------------------
 
 def solve_toda_hodograph(times: TodaTimes, seed: tuple[float, float],
@@ -131,13 +107,17 @@ def find_toda_critical(t_3, x_c) -> TodaCritical:
     """Closed-form second-order critical point of the merging class.
 
     u_c is the real cube root of -x_c/(6 t_3); v_c = u_c^2, t_c = -9 t_3
-    u_c^2.  Exact for Fraction inputs with an exact cube root.
+    u_c^2.  Exact for Fraction inputs with an exact cube root; float data
+    that leave the float range are refused.
     """
     if t_3 == 0 or x_c == 0:
         raise DomainError("need t_3 != 0 and x_c != 0 for a nondegenerate merging point")
     u_c = exact_root(-x_c / (6 * t_3), 3)
     v_c = u_c * u_c
     t_c = -9 * t_3 * v_c
+    if not all(math.isfinite(q) for q in (u_c, v_c, t_c) if isinstance(q, float)):
+        raise DomainError(f"merging point u_c = (-x_c/(6 t_3))^(1/3) = {u_c!r} (v_c = {v_c!r}, t_c = {t_c!r}) "
+                          f"overflows at t_3 = {t_3!r}, x_c = {x_c!r}")
     return TodaCritical(u_c=u_c, v_c=v_c, t_c=t_c, x_c=x_c, t_3=t_3)
 
 
@@ -159,7 +139,7 @@ class TodaInner:
         if not self.eps > 0:
             raise DomainError("eps must be positive")
         a, crit = self.a, self.crit
-        if a in (0.0, math.inf) and math.isfinite(self.u_c):  # a itself leaves the float range
+        if a in (0.0, math.inf):  # a itself leaves the float range
             raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) {'overflows' if a else 'underflows'} "
                               f"at t_3 = {crit.t_3!r}, x_c = {crit.x_c!r}")
         if not a > 0:
@@ -203,39 +183,6 @@ def toda_inner_V2(t_tilde, inner: TodaInner):
     return -(inner.a ** (2.0 / 5.0)) * w
 
 
-def toda_inner_V2_xtilde(t_tilde, inner: TodaInner):
-    """x~-derivative of V2 through the similarity variable: -a^(3/5) W'(xi)/u_c."""
-    _, wp = inner.tritronquee.eval_extended(inner.xi_of_ttilde(t_tilde))
-    return -(inner.a ** (3.0 / 5.0)) * wp / inner.u_c
-
-
-def toda_inner_V2_xtilde2(t_tilde, inner: TodaInner):
-    """Second x~-derivative, via the similarity ODE V2_tt = -a t~ - 6 V2^2."""
-    v2 = toda_inner_V2(t_tilde, inner)
-    v2_tt = -inner.a * t_tilde - 6.0 * v2 * v2
-    return v2_tt / inner.u_c**2
-
-
-def toda_inner_U2(t_tilde, inner: TodaInner):
-    return -toda_inner_V2(t_tilde, inner) / inner.u_c
-
-
-def toda_inner_U3(t_tilde, inner: TodaInner):
-    return -toda_inner_V2_xtilde(t_tilde, inner) / (2.0 * inner.u_c)
-
-
-def toda_inner_order4_combination(t_tilde, inner: TodaInner):
-    """2 (V4 + u_c U4) = -t~/(3 t_3) - U2^2 - V2_x~x~/2 (computed, unused in the composite)."""
-    t3 = float(inner.crit.t_3)
-    u2 = toda_inner_U2(t_tilde, inner)
-    return -t_tilde / (3.0 * t3) - u2 * u2 - 0.5 * toda_inner_V2_xtilde2(t_tilde, inner)
-
-
-def toda_inner_U4_of_V4(t_tilde, v4, inner: TodaInner):
-    """U4 once a choice of V4 is made (the pair is only constrained jointly)."""
-    return (toda_inner_order4_combination(t_tilde, inner) - 2.0 * v4) / (2.0 * inner.u_c)
-
-
 def toda_composite(t_tilde, inner: TodaInner):
     """(u, v) of the regularized merging flow at inner time t~.
 
@@ -246,80 +193,3 @@ def toda_composite(t_tilde, inner: TodaInner):
     u = inner.u_c - e2 / inner.u_c * v2
     v = float(inner.crit.v_c) + e2 * v2
     return u, v
-
-
-def discrete_string_residuals(t_tilde, inner: TodaInner):
-    """Residuals of the shifted-argument string equations on the composite.
-
-    The shift x -> x +/- eps moves the similarity argument by -/+ eps~/u_c
-    in t~.  With the expansion truncated after U3/V2 both residuals are
-    O(eps~^4); this is a diagnostic of the expansion orders, not a solver.
-    """
-    crit, e = inner.crit, inner.eps_tilde
-    t3, u_c, v_c = float(crit.t_3), inner.u_c, float(crit.v_c)
-    t = float(crit.t_c) + e**4 * t_tilde
-    x = float(crit.x_c)
-    shift = e / u_c
-
-    def u_field(tt):
-        return u_c + e**2 * toda_inner_U2(tt, inner) + e**3 * toda_inner_U3(tt, inner)
-
-    def v_field(tt):
-        return v_c + e**2 * toda_inner_V2(tt, inner)
-
-    u0 = u_field(t_tilde)
-    v0 = v_field(t_tilde)
-    v_plus = v_field(t_tilde - shift)   # v(x + eps)
-    u_minus = u_field(t_tilde + shift)  # u(x - eps)
-    r1 = t + 3 * t3 * (u0 * u0 + v0 + v_plus)
-    r2 = 3 * t3 * (u0 + u_minus) * v0 + x
-    return r1, r2
-
-
-# -- exact verification of the P-I reduction ---------------------------------
-
-def toda_pi_exact_coefficients(u_c: Fraction, t_3: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Carry V2_t~t~ + 6 V2^2 = -a t~ to P-I exactly, tracking powers of a.
-
-    Each transformed coefficient is a pair (rational, exponent of a); the
-    exponents cancel identically, leaving W'' = 6 W^2 - xi with coefficients
-    (1, 6, 1).  All arithmetic is exact.
-    """
-    if not (isinstance(u_c, Fraction) and isinstance(t_3, Fraction)):
-        raise DomainError("exact verification needs Fraction inputs")
-    if u_c == 0 or t_3 <= 0:
-        raise DomainError("need u_c != 0 and t_3 > 0")
-    a = 2 * u_c**2 / (3 * t_3)
-    assert a > 0
-
-    def mul(p, q):
-        return (p[0] * q[0], p[1] + q[1])
-
-    def div(p, q):
-        return (p[0] / q[0], p[1] - q[1])
-
-    v_of_w = (Fraction(-1), Fraction(2, 5))          # V2 = -a^(2/5) W
-    dxi_dt = (Fraction(-1), Fraction(1, 5))          # xi = -a^(1/5) t~
-    t_of_xi = div((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(1, 5)))
-
-    w2_coeff = mul((Fraction(6), Fraction(0)), mul(v_of_w, v_of_w))
-    wpp_coeff = mul(v_of_w, mul(dxi_dt, dxi_dt))
-    rhs_coeff = mul((Fraction(-1), Fraction(1)), t_of_xi)  # -a t~ in xi units
-
-    # the equation reads wpp W'' + w2 W^2 = rhs xi; normalize by wpp:
-    # W'' = -(w2/wpp) W^2 + (rhs/wpp) xi, so P-I needs the triple below = (1, 6, 1)
-    w2_n = div(w2_coeff, wpp_coeff)
-    rhs_n = div(rhs_coeff, wpp_coeff)
-    if w2_n[1] != 0 or rhs_n[1] != 0:
-        raise ArithmeticError("powers of a failed to cancel")
-    return (Fraction(1), -w2_n[0], -rhs_n[0])
-
-
-def toda_matching_map_identity(u_c: Fraction, t_3: Fraction) -> bool:
-    """The map sends (u_c/3) sqrt(-t~/t_3) exactly onto -sqrt(xi/6).
-
-    Squaring both sides, the claim is (u_c/3)^2 / (a t_3) == 1/6 with
-    a = 2 u_c^2/(3 t_3); exact in rational arithmetic.
-    """
-    a = 2 * u_c**2 / (3 * t_3)
-    return (u_c / 3) ** 2 / (a * t_3) == Fraction(1, 6)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from heleshaw.diffpoly import DiffPoly, dispersionless_coefficient, gd_polynomials
-from heleshaw.geometry import detect_events, oplus_project, reexpand_curve_series
+from heleshaw.geometry import detect_events, oplus_project
 from heleshaw.hodograph import (
     CriticalPoint,
     KdVTimes,
@@ -26,14 +26,14 @@ from heleshaw.multiscale import (
     build_composite,
     build_leading_ode,
     overlap_report,
-    pi_reduction_exact_coefficients,
     reduce_to_pi,
 )
-from heleshaw.painleve import find_first_negative_pole, integrate_tritronquee
-from heleshaw.toda import (
-    build_toda_inner,
-    find_toda_critical,
-    toda_inner_V2,
+from heleshaw.painleve import integrate_tritronquee
+from heleshaw.toda import build_toda_inner, find_toda_critical, toda_inner_V2
+from paper_identities import (
+    canonical_m2,
+    pi_reduction_exact_coefficients,
+    reexpand_curve_series,
     toda_pi_exact_coefficients,
 )
 
@@ -123,7 +123,7 @@ def test_criterion_4_reduction_pipeline_exact():
     t0 = time.perf_counter()
     ode = build_leading_ode(cp)
     assert ode.A == Fraction(4)
-    one, three, rhs = ode.canonical_m2()
+    one, three, rhs = canonical_m2(ode)
     assert (one, three, rhs) == (1, 3, Fraction(-2))  # u1'' + 3 u1^2 = -(8/(5 v_c)) x~
     red = reduce_to_pi(ode)
     assert red.alpha == -2.0 and red.beta == -1.0
@@ -136,7 +136,8 @@ def test_criterion_4_reduction_pipeline_exact():
 def test_criterion_5_tritronquee_quality():
     t0 = time.perf_counter()
     sol = integrate_tritronquee(xi0=30.0, xi_min=-6.0, tol=1e-12)
-    pole = find_first_negative_pole(sol)
+    assert sol.blew_up
+    pole = sol.pole
 
     # no pole on the positive axis
     xs = np.linspace(1e-6, 30.0, 5000)
@@ -151,7 +152,8 @@ def test_criterion_5_tritronquee_quality():
 
     # pole stability under tolerance refinement
     finer = integrate_tritronquee(xi0=30.0, xi_min=-6.0, tol=1e-13)
-    shift = abs(pole - find_first_negative_pole(finer))
+    assert finer.blew_up
+    shift = abs(pole - finer.pole)
     assert shift < 1e-6
 
     assert -2.40 < pole < -2.37

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heleshaw
-from heleshaw import painleve
+from heleshaw import painleve, toda
 from heleshaw.cli import OPTIONS, frame_abscissas, load_config, main
 from heleshaw.errors import ConfigError
 
@@ -212,9 +212,10 @@ def test_outdir_naming_a_file_exit_2(tmp_path, capsys):
     assert afile.read_text() == "keep"
 
 
-def test_failed_write_leaves_no_file(tmp_path, capsys):
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     # every u of this run is nan; the writer refuses it before any file appears
-    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--t3=5e-324", "--n", "7")
+    monkeypatch.setattr(toda, "toda_composite", lambda ts, inner: (ts * math.nan, ts * math.nan))
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--n", "7")
     assert code == 1
     assert "non-finite" in err
     assert not list(tmp_path.iterdir())
@@ -357,6 +358,7 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("toda", "--xc=-1e300"),
     ("critical", "--t1=-1e300"),
     ("toda", "--t3=1e-300"),
+    ("toda", "--t3=5e-324"),
 ], ids=" ".join)
 def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
     code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
@@ -370,6 +372,15 @@ def test_overflow_names_the_quantity_exit_1(tmp_path, capsys, argv):
 def test_underflowing_x_c_names_it_exit_1(tmp_path, capsys, sub):
     # v_c = 8.9e-151, but x_c = -t_1 v_c = 8.9e-451 is zero in floats
     code, out, err = run(capsys, "--outdir", str(tmp_path), sub, "--t1=-1e-300")
+    assert (code, out) == (1, "")
+    assert err == "error: critical abscissa x_c = -t_1 v_c underflows at t_1 = -1e-300\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_trace_underflowing_x_c_names_it_exit_1(tmp_path, capsys):
+    # with x_c = 0, x = 0 would be taken for the fold and u0(0) = v_c printed, not sqrt(3) v_c
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "trace", "--t1=-1e-300", "--from=-1", "--to=0",
+                         "--n", "3")
     assert (code, out) == (1, "")
     assert err == "error: critical abscissa x_c = -t_1 v_c underflows at t_1 = -1e-300\n"
     assert not list(tmp_path.iterdir())
@@ -429,6 +440,7 @@ def _argvs(draw):
 @example(argv=["composite", "--eps", "1e-300"])
 @example(argv=["match", "--eps", "1e-300"])
 @example(argv=["frames", "--t1=-1e-300", "--switch=-1", "--from=-1", "--count=2"])
+@example(argv=["frames", "--from=0", "--to=5e-324"])
 def test_any_input_ends_cleanly(argv):
     """Every input ends in a result or in exit 1 or 2 with one stderr line;
     a result carries no warning and no non-finite number."""
@@ -463,6 +475,44 @@ def test_frame_abscissas_shape():
     assert xs[-1] - xs[-2] < (xs[1] - xs[0]) / 100
     assert frame_abscissas(0.6, 0.64, 1) == [0.64]
     assert frame_abscissas(0.6, 0.64, 0) == []
+
+
+def test_frames_and_trace_independent_of_numpy_cpu_dispatch(tmp_path):
+    """Frame abscissas and the frame and trace files keep their bits when the
+    AVX-512 kernels of numpy are switched off in a child process.
+
+    Over these windows, np.geomspace placed 24 of 7809 frames differently on
+    an AVX-512 host.  Where numpy has no such kernels, the variable changes
+    nothing and both runs agree trivially.
+    """
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    no_avx512 = {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    code = """
+import contextlib, hashlib, io, json, random, sys
+from pathlib import Path
+from heleshaw.cli import frame_abscissas, main
+rng = random.Random(12345)
+windows = []
+for _ in range(300):
+    a = rng.uniform(-2.0, 1.0)
+    windows.append((a, a + 10.0 ** rng.uniform(-8.0, 1.0), rng.randint(2, 50)))
+digests = {}
+for i, argv in enumerate((["frames"], ["frames", "--from=0.62", "--to=0.6401", "--count=13"], ["trace"],
+                          ["trace", "--t1=-1.3", "--from=-2", "--to=1.1", "--n=999"])):
+    outdir = Path(sys.argv[1]) / str(i)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--outdir", str(outdir), *argv]) == 0
+    for f in sorted(outdir.iterdir()):
+        digests[f"{i}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows], "files": digests}))
+"""
+    runs = [json.loads(subprocess.run([sys.executable, "-c", code, str(tmp_path / str(i))], env=child,
+                                      capture_output=True, text=True, check=True).stdout)
+            for i, child in enumerate((env, no_avx512))]
+    assert len(runs[0]["files"]) == (8 + 1) + (13 + 1) + 1 + 1
+    assert runs[0] == runs[1]
 
 
 def test_cli_import_loads_no_scipy():

@@ -17,12 +17,12 @@ from heleshaw.geometry import (
     emit_frames,
     finger_curve,
     oplus_project,
-    reexpand_curve_series,
 )
 from heleshaw.hodograph import KdVTimes, closed_u0, quintic_times, r_coeff
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
 from heleshaw.toda import build_toda_inner
+from paper_identities import reexpand_curve_series
 
 
 @pytest.fixture(scope="module")

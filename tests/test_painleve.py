@@ -13,7 +13,6 @@ from heleshaw import painleve
 from heleshaw.errors import (
     CertificationFailed,
     DomainError,
-    NoPoleInRange,
     OutOfRange,
     SeedUnreliable,
     StepSizeUnderflow,
@@ -22,10 +21,9 @@ from heleshaw.errors import (
 from heleshaw.painleve import (
     _series_coefficients,
     asymptotic_series,
-    find_first_negative_pole,
     integrate_tritronquee,
-    laurent_leading_coefficient,
 )
+from paper_identities import laurent_leading_coefficient
 
 
 #: W on the real axis and the first pole, from a 40-digit mpmath Taylor run
@@ -183,14 +181,16 @@ def test_eval_at_seed_is_exact(sol):
 # -- pole ---------------------------------------------------------------
 
 def test_pole_location(sol):
-    pole = find_first_negative_pole(sol)
+    assert sol.blew_up
+    pole = sol.pole
     assert -2.40 < pole < -2.37
     assert pole == pytest.approx(-2.3841687, abs=1e-3)
 
 
 def test_pole_stable_under_tol_refinement(sol):
     finer = integrate_tritronquee(tol=1e-12)
-    assert abs(find_first_negative_pole(sol) - find_first_negative_pole(finer)) < 1e-6
+    assert sol.blew_up and finer.blew_up
+    assert abs(sol.pole - finer.pole) < 1e-6
 
 
 def test_laurent_leading_coefficient(sol):
@@ -200,8 +200,7 @@ def test_laurent_leading_coefficient(sol):
 def test_no_pole_error():
     short = integrate_tritronquee(xi0=30.0, xi_min=-0.5, tol=1e-9)
     assert not short.blew_up
-    with pytest.raises(NoPoleInRange):
-        find_first_negative_pole(short)
+    assert short.pole is None
 
 
 def test_monotone_blowup_tail(sol):

@@ -13,15 +13,17 @@ from heleshaw.painleve import integrate_tritronquee
 from heleshaw.toda import (
     TodaTimes,
     build_toda_inner,
-    discrete_string_residuals,
     find_toda_critical,
-    hodograph_pair_residuals,
     solve_toda_hodograph,
     toda_composite,
+    toda_inner_V2,
+)
+from paper_identities import (
+    discrete_string_residuals,
+    hodograph_pair_residuals,
     toda_inner_U2,
     toda_inner_U3,
     toda_inner_U4_of_V4,
-    toda_inner_V2,
     toda_inner_V2_xtilde,
     toda_inner_order4_combination,
     toda_matching_map_identity,
@@ -187,6 +189,13 @@ def test_critical_cube_root_homogeneity():
     a = find_toda_critical(1.0, -6.0)
     b = find_toda_critical(8.0, -6.0)
     assert b.u_c == pytest.approx(a.u_c / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("t3, x_c", [(5e-324, 1.0), (-5e-324, 1.0), (1e308, 1.0)])
+def test_critical_refuses_data_out_of_float_range(t3, x_c):
+    # u_c overflows to -inf at t_3 = 5e-324; t_c = -9 t_3 v_c is nan at t_3 = 1e308
+    with pytest.raises(DomainError, match=r"u_c = .* overflows at t_3 = "):
+        find_toda_critical(t3, x_c)
 
 
 def test_critical_degenerate_inputs():
