@@ -165,6 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def grid(start: float, stop: float, n: int) -> list[float]:
+    """n abscissas from start to stop, the ends pinned, by numpy's linspace formula without numpy:
+    i step + start, or i (delta/div) + start where the step underflows.  A handler maps its layer's
+    float function over them, so the CLI's tables load no numpy at any row count."""
+    delta, div = stop - start, max(n - 1, 1)
+    step = delta / div
+    xs = [i * step + start if step else i / div * delta + start for i in range(n - 1)]
+    return [*xs, stop] if n > 1 else [0.0 * delta + start]
+
+
 def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
     """Frame placement: endpoints pinned, spacing geometric toward x_to.
 
@@ -179,6 +189,8 @@ def frame_abscissas(x_from: float, x_to: float, count: int) -> list[float]:
     if count == 1:
         return [x_to]
     span = x_to - x_from
+    if not math.isfinite(span):
+        raise DomainError(f"frame window from {x_from} to {x_to} is too wide: its span overflows")
     if not span * 1e-4 > 0:
         raise DomainError(f"frame window from {x_from} to {x_to} is too narrow: 1e-4 of its span underflows")
     la, lb = math.log10(span), math.log10(span * 1e-4)
@@ -210,36 +222,33 @@ def _cmd_critical(opts) -> int:
     return 0
 
 
-def _write_table(opts, name: str, header: str, columns, **summary) -> int:
-    """CSV `name` of the columns, then the JSON summary, rendered first so that its failure writes no file."""
+def _write_table(opts, name: str, header: str, xs: list, row, **summary) -> int:
+    """CSV `name` of the rows (x, *row(x)), then the JSON summary, rendered first so that its failure
+    writes no file.  Each row is computed as it is written: a long table holds only its grid in memory."""
     path = opts["outdir"] / name
-    text = json_text({"file": str(path), "rows": len(columns[0]), **summary})
-    write_csv(path, header, zip(*columns))
+    text = json_text({"file": str(path), "rows": len(xs), **summary})
+    write_csv(path, header, ((x, *row(x)) for x in xs))
     print(text)
     return 0
 
 
 def _cmd_trace(opts) -> int:
     """outer branch u0(x) as CSV"""
-    import numpy as np
-
     from .hodograph import closed_u0
 
-    xs = np.linspace(opts["x_from"], opts["x_to"], opts["n"])
-    return _write_table(opts, "trace.csv", "x,u0", (xs, closed_u0(xs, opts["t1"])))
+    t1 = opts["t1"]
+    return _write_table(opts, "trace.csv", "x,u0", grid(opts["x_from"], opts["x_to"], opts["n"]),
+                        lambda x: (closed_u0(x, t1),))
 
 
 def _cmd_painleve(opts) -> int:
     """tritronquee solution as CSV + summary"""
-    import numpy as np
-
     from .painleve import POLE_GUARD, integrate_tritronquee
 
     xi0, tol = opts["xi0"], opts["tol"]
     sol = integrate_tritronquee(xi0=xi0, xi_min=opts["xi_min"], tol=tol)
     lo = sol.pole + 2 * POLE_GUARD if sol.pole is not None else sol.xi_reached
-    xs = np.linspace(lo, xi0, opts["n"])
-    return _write_table(opts, "painleve.csv", "xi,W,Wp", (xs, *sol.eval_many(xs)),
+    return _write_table(opts, "painleve.csv", "xi,W,Wp", grid(lo, xi0, opts["n"]), sol.eval,
                         xi0=xi0, tol=tol, pole=sol.pole, residual_max=sol.residual_max)
 
 
@@ -254,16 +263,13 @@ def _cmd_match(opts) -> int:
 
 def _cmd_composite(opts) -> int:
     """glued solution u(x) as CSV"""
-    import numpy as np
-
     from .multiscale import build_composite
 
     comp = build_composite(t_1=opts["t1"], eps=opts["eps"], x_switch=opts["switch"],
                            tol=opts["tol"], xi0=opts["xi0"])
     x_to = comp.x_star - 2e-7 if opts["x_to"] is None else opts["x_to"]
-    xs = np.linspace(opts["x_from"], x_to, opts["n"])
-    return _write_table(opts, "composite.csv", "x,u", (xs, comp.eval_many(xs)),
-                        eps=opts["eps"], x_switch=opts["switch"], x_star=comp.x_star)
+    return _write_table(opts, "composite.csv", "x,u", grid(opts["x_from"], x_to, opts["n"]),
+                        lambda x: (comp.eval(x),), eps=opts["eps"], x_switch=opts["switch"], x_star=comp.x_star)
 
 
 def _cmd_frames(opts) -> int:
@@ -286,8 +292,6 @@ def _cmd_frames(opts) -> int:
 
 def _cmd_toda(opts) -> int:
     """regularized merging flow (t~, u, v)"""
-    import numpy as np
-
     from .painleve import POLE_GUARD
     from .toda import build_toda_inner, toda_composite
 
@@ -296,9 +300,9 @@ def _cmd_toda(opts) -> int:
     if opts["x_to"] is None and abs(inner.xi_of_ttilde(t_to) - inner.tritronquee.pole) < POLE_GUARD:
         raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) = {inner.a:.3g} at t_3 = {opts['t3']!r}, "
                           f"x_c = {opts['xc']!r} is too small: t~_pole - 0.01 is within {POLE_GUARD} of the pole")
-    ts = np.linspace(opts["x_from"], t_to, opts["n"])
     crit = inner.crit
-    return _write_table(opts, "toda.csv", "t_tilde,u,v", (ts, *toda_composite(ts, inner)),
+    return _write_table(opts, "toda.csv", "t_tilde,u,v", grid(opts["x_from"], t_to, opts["n"]),
+                        lambda t: toda_composite(t, inner),
                         u_c=float(crit.u_c), v_c=float(crit.v_c), t_c=float(crit.t_c),
                         x_c=float(crit.x_c), identity_residual=crit.identity_residual(),
                         t_tilde_pole=inner.t_tilde_pole)

@@ -264,50 +264,61 @@ def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13) -> float:
     return branch_root(coeffs, seed, tol * poly_scale(coeffs, seed))
 
 
-def _fold_newton(d, k, v_c):
-    """Newton iterate for delta^2 (delta + 3 v_c) = k, on floats or arrays."""
-    return d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c))
+def _descend(step, d):
+    """Newton map `step` from an upper bound d while it decreases: a float, or elementwise (100 steps)."""
+    if isinstance(d, float):
+        while d > 0 and (nd := step(d)) < d:
+            d = nd
+        return d
+    for _ in range(100):
+        nd = step(d)
+        if not (down := nd < d).any():
+            break
+        d[down] = nd[down]
+    return d
+
+
+def _fold_root(k, v_c, lib, minimum):
+    """Root delta >= 0 of delta^2 (delta + 3 v_c) = k; lib is math for a float k, numpy for an ndarray.
+
+    Newton from the upper bound min(y (1 + 2^-51), sqrt(k / (3 v_c))), as delta^3 < k and 3 v_c delta^2 <= k.
+    y is Newton for y^3 = k from 2 m 2^ceil(e/3) >= k^(1/3), k = m 2^e; it may end a rounding below
+    k^(1/3), which the factor 1 + 2^-51 lifts it over.  sqrt(k / (3 v_c)) exceeds delta by the relative
+    delta / (6 v_c) > 2^-30 at the smallest k > 0 (one ulp of x_c), far above its rounding.  Every
+    operation is exact or correctly rounded, so floats and ndarrays agree bit for bit on every CPU."""
+    m, e = lib.frexp(k)
+    y = _descend(lambda y: y - (y - k / (y * y)) / 3.0, lib.ldexp(m + m, -(-e // 3)))
+    return _descend(lambda d: d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c)),
+                    minimum(y * (1.0 + 2.0**-51), lib.sqrt(k / (3.0 * v_c))))
 
 
 def closed_u0(x, t_1):
-    """Outer branch of (5/8) u^3 + (3/2) t_1 u + x = 0, elementwise on x <= x_c (t_1 < 0).
+    """Outer branch of (5/8) u^3 + (3/2) t_1 u + x = 0 at x <= x_c (t_1 < 0): a float, or elementwise an ndarray.
 
     With u = v_c + delta the cubic reads delta^2 (delta + 3 v_c) = k, k = (8/5)(x_c - x),
     increasing and convex in delta >= 0.  Its root delta >= 0 is the largest real
-    root, reached by continuity from the fold (u = v_c exactly at x_c).  Newton
-    from min(k^(1/3), sqrt(k / (3 v_c))), an upper bound, decreases monotonically
-    to it and stops when no iterate moves: no complex arithmetic, no casus
-    irreducibilis.  Past x_c the branch has folded away: refused, as is an x_c
-    that leaves the float range (as in find_critical_25).  A scalar x gives
-    a float from the same Newton sequence on floats, bit for bit the array result.
+    root, reached by continuity from the fold (u = v_c exactly at x_c), by Newton
+    from above (_fold_root) until no iterate moves: no complex arithmetic, no
+    casus irreducibilis.  Past x_c the branch has folded away: refused, as is an
+    x_c that leaves the float range (as in find_critical_25).  An ndarray, for
+    which alone numpy loads, gives bit for bit the float results.
     """
-    import numpy as np  # here, so that `critical` runs without numpy
-
     if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
     v_c = math.sqrt(-4.0 * t_1 / 5.0)
     x_c = _fold_abscissa(t_1, v_c)
     scalar = isinstance(x, (int, float))
+    if not scalar:
+        import numpy as np
     top = x if scalar else np.max(x, initial=-math.inf)
     if top > x_c:
         raise DomainError(f"x={top} beyond the catastrophe point x_c={x_c}: branch folded")
-    if scalar:  # scalar callers loop over points: the same Newton sequence on floats
-        k = 1.6 * (x_c - float(x))
-        d = min(float(np.cbrt(k)), math.sqrt(k / (3.0 * v_c)))
-        while d > 0 and (nd := _fold_newton(d, k, v_c)) < d:
-            d = nd
-        finite = math.isfinite(d)
+    if scalar:
+        d = _fold_root(1.6 * (x_c - float(x)), v_c, math, min)
     else:
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite result below
-            k = 1.6 * (x_c - np.asarray(x, dtype=float))
-            d = np.minimum(np.cbrt(k), np.sqrt(k / (3.0 * v_c)))
-            for _ in range(100):
-                nd = _fold_newton(d, k, v_c)  # nan where d = k = 0: already the root
-                if not np.any(nd < d):
-                    break
-                d = np.fmin(nd, d)
-        finite = np.isfinite(d).all()
-    if not finite:
+            d = _fold_root(1.6 * (x_c - np.asarray(x, dtype=float)), v_c, np, np.minimum)
+    if not (math.isfinite(d) if scalar else np.isfinite(d).all()):
         raise DomainError(f"outer branch is not finite at t_1={t_1} (overflow)")
     u = v_c + d
     return u if scalar or u.ndim else float(u)

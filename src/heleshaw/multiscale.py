@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateReduction, DomainError, OutOfRange, UnsupportedOrder
 from .hodograph import CriticalPoint, KdVTimes, c_coeff, closed_u0, find_critical_25
 from .painleve import TritronqueeSolution, integrate_tritronquee
@@ -160,24 +158,30 @@ class CompositeSolution:
         return (x - self.x_c) / (self.scaling.zoom * self.reduction.beta)
 
     def inner_u(self, x):
-        """v_c + eps~ alpha W(xi(x)): the inner approximation at physical x."""
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs >= self.x_star):
+        """v_c + eps~ alpha W(xi(x)): the inner approximation at physical x, a float or an array."""
+        scalar = isinstance(x, (int, float))
+        if not scalar:
+            import numpy as np
+            x = np.asarray(x, dtype=float)
+        if x >= self.x_star if scalar else (x >= self.x_star).any():
             raise OutOfRange(f"x beyond the pole image x* = {self.x_star!r}")
-        w, _ = self.tritronquee.eval_extended(self.xi_of_x(xs))
-        u = self.v_c + self.scaling.eps_tilde * self.reduction.alpha * w
-        return float(u) if np.ndim(x) == 0 else u
+        w, _ = self.tritronquee.eval_extended(self.xi_of_x(x))
+        return self.v_c + self.scaling.eps_tilde * self.reduction.alpha * w
 
     def outer_u(self, x):
-        """The closed-form outer hodograph branch at physical x <= x_c."""
+        """The closed-form outer hodograph branch at physical x <= x_c, a float or an ndarray."""
         return closed_u0(x, self.cp.times_c.t[0])
 
     def eval(self, x: float) -> float:
-        """u at one abscissa: the 0-d case of eval_many."""
-        return self.eval_many(x)
+        """u at one abscissa, on floats: bit for bit the eval_many value."""
+        x = float(x)
+        if x >= self.x_star:
+            raise OutOfRange(f"x = {x} is at or beyond x* = {self.x_star}")
+        return self.outer_u(x) if x < self.x_switch else self.inner_u(x)
 
     def eval_many(self, xs):
         """Outer branch below x_switch, inner branch on [x_switch, x_star)."""
+        import numpy as np
         xs = np.asarray(xs, dtype=float)
         if np.any(xs >= self.x_star):
             raise OutOfRange(f"x = {xs.max()} is at or beyond x* = {self.x_star}")
@@ -211,6 +215,7 @@ def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.63
 
 def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: int = 601) -> dict:
     """Max absolute and relative deviation |outer - inner| on a uniform grid."""
+    import numpy as np
     a, b = interval
     if not a < b:
         raise DomainError("empty overlap interval")

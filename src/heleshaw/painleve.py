@@ -28,18 +28,20 @@ vanishes for an exact solution.  Between nodes the integrand is a
 polynomial of degree 2 TAYLOR_ORDER, which Gauss-Legendre with
 TAYLOR_ORDER + 1 points integrates exactly, so the defect measures genuine
 inconsistency of (W, W') with the equation rather than quadrature error.
+
+Solutions are tuples of floats, certified in plain floats; numpy loads only for ndarray input
+and for eval_many, residual_defects and the arrays ts, ws, wps and _coef, built on first access.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .errors import (CertificationFailed, DomainError, OutOfRange, SeedUnreliable, StepSizeUnderflow,
                      TooCloseToPole)
@@ -58,6 +60,14 @@ STEP_EPS = 1.0e-3
 MAX_STEPS = 10_000
 #: integrations kept by integrate_tritronquee, one per distinct setting
 CACHE_SIZE = 8
+#: Gauss-Legendre nodes x >= 0 and weights, 21 = TAYLOR_ORDER + 1 points; with the nodes -x they are leggauss(21)
+_GAUSS_HALF = ((0.0, 0.1460811336496907), (0.1455618541608951, 0.14452440398997027),
+               (0.2880213168024011, 0.1398873947910734), (0.4243421202074388, 0.13226893863333763),
+               (0.5516188358872198, 0.12183141605372864), (0.6671388041974123, 0.1087972991671484),
+               (0.7684399634756779, 0.09344442345603395), (0.8533633645833173, 0.07610011362837911),
+               (0.9200993341504008, 0.05713442542685717), (0.9672268385663063, 0.03695378977085188),
+               (0.9937521706203895, 0.01601722825777436))
+_GAUSS_X, _GAUSS_W = zip(*((-x, w) for x, w in _GAUSS_HALF[:0:-1]), *_GAUSS_HALF)
 
 
 @lru_cache(maxsize=None)
@@ -80,21 +90,22 @@ def _series_coefficients(order: int) -> tuple[Fraction, ...]:
 def asymptotic_series(xi, order: int = 4):
     """(W, W') of the truncated large-xi series; exact rational coefficients.
 
-    Accepts a float or an ndarray.  Order 0 is the bare leading term
-    -sqrt(xi/6).  Refuses xi < 10, where the divergent tail is no longer
-    far below double precision.
+    Accepts a float or an ndarray, with the same bits.  Order 0 is the bare
+    leading term -sqrt(xi/6).  Refuses xi < 10, where the divergent tail is
+    no longer far below double precision.
     """
     if not 0 <= order <= 8:
         raise DomainError("series order must lie in 0..8")
-    if np.any(np.asarray(xi) < SERIES_MIN_XI):
+    scalar = isinstance(xi, (int, float))
+    if not scalar:
+        import numpy as np
+    if xi < SERIES_MIN_XI if scalar else np.any(np.asarray(xi) < SERIES_MIN_XI):
         raise DomainError(f"series unreliable below xi = {SERIES_MIN_XI}")
-    s = np.sqrt(xi / 6.0)
+    xi, sqrt = (float(xi), math.sqrt) if scalar else (xi, np.sqrt)
     # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains (inf: nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            t = 1.0 / np.sqrt(6.0 * xi**5)
-        except OverflowError:  # raised by float ** where an array gives inf
-            t = 0.0
+    with nullcontext() if scalar else np.errstate(over="ignore", invalid="ignore"):
+        s = sqrt(xi / 6.0)
+        t = 1.0 / sqrt(6.0 * (xi * xi * (xi * xi) * xi))  # products: alike on floats and arrays
         poly = 0.0 * xi
         dpoly = 0.0 * xi
         tk = 1.0 + 0.0 * xi
@@ -120,41 +131,49 @@ def _horner(coefs, s):
     return w, d
 
 
+def _frozen_array(name: str) -> cached_property:
+    """A read-only ndarray of the tuple attribute `name`, built once, on first access."""
+    def build(self):
+        import numpy as np
+        array = np.array(getattr(self, name))
+        array.setflags(write=False)
+        return array
+    return cached_property(build)
+
+
 @dataclass(frozen=True, eq=False)
 class TritronqueeSolution:
     """Dense numerical tritronquee with certified residual; immutable.
 
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
-    `_coef` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
+    `_rows` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
     ts[n] to ts[n + 1].  `pole` is the first negative-axis pole when the
     integration reached blow-up, else None.  `residual_max` is the largest
     scaled integral-form defect over the certification range
     [pole + 0.1, xi0] (see module docstring); construction certifies it
-    < 100 * tol or raises CertificationFailed.  Its arrays are read-only.
+    < 100 * tol or raises CertificationFailed.  Its tuples and arrays are read-only.
     """
 
     xi0: float
     tol: float
-    ts: np.ndarray
-    ws: np.ndarray
-    wps: np.ndarray
     pole: Optional[float]
     blew_up: bool
     series_order: int
-    _coef: np.ndarray = field(repr=False)
+    _ts: tuple = field(repr=False)
+    _ws: tuple = field(repr=False)
+    _wps: tuple = field(repr=False)
+    _rows: tuple = field(repr=False)
     residual_max: float = field(init=False)
+    ts, ws, wps, _coef = map(_frozen_array, ("_ts", "_ws", "_wps", "_rows"))
 
     def __post_init__(self):
-        for array in (self.ts, self.ws, self.wps, self._coef):
-            array.setflags(write=False)
-        object.__setattr__(self, "_rows", tuple(map(tuple, self._coef.tolist())))  # frozen dataclass
-        object.__setattr__(self, "_starts", tuple(self.ts[:-1].tolist()))
-        object.__setattr__(self, "_keys", tuple((-self.ts[:-1]).tolist()))
+        object.__setattr__(self, "_starts", self._ts[:-1])  # frozen dataclass
+        object.__setattr__(self, "_keys", tuple(-t for t in self._starts))
         object.__setattr__(self, "residual_max", _certify(self))
 
     @property
     def xi_reached(self) -> float:
-        return float(self.ts[-1])
+        return self._ts[-1]
 
     def _check_range(self, lo, hi, near_pole: bool):
         if near_pole:
@@ -162,8 +181,14 @@ class TritronqueeSolution:
         if hi > self.xi0 * (1 + 1e-15) + 1e-15 or lo < self.xi_reached - 1e-15:
             raise OutOfRange(f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
 
-    def _dense(self, xi: np.ndarray):
-        """(W, W') from the Taylor step whose span holds each abscissa."""
+    def _at(self, xi: float):
+        """(W, W') at one abscissa from the Taylor step whose span holds it: _dense on floats."""
+        n = min(max(bisect_right(self._keys, -xi) - 1, 0), len(self._rows) - 1)
+        return _horner(reversed(self._rows[n]), xi - self._starts[n])
+
+    def _dense(self, xi):
+        """(W, W') from the Taylor step whose span holds each abscissa of the ndarray xi."""
+        import numpy as np
         n = np.clip(np.searchsorted(-self.ts[:-1], -xi, side="right") - 1, 0, len(self._rows) - 1)
         return _horner((col[n] for col in self._coef.T[::-1]), xi - self.ts[n])
 
@@ -171,27 +196,25 @@ class TritronqueeSolution:
         """Dense-output (W, W') at a single abscissa."""
         xi = float(xi)
         self._check_range(xi, xi, self.pole is not None and abs(xi - self.pole) < POLE_GUARD)
-        n = min(max(bisect_right(self._keys, -xi) - 1, 0), len(self._rows) - 1)
-        return _horner(reversed(self._rows[n]), xi - self._starts[n])
+        return self._at(xi)
 
-    def eval_many(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def eval_many(self, xi) -> tuple:
+        import numpy as np
         xi = np.asarray(xi, dtype=float)
         near = self.pole is not None and bool(np.any(np.abs(xi - self.pole) < POLE_GUARD))
         self._check_range(xi.min(initial=np.inf), xi.max(initial=-np.inf), near)
         return self._dense(xi)
 
     def eval_extended(self, xi):
-        """Like eval, but continue with the seeding series above xi0.
+        """Like eval (eval_many on an ndarray), but continue with the seeding series above xi0.
 
         The series is exactly what the integration was seeded from, so the
         two representations agree to far below the integration tolerance at
         the junction.
         """
-        if np.ndim(xi) == 0:
-            if xi > self.xi0:
-                w, wp = asymptotic_series(float(xi), self.series_order)
-                return float(w), float(wp)
-            return self.eval(xi)
+        if isinstance(xi, (int, float)):
+            return asymptotic_series(float(xi), self.series_order) if xi > self.xi0 else self.eval(xi)
+        import numpy as np
         xi = np.asarray(xi, dtype=float)
         w, wp, above = np.empty_like(xi), np.empty_like(xi), xi > self.xi0
         if above.any():
@@ -200,9 +223,23 @@ class TritronqueeSolution:
             w[~above], wp[~above] = self.eval_many(xi[~above])
         return w, wp
 
-    def residual_defects(self, grid: np.ndarray) -> np.ndarray:
-        """Integral-form defect of each span of a decreasing or increasing grid."""
-        return _span_defects(self, np.asarray(grid, dtype=float))
+    def residual_defects(self, grid):
+        """|W'(b) - W'(a) - int (6W^2 - xi)| per span [a, b] of a decreasing or increasing grid.
+
+        Spans are split at the nodes: that keeps every quadrature panel inside a single Taylor
+        polynomial, where the Gauss rule integrates the integrand exactly.
+        """
+        import numpy as np
+        grid = np.sort(np.asarray(grid, dtype=float))
+        if not (len(grid) >= 2 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+            raise DomainError("residual grid needs two or more distinct finite abscissas")
+        cuts = np.sort(np.concatenate((grid, self.ts[(self.ts > grid[0]) & (self.ts < grid[-1])])))
+        cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # np.union1d without numpy.ma
+        half = 0.5 * np.diff(cuts)
+        pts = (cuts[:-1] + half)[:, None] + half[:, None] * np.array(_GAUSS_X)
+        rhs = 6.0 * self._dense(pts)[0] ** 2 - pts
+        integrals = np.add.reduceat((rhs @ np.array(_GAUSS_W)) * half, np.searchsorted(cuts, grid[:-1]))
+        return np.abs(np.diff(self._dense(grid)[1]) - integrals)
 
 
 def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
@@ -273,45 +310,25 @@ def _integrate(xi0: float, xi_min: float, tol: float, series_order: int, step_co
     if pole is not None and not pole < 0.0:
         raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
 
-    return TritronqueeSolution(
-        xi0=xi0, tol=tol, ts=np.array(ts), ws=np.array(ws), wps=np.array(wps),
-        pole=pole, blew_up=blew_up, series_order=series_order, _coef=np.array(rows),
-    )
+    return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, blew_up=blew_up, series_order=series_order,
+                               _ts=tuple(ts), _ws=tuple(ws), _wps=tuple(wps), _rows=tuple(map(tuple, rows)))
 
 
 def _certify(sol: TritronqueeSolution) -> float:
     """Max defect of the Taylor steps in [pole + 0.1, xi0], each relative to
-    1 + max |6 W^2 - xi| on its step (zero for an exact solution)."""
+    1 + max |6 W^2 - xi| on its step (zero for an exact solution): residual_defects
+    in plain floats on step n = [ts[n + 1], ts[n]], with an fsum per Gauss sum."""
     lo = sol.pole + 0.1 if sol.pole is not None else sol.xi_reached
-    ts = sol.ts[sol.ts >= lo]
-    if len(ts) < 2:
-        return 0.0
-    worst = float(np.max(_span_defects(sol, ts, return_scale=True)))
+    ts = [t for t in sol._ts if t >= lo]  # a prefix: the nodes decrease
+    worst = 0.0
+    for b, a, row in zip(ts, ts[1:], sol._rows):
+        half = 0.5 * (b - a)
+        pts = [a + half + half * x for x in _GAUSS_X]
+        ws = [_horner(reversed(row), xi - b)[0] for xi in pts]
+        rhs = [6.0 * (w * w) - xi for w, xi in zip(ws, pts)]
+        integral = math.fsum(r * g for r, g in zip(rhs, _GAUSS_W)) * half
+        worst = max(worst, abs(sol._at(b)[1] - sol._at(a)[1] - integral) / (1.0 + max(map(abs, rhs))))
     if not worst < 100.0 * sol.tol:
         raise CertificationFailed(f"residual certification failed: {worst:.3e} >= 100*tol")
     return worst
 
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(TAYLOR_ORDER + 1)
-
-
-def _span_defects(sol: TritronqueeSolution, grid: np.ndarray, return_scale: bool = False) -> np.ndarray:
-    """|W'(b) - W'(a) - int (6W^2 - xi)| per grid span, split at the nodes.
-
-    Splitting keeps every quadrature panel inside a single Taylor
-    polynomial, where the Gauss rule integrates the integrand exactly.
-    """
-    grid = np.sort(grid)
-    if not (len(grid) >= 2 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
-        raise DomainError("residual grid needs two or more distinct finite abscissas")
-    cuts = np.sort(np.concatenate((grid, sol.ts[(sol.ts > grid[0]) & (sol.ts < grid[-1])])))
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]  # np.union1d without numpy.ma
-    half = 0.5 * np.diff(cuts)
-    pts = (cuts[:-1] + half)[:, None] + half[:, None] * _GAUSS_X
-    rhs = 6.0 * sol._dense(pts)[0] ** 2 - pts
-    first_panel = np.searchsorted(cuts, grid[:-1])
-    integrals = np.add.reduceat((rhs @ _GAUSS_W) * half, first_panel)
-    defects = np.abs(np.diff(sol._dense(grid)[1]) - integrals)
-    if return_scale:
-        defects /= 1.0 + np.maximum.reduceat(np.abs(rhs).max(axis=1), first_panel)
-    return defects

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import heleshaw
 from heleshaw import painleve, toda
-from heleshaw.cli import OPTIONS, frame_abscissas, load_config, main
+from heleshaw.cli import OPTIONS, frame_abscissas, grid, load_config, main
 from heleshaw.errors import ConfigError
 
 
@@ -477,9 +477,62 @@ def test_frame_abscissas_shape():
     assert frame_abscissas(0.6, 0.64, 0) == []
 
 
+def test_frames_window_whose_span_overflows_exit_1(tmp_path, capsys):
+    # x_to - x_from = inf: log10(inf) - log10(inf) would place nan frames
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "frames", "--from=-1e308", "--to=1e308")
+    assert (code, out) == (1, "")
+    assert err == "error: frame window from -1e+308 to 1e+308 is too wide: its span overflows\n"
+    assert not list(tmp_path.iterdir())
+
+
+_FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(start=_FINITE, stop=_FINITE, n=st.integers(1, 2000))
+@example(start=0.0, stop=math.pi, n=1999)
+@example(start=0.0, stop=5e-324, n=7)  # the step underflows to 0
+@example(start=-1e308, stop=1e308, n=5)  # the span overflows: nan rows, as numpy gives
+@example(start=0.58, stop=0.6399, n=1)
+def test_grid_matches_numpy_linspace(start, stop, n):
+    import numpy as np
+
+    xs = grid(start, stop, n)
+    assert type(xs) is list and all(type(x) is float for x in xs)
+    with np.errstate(all="ignore"):
+        assert [x.hex() for x in xs] == [x.hex() for x in np.linspace(start, stop, n).tolist()]
+
+
+def test_tables_at_a_bulk_row_count_match_the_array_functions(tmp_path, capsys):
+    """At 20001 rows, each table the CLI computes point by point on floats is the file that the
+    layers' array functions give on np.linspace: dense-eval's path and the CLI's write the same bits."""
+    import numpy as np
+
+    from heleshaw.hodograph import closed_u0
+    from heleshaw.multiscale import build_composite
+    from heleshaw.textio import write_csv
+
+    n = 20_001
+    sol = painleve.integrate_tritronquee(xi0=30.0, xi_min=-6.0, tol=1e-11)
+    comp = build_composite(t_1=-0.8, eps=1e-5, x_switch=0.638, tol=1e-11, xi0=30.0)
+    inner = toda.build_toda_inner(1.0, 1.0, 1e-5, tol=1e-11)
+    xs = np.linspace(0.58, 0.6399, n)
+    xis = np.linspace(sol.pole + 2 * painleve.POLE_GUARD, 30.0, n)
+    cxs = np.linspace(0.6, comp.x_star - 2e-7, n)
+    ts = np.linspace(-30.0, inner.t_tilde_pole - 1e-2, n)
+    tables = {"trace": ("x,u0", (xs, closed_u0(xs, -0.8))), "painleve": ("xi,W,Wp", (xis, *sol.eval_many(xis))),
+              "composite": ("x,u", (cxs, comp.eval_many(cxs))),
+              "toda": ("t_tilde,u,v", (ts, *toda.toda_composite(ts, inner)))}
+    for sub, (header, columns) in tables.items():
+        assert run(capsys, "--outdir", str(tmp_path / "cli"), sub, f"--n={n}")[0] == 0
+        write_csv(tmp_path / f"{sub}.csv", header, zip(*columns))
+        assert (tmp_path / "cli" / f"{sub}.csv").read_bytes() == (tmp_path / f"{sub}.csv").read_bytes(), sub
+
+
 def test_frames_and_trace_independent_of_numpy_cpu_dispatch(tmp_path):
-    """Frame abscissas and the frame and trace files keep their bits when the
-    AVX-512 kernels of numpy are switched off in a child process.
+    """Frame abscissas and the frame, trace, painleve, composite and toda files
+    keep their bits when the AVX-512 kernels of numpy are switched off in a
+    child process.
 
     Over these windows, np.geomspace placed 24 of 7809 frames differently on
     an AVX-512 host.  Where numpy has no such kernels, the variable changes
@@ -500,7 +553,8 @@ for _ in range(300):
     windows.append((a, a + 10.0 ** rng.uniform(-8.0, 1.0), rng.randint(2, 50)))
 digests = {}
 for i, argv in enumerate((["frames"], ["frames", "--from=0.62", "--to=0.6401", "--count=13"], ["trace"],
-                          ["trace", "--t1=-1.3", "--from=-2", "--to=1.1", "--n=999"])):
+                          ["trace", "--t1=-1.3", "--from=-2", "--to=1.1", "--n=999"],
+                          ["painleve"], ["composite"], ["toda"])):
     outdir = Path(sys.argv[1]) / str(i)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--outdir", str(outdir), *argv]) == 0
@@ -511,7 +565,7 @@ print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows]
     runs = [json.loads(subprocess.run([sys.executable, "-c", code, str(tmp_path / str(i))], env=child,
                                       capture_output=True, text=True, check=True).stdout)
             for i, child in enumerate((env, no_avx512))]
-    assert len(runs[0]["files"]) == (8 + 1) + (13 + 1) + 1 + 1
+    assert len(runs[0]["files"]) == (8 + 1) + (13 + 1) + 1 + 1 + 3
     assert runs[0] == runs[1]
 
 
@@ -543,6 +597,23 @@ print(json.dumps(stages))
         sorted([*cli, "heleshaw.diffpoly"]),
         sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
     ]
+
+
+def test_float_path_subcommands_load_no_numpy(tmp_path):
+    """trace, painleve, composite and toda at their default row counts run without numpy."""
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"""
+import contextlib, io, sys
+from heleshaw.cli import main
+for sub in ('trace', 'painleve', 'composite', 'toda'):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(['--outdir', {str(tmp_path)!r}, sub]) == 0
+    print(sub, 'numpy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["trace", "False", "painleve", "False", "composite", "False",
+                                  "toda", "False"]
 
 
 def test_numerical_subcommands_load_no_numpy_ma(tmp_path):

@@ -188,6 +188,9 @@ def test_closed_u0_at_the_fold_is_v_c(t1):
 def _largest_real_root(x: float, t1: float):
     """40-digit largest real root of (5/8) u^3 + (3/2) t_1 u + x = 0."""
     with mpmath.workdps(40):
+        if x < -1e100:  # the only real root, s r with s = (-8x/5)^(1/3) and r^3 - (3 t_1 s / 2x) r = 1
+            s = mpmath.cbrt(-mpmath.mpf(8) / 5 * x)
+            return s * mpmath.findroot(lambda r: r**3 - 1.5 * mpmath.mpf(t1) * s / x * r - 1, 1)
         roots = mpmath.polyroots([mpmath.mpf(5) / 8, 0, 1.5 * mpmath.mpf(t1), mpmath.mpf(x)],
                                  maxsteps=200, extraprec=200)
         return max(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
@@ -196,9 +199,11 @@ def _largest_real_root(x: float, t1: float):
 @pytest.mark.parametrize("t1", [-0.5, -0.8, -1.2])
 def test_closed_u0_against_mpmath(t1):
     # |u - u_ref| <= 2 eps (|u_ref| + |x_c| |du/dx|): two rounding errors of
-    # x_c carried through the fold's slope du/dx = -1/((15/8) u^2 + (3/2) t_1)
+    # x_c carried through the fold's slope du/dx = -1/((15/8) u^2 + (3/2) t_1).  Far from the
+    # fold, x_c - 1e300, the root lies within a rounding of k^(1/3), the seed's cube-root bound.
     cp = find_critical_25(t1)
-    xs = np.concatenate([cp.x_c - np.logspace(-15, -1, 29), np.linspace(-3 * cp.x_c, cp.x_c - 0.1, 21)])
+    xs = np.concatenate([cp.x_c - np.logspace(-15, -1, 29), np.linspace(-3 * cp.x_c, cp.x_c - 0.1, 21),
+                         [cp.x_c - 1e300, cp.x_c - 1e200]])
     for x, u in zip(xs, closed_u0(xs, t1)):
         ref = _largest_real_root(float(x), t1)
         slope = 1 / abs(mpmath.mpf(15) / 8 * ref**2 + 1.5 * mpmath.mpf(t1))
@@ -212,6 +217,16 @@ def test_closed_u0_scalar_and_array_bitwise_equal():
         xs = np.concatenate([cp.x_c - np.logspace(-17, 1, 300), rng.uniform(-3 * cp.x_c, cp.x_c, 300),
                              [cp.x_c, -1e300]])
         assert closed_u0(xs, t1).tolist() == [closed_u0(float(x), t1) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(t1=st.floats(min_value=-1e3, max_value=-1e-3),
+       distances=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20))
+def test_closed_u0_float_and_array_paths_bitwise_equal(t1, distances):
+    """x = x_c - distance: the float path and the array path take the same Newton steps."""
+    x_c = find_critical_25(t1).x_c
+    xs = np.array([x_c - d for d in distances])
+    assert closed_u0(xs, t1).tolist() == [closed_u0(x, t1) for x in xs.tolist()]
 
 
 def test_closed_u0_array_refuses_any_folded_point():

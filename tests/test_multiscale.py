@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heleshaw.errors import DegenerateReduction, OutOfRange, UnsupportedOrder
 from heleshaw.hodograph import CriticalPoint, closed_u0, find_critical_25, quintic_times
@@ -17,6 +19,7 @@ from heleshaw.multiscale import (
     reduce_to_pi,
 )
 from paper_identities import canonical_m2, pi_reduction_exact_coefficients, recover_leading_multiplier
+from test_painleve import W_REF
 
 EXACT_CP = CriticalPoint(
     m=2,
@@ -118,6 +121,13 @@ def test_inner_at_critical_point(comp):
     assert comp.inner_u(comp.x_c) == pytest.approx(expected, rel=1e-14)
 
 
+def test_inner_u_takes_a_sequence(comp):
+    xs = [0.638, comp.x_c, 0.6401]
+    assert comp.inner_u(xs).tolist() == [comp.inner_u(x) for x in xs]
+    with pytest.raises(OutOfRange):
+        comp.inner_u([0.6401, comp.x_star])
+
+
 def test_inner_matches_fold_asymptotics(comp):
     # at xi = 30 the inner solution equals v_c + eps~ sqrt(c x~) up to O(eps~ xi^-2)
     x = comp.x_c + comp.scaling.zoom * comp.reduction.beta * 30.0
@@ -159,6 +169,36 @@ def test_eval_many_agrees_with_scalar(comp):
     xs = np.array([0.6, 0.62, 0.638, 0.6401])
     vec = comp.eval_many(xs)
     assert vec == pytest.approx([comp.eval(float(x)) for x in xs], rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t1=st.floats(-1.2, -0.5), eps=st.floats(1e-7, 1e-3), switch=st.floats(-40.0, 0.0),
+       offsets=st.lists(st.floats(-1e3, 2.3), min_size=1, max_size=20))
+def test_eval_float_and_array_paths_bitwise_equal(t1, eps, switch, offsets):
+    """eval on floats equals eval_many: outer branch, inner branch and the series beyond xi0.
+
+    Abscissas are x_c + zoom * offset below the pole image; the switch is x_c
+    + zoom * offset at most x_c, where the outer branch ends.
+    """
+    comp = build_composite(t_1=t1, eps=eps, tol=1e-11)
+    comp.x_switch = comp.x_c + comp.scaling.zoom * switch
+    xs = [x for x in (comp.x_c + comp.scaling.zoom * d for d in offsets) if x < comp.x_star]
+    assert comp.eval_many(np.array(xs)).tolist() == [comp.eval(x) for x in xs]
+
+
+@pytest.mark.parametrize("xi_ref", sorted(W_REF))
+def test_inner_branch_against_mpmath_reference(comp, xi_ref):
+    """inner_u = v_c + eps~ alpha W(xi(x)) against W from an independent 40-digit mpmath run.
+
+    The bound is eps~ |alpha| times 10 tol (the tritronquee's accuracy)
+    plus the rounding of xi(x) times |W'| there.
+    """
+    x = comp.x_c + comp.scaling.zoom * comp.reduction.beta * xi_ref
+    xi = comp.xi_of_x(x)
+    scale = comp.scaling.eps_tilde * abs(comp.reduction.alpha)
+    expected = comp.v_c + comp.scaling.eps_tilde * comp.reduction.alpha * W_REF[xi_ref]
+    bound = scale * (10 * comp.tritronquee.tol + abs(xi - xi_ref) * abs(comp.tritronquee.eval(xi)[1]))
+    assert abs(comp.inner_u(x) - expected) <= bound
 
 
 # -- the matching experiment ---------------------------------------------

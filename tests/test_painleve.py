@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heleshaw import painleve
 from heleshaw.errors import (
@@ -167,6 +169,26 @@ def test_scalar_and_vector_eval_bitwise_equal(sol):
         assert sol.eval_extended(float(x)) == (wv, wpv)
 
 
+@settings(max_examples=200, deadline=None)
+@given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+def test_float_and_array_eval_bitwise_equal(sol, fracs):
+    """eval and eval_extended on floats against eval_many, anywhere on [pole + 2 guard, xi0]."""
+    lo = sol.pole + 2 * painleve.POLE_GUARD
+    xs = [lo + f * (30.0 - lo) for f in fracs]
+    w, wp = sol.eval_many(np.array(xs))
+    assert [sol.eval(x) for x in xs] == list(zip(w.tolist(), wp.tolist()))
+    assert [sol.eval_extended(x) for x in xs] == list(zip(w.tolist(), wp.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(-2.0, 1e70), min_size=1, max_size=30))
+def test_eval_extended_float_and_array_bitwise_equal(sol, xs):
+    """The seeding series above xi0 rounds alike on floats and arrays, up to where 6 xi^5 overflows."""
+    xs = [x for x in xs if abs(x - sol.pole) >= painleve.POLE_GUARD]
+    w, wp = sol.eval_extended(np.array(xs))
+    assert [sol.eval_extended(x) for x in xs] == list(zip(w.tolist(), wp.tolist()))
+
+
 def test_step_budget_bounds_large_seed():
     with pytest.raises(StepSizeUnderflow):
         integrate_tritronquee(xi0=1e6)
@@ -245,6 +267,28 @@ def test_eval_extended_crosses_seed(sol):
 
 def test_certificate_bound(sol):
     assert sol.residual_max < 100 * sol.tol
+
+
+def test_gauss_rule_is_numpys_leggauss_21():
+    nodes, weights = np.polynomial.legendre.leggauss(painleve.TAYLOR_ORDER + 1)
+    assert (nodes.tolist(), weights.tolist()) == (list(painleve._GAUSS_X), list(painleve._GAUSS_W))
+
+
+@pytest.mark.parametrize("setting", [{"tol": 1e-9}, {"tol": 1e-11}, {"tol": 1e-13}, {"xi0": 12.0, "tol": 1e-9},
+                                     {"xi0": 200.0, "tol": 1e-12}, {"xi_min": -1.0, "tol": 2e-9}], ids=str)
+def test_float_certificate_agrees_with_array_defects(setting):
+    """residual_max (plain floats, fsum) against residual_defects on the certified nodes, each span's
+    defect over 1 + max |6 W^2 - xi| at its Gauss points as _certify scales it.  Only the order of
+    the 21-term quadrature sums differs: at most 64 eps times the widest half-span."""
+    sol = integrate_tritronquee(**setting)
+    grid = sol.ts[sol.ts >= (sol.pole + 0.1 if sol.pole is not None else sol.xi_reached)]
+    nodes = np.sort(grid)
+    half = 0.5 * np.diff(nodes)
+    pts = (nodes[:-1] + half)[:, None] + half[:, None] * np.polynomial.legendre.leggauss(21)[0]
+    w, _ = sol.eval_many(pts.ravel())
+    scale = 1.0 + np.abs(6.0 * w.reshape(pts.shape) ** 2 - pts).max(axis=1)
+    array_max = (sol.residual_defects(grid) / scale).max()
+    assert abs(sol.residual_max - array_max) <= 64 * 2.0**-52 * half.max()
 
 
 @pytest.mark.parametrize("grid", [[1.0], [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf]], ids=str)

@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heleshaw.errors import DerivativeVanishes, DomainError, NoConvergence
 from heleshaw.painleve import integrate_tritronquee
@@ -287,6 +289,17 @@ def test_composite_matches_hodograph_o_eps2(trit):
             errs.append(max(abs(u_in - u_out), abs(v_in - v_out)))
         scaled_errs.append(max(errs) / et**2)
     assert scaled_errs[0] > scaled_errs[1] > scaled_errs[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(t3=st.floats(0.05, 20.0), xc=st.floats(0.05, 20.0),
+       ts=st.lists(st.floats(-60.0, 0.5), min_size=1, max_size=20))
+def test_composite_float_and_array_paths_bitwise_equal(trit, t3, xc, ts):
+    """toda_composite on each float equals its ndarray result, the series above xi0 included."""
+    inn = build_toda_inner(t3, xc, 1e-5, tritronquee=trit)
+    ts = [t for t in ts if t < inn.t_tilde_pole - 1e-2]  # the window of the regularized flow
+    us, vs = toda_composite(np.array(ts), inn)
+    assert list(zip(us.tolist(), vs.tolist())) == [toda_composite(t, inn) for t in ts]
 
 
 def test_discrete_string_residuals_scale(trit):
