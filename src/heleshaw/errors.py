@@ -29,10 +29,6 @@ class DegenerateReduction(HeleShawError):
     """The multiscale reduction degenerates (leading multiplier vanishes)."""
 
 
-class UnsupportedOrder(HeleShawError):
-    """Criticality order not covered by the implemented reduction."""
-
-
 class OutOfRange(HeleShawError):
     """Evaluation point lies outside the constructed solution's domain."""
 

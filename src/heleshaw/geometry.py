@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .hodograph import KdVTimes, r_coeff, real_roots
+from .hodograph import KdVTimes, left_sum, r_coeff, real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
 from .toda import TodaInner, toda_composite
@@ -69,7 +69,7 @@ def _float_table(times: KdVTimes) -> list[list[float]]:
 
 def _prefactor_at(table: list[list], v) -> list:
     """Prefactor coefficients (ascending in X) at u = v from a prefactor table."""
-    return [sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in table]
+    return [left_sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in table]
 
 
 def oplus_project(times: KdVTimes, v) -> list:
@@ -166,7 +166,7 @@ def _sample_segments(spec: CurveSpec, spans: list[tuple[float, float]], n: int):
         segments += [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
     if not segments:
         raise DomainError("empty sampling window")
-    total = sum(b - a for a, b in segments)
+    total = left_sum(b - a for a, b in segments)
     # cosine clustering toward both ends of each segment: faithful square-root behaviour
     thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
     xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])

@@ -5,13 +5,14 @@ The interface unknown v solves the implicit hodograph equation
     H(t, v) = sum_k (2k+1) t_k r_k(v) + x = 0,
 
 where r_k(v) = binom(2k, k) (v/4)^k are the large-z expansion coefficients of
-z / sqrt(z^2 - v).  An m-th order critical point has dH/dv = ... =
-d^{m-1}H/dv^{m-1} = 0 with the m-th derivative nonzero; beyond it the branch
-folds and derivatives of v blow up (gradient catastrophe).  Near such a point
+z / sqrt(z^2 - v).  A second-order critical point has dH/dv = 0 with
+d^2H/dv^2 nonzero; beyond it the branch folds and derivatives of v blow up
+(gradient catastrophe).  Near such a point
 
-    v ~ v_c + (c (x - x_c))^(1/m),      c = -m! / (d^m H/dv^m),
+    v ~ v_c + (c (x - x_c))^(1/2),      c = -2 / (d^2 H/dv^2),
 
-which is what the multiscale reduction removes.
+which is what the multiscale reduction removes.  The order m = 2 is fixed
+(CriticalPoint.m): higher orders need the deformation times to move too.
 
 H is a polynomial in v.  hodograph_poly gives its coefficients, exact (int
 or Fraction) for exact times, and eval_H / eval_dH are Horner evaluations of
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DerivativeVanishes, DomainError, UnsupportedOrder
+from .errors import DerivativeVanishes, DomainError
 
 #: deformation time t_3 of the quintic finger configuration
 T3_QUINTIC = Fraction(2, 7)
@@ -68,13 +69,13 @@ def quintic_times(t_1, x=0.0, t_3=T3_QUINTIC) -> KdVTimes:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Gradient catastrophe: order m, critical times, v_c and the constant c.
+    """Second-order gradient catastrophe: critical times, v_c and the constant c.
 
-    c is the local-fold constant of v ~ v_c + (c (x - x_c))^(1/m), equal to
-    -m! / (d^m H / dv^m) at the critical point.
+    c is the local-fold constant of v ~ v_c + (c (x - x_c))^(1/2), equal to
+    -2 / (d^2 H / dv^2) at the critical point.
     """
 
-    m: int
+    m = 2  # the order, a class constant: only second-order catastrophes are built
     times_c: KdVTimes
     v_c: float
     c: float
@@ -143,6 +144,13 @@ def _horner(coeffs: list, v):
     total = 0 * v
     for c in reversed(coeffs):
         total = total * v + c
+    return total
+
+
+def left_sum(terms, total=0):
+    """sum(terms, total) added left to right, also on Python 3.12+, whose sum of floats is compensated."""
+    for term in terms:
+        total = total + term
     return total
 
 
@@ -253,20 +261,32 @@ def branch_root(coeffs: list, seed: float, atol: float) -> float:
     return min(roots, key=lambda r: abs(r - seed))
 
 
-def solve_branch(times: KdVTimes, seed: float, tol: float = 1e-13) -> float:
+def solve_branch(times: KdVTimes, seed: float) -> float:
     """Root of H(t, v) = 0 on the branch of the seed: branch_root on hodograph_poly.
 
-    atol is tol (1 + sum |c_k| |seed|^k) over H's coefficients c_k, so at the
-    fold abscissa the double root v_c is returned.  To continue a branch,
+    atol is 1e-13 (1 + sum |c_k| |seed|^k) over H's coefficients c_k, so at
+    the fold abscissa the double root v_c is returned.  To continue a branch,
     reuse the previous root as the next seed.
     """
     coeffs = [float(c) for c in hodograph_poly(times)]
-    return branch_root(coeffs, seed, tol * poly_scale(coeffs, seed))
+    return branch_root(coeffs, seed, 1e-13 * poly_scale(coeffs, seed))
 
 
-def _descend(step, d):
-    """Newton map `step` from an upper bound d while it decreases: a float, or elementwise (100 steps)."""
-    if isinstance(d, float):
+def _fold_root(k, v_c, lib, minimum):
+    """Root delta >= 0 of delta^2 (delta + 3 v_c) = k; lib is math for a float k, numpy for an ndarray.
+
+    Newton from above while it decreases (elementwise on an ndarray, up to 100 steps).  The seed
+    min(2^ceil(e/3), sqrt(k / (3 v_c))), k = m 2^e (frexp), takes two upper bounds: delta^3 < k < 2^e
+    and 3 v_c delta^2 <= k.  The first is within a factor 2 of k^(1/3); the second exceeds delta by
+    the relative delta / (6 v_c) > 2^-30 at the smallest k > 0 (one ulp of x_c), far above its
+    rounding.  A k that is not finite gives a NaN seed (1 + 0 k) and root; a k >= 2^1023 whose seed's
+    cube overflows gives -inf.  closed_u0 refuses both.  Every operation is exact or correctly
+    rounded, so floats and ndarrays agree bit for bit on every CPU."""
+    def step(d):
+        return d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c))
+
+    d = minimum(lib.ldexp(1.0 + 0.0 * k, -(-lib.frexp(k)[1] // 3)), lib.sqrt(k / (3.0 * v_c)))
+    if lib is math:
         while d > 0 and (nd := step(d)) < d:
             d = nd
         return d
@@ -278,20 +298,6 @@ def _descend(step, d):
     return d
 
 
-def _fold_root(k, v_c, lib, minimum):
-    """Root delta >= 0 of delta^2 (delta + 3 v_c) = k; lib is math for a float k, numpy for an ndarray.
-
-    Newton from the upper bound min(y (1 + 2^-51), sqrt(k / (3 v_c))), as delta^3 < k and 3 v_c delta^2 <= k.
-    y is Newton for y^3 = k from 2 m 2^ceil(e/3) >= k^(1/3), k = m 2^e; it may end a rounding below
-    k^(1/3), which the factor 1 + 2^-51 lifts it over.  sqrt(k / (3 v_c)) exceeds delta by the relative
-    delta / (6 v_c) > 2^-30 at the smallest k > 0 (one ulp of x_c), far above its rounding.  Every
-    operation is exact or correctly rounded, so floats and ndarrays agree bit for bit on every CPU."""
-    m, e = lib.frexp(k)
-    y = _descend(lambda y: y - (y - k / (y * y)) / 3.0, lib.ldexp(m + m, -(-e // 3)))
-    return _descend(lambda d: d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c)),
-                    minimum(y * (1.0 + 2.0**-51), lib.sqrt(k / (3.0 * v_c))))
-
-
 def closed_u0(x, t_1):
     """Outer branch of (5/8) u^3 + (3/2) t_1 u + x = 0 at x <= x_c (t_1 < 0): a float, or elementwise an ndarray.
 
@@ -299,9 +305,10 @@ def closed_u0(x, t_1):
     increasing and convex in delta >= 0.  Its root delta >= 0 is the largest real
     root, reached by continuity from the fold (u = v_c exactly at x_c), by Newton
     from above (_fold_root) until no iterate moves: no complex arithmetic, no
-    casus irreducibilis.  Past x_c the branch has folded away: refused, as is an
-    x_c that leaves the float range (as in find_critical_25).  An ndarray, for
-    which alone numpy loads, gives bit for bit the float results.
+    casus irreducibilis.  Past x_c the branch has folded away: refused, as are an
+    x_c that leaves the float range (as in find_critical_25) and a k that does
+    (x_c - x >~ 5.6e307).  An ndarray, for which alone numpy loads, gives bit for
+    bit the float results.
     """
     if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
@@ -319,7 +326,7 @@ def closed_u0(x, t_1):
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite result below
             d = _fold_root(1.6 * (x_c - np.asarray(x, dtype=float)), v_c, np, np.minimum)
     if not (math.isfinite(d) if scalar else np.isfinite(d).all()):
-        raise DomainError(f"outer branch is not finite at t_1={t_1} (overflow)")
+        raise DomainError(f"outer branch delta^2 (delta + 3 v_c) = (8/5)(x_c - x) overflows at t_1 = {t_1!r}")
     u = v_c + d
     return u if scalar or u.ndim else float(u)
 
@@ -335,7 +342,7 @@ def find_critical_25(t_1):
         raise DomainError("critical point requires t_1 < 0")
     v_c = exact_root(-4 * t_1 / 5, 2)
     x_c = _fold_abscissa(t_1, v_c)
-    return CriticalPoint(m=2, times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
+    return CriticalPoint(times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
 
 
 def _fold_abscissa(t_1, v_c):
@@ -370,20 +377,16 @@ def exact_root(q, k: int):
     return math.sqrt(q) if k == 2 else math.copysign(abs(q) ** (1.0 / k), q)
 
 
-def find_critical(times: KdVTimes, m: int = 2, v_seed: float = 1.0, tol: float = 1e-12) -> CriticalPoint:
+def find_critical(times: KdVTimes, v_seed: float = 1.0) -> CriticalPoint:
     """Second-order catastrophe on the branch of v_seed: branch_root on dH/dv, then x_c from H = 0.
 
-    The residual bound of dH/dv is tol times its magnitude from poly_scale.
-    For m > 2 the system {d^j H = 0, j = 1..m-1; H = 0} in the two unknowns
-    (v, x) is overdetermined; higher-order catastrophes need deformation
-    times to move as well and are not supported.
+    The residual bound of dH/dv, and the size below which d2H/dv2 counts as
+    zero, are 1e-12 times their magnitudes from poly_scale.
     """
-    if m != 2:
-        raise UnsupportedOrder("only second-order critical points are searched for")
     slope = _derivative([float(c) for c in hodograph_poly(times)])
-    v = branch_root(slope, v_seed, tol * poly_scale(slope, v_seed))
+    v = branch_root(slope, v_seed, 1e-12 * poly_scale(slope, v_seed))
     h2 = _horner(_derivative(slope), v)
-    if abs(h2) <= tol * poly_scale(_derivative(slope), v):
+    if abs(h2) <= 1e-12 * poly_scale(_derivative(slope), v):
         raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
     x_c = times.x - eval_H(times, v)  # H is affine in x
-    return CriticalPoint(m=2, times_c=times.with_x(x_c), v_c=v, c=-2.0 / h2)
+    return CriticalPoint(times_c=times.with_x(x_c), v_c=v, c=-2.0 / h2)

@@ -1,6 +1,6 @@
 """Multiscale reduction near a gradient catastrophe and inner/outer matching.
 
-Near an m-th order critical point (t_c, v_c) the small dispersion parameter
+Near a critical point (t_c, v_c) of order m the small dispersion parameter
 eps is traded for
 
     eps~ = eps^(2/(2m+1)),   x = x_c + eps~^m x~,   t_j = t_cj + eps~^m t~_j,
@@ -10,10 +10,11 @@ leading correction solves an ODE built from the m-th Gel'fand-Dikii
 polynomial,
 
     A R_m(u1) + sum_j b_j t~_j + x~ = 0,
-    A = sum_j c_jm(v_c) t_cj,     b_j = c_j0(v_c),
+    A = sum_j c_jm(v_c) t_cj,     b_j = c_j0(v_c).
 
-which for m = 2 (with t~ = 0) is  A (u1'' + 3 u1^2) / 8 + x~ = 0.  The affine
-substitution u1 = alpha W, x~ = beta xi with
+The order is fixed at m = 2 (CriticalPoint.m), the paper's case: eps~ =
+eps^(2/5), and with t~ = 0 the ODE reads A (u1'' + 3 u1^2) / 8 + x~ = 0.
+The affine substitution u1 = alpha W, x~ = beta xi with
 
     alpha = -2 (4/A)^(2/5),      beta = -(A/4)^(1/5)
 
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateReduction, DomainError, OutOfRange, UnsupportedOrder
-from .hodograph import CriticalPoint, KdVTimes, c_coeff, closed_u0, find_critical_25
+from .errors import DegenerateReduction, DomainError, OutOfRange
+from .hodograph import CriticalPoint, c_coeff, closed_u0, find_critical_25, left_sum
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
@@ -45,34 +46,30 @@ class ScalingMapKdV:
     """Zoom maps between physical and inner variables near the catastrophe."""
 
     eps: float
-    m: int
 
     def __post_init__(self):
         if not self.eps > 0:
             raise DomainError("dispersion parameter must be positive")
-        if self.m < 2:
-            raise DomainError("criticality order must be >= 2")
 
     @property
     def eps_tilde(self) -> float:
-        return self.eps ** (2.0 / (2 * self.m + 1))
+        return self.eps ** (2.0 / 5)
 
     @property
     def zoom(self) -> float:
-        """eps~^m, the width of the inner region."""
-        return self.eps_tilde**self.m
+        """eps~^2, the width of the inner region."""
+        return self.eps_tilde**2
 
 
 @dataclass(frozen=True)
 class LeadingODE:
-    """Reduced equation A R_m(u1) + sum b_j t~_j + x~ = 0 at the critical point.
+    """Reduced equation A R_2(u1) + sum b_j t~_j + x~ = 0 at the critical point.
 
     Coefficients stay exact Fractions when built from exact critical data.
     """
 
     A: object
     b: tuple
-    m: int
     v_c: object
 
 
@@ -84,18 +81,17 @@ class PIReduction:
     beta: float
 
 
-def build_leading_ode(cp: CriticalPoint, times_c: KdVTimes | None = None) -> LeadingODE:
+def build_leading_ode(cp: CriticalPoint) -> LeadingODE:
     """Assemble the reduced-ODE coefficients from critical data.
 
-    A = sum_j c_jm(v_c) t_cj multiplies R_m; b_j = c_j0(v_c) weights the
+    A = sum_j c_j2(v_c) t_cj multiplies R_2; b_j = c_j0(v_c) weights the
     rescaled deformation directions.  Exact for Fraction-valued data.
     """
-    times = times_c if times_c is not None else cp.times_c
-    A = sum(c_coeff(j, cp.m, cp.v_c) * tj for j, tj in times.items())
+    A = left_sum(c_coeff(j, 2, cp.v_c) * tj for j, tj in cp.times_c.items())
     if A == 0:
         raise DegenerateReduction("leading multiplier A vanishes")
-    b = tuple(c_coeff(j, 0, cp.v_c) for j in range(1, len(times.t) + 1))
-    return LeadingODE(A=A, b=b, m=cp.m, v_c=cp.v_c)
+    b = tuple(c_coeff(j, 0, cp.v_c) for j in range(1, len(cp.times_c.t) + 1))
+    return LeadingODE(A=A, b=b, v_c=cp.v_c)
 
 
 def reduce_to_pi(ode: LeadingODE) -> PIReduction:
@@ -107,8 +103,6 @@ def reduce_to_pi(ode: LeadingODE) -> PIReduction:
     A > 0 keeps beta < 0, which is what sends x~ -> -infinity to
     xi -> +infinity, the tritronquee matching direction.
     """
-    if ode.m != 2:
-        raise UnsupportedOrder(f"only m = 2 reduces to Painleve-I (got m = {ode.m})")
     if not ode.A > 0:
         raise DegenerateReduction("leading multiplier must be positive for the fold branch")
     ratio = float(ode.A) / 4.0
@@ -203,12 +197,12 @@ def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.63
     P-I rescaling, tritronquee integration (reusable via `tritronquee`).
     """
     cp = find_critical_25(t_1)
-    ode = build_leading_ode(cp, cp.times_c)
+    ode = build_leading_ode(cp)
     red = reduce_to_pi(ode)
     trit = tritronquee if tritronquee is not None else integrate_tritronquee(xi0=xi0, tol=tol)
     if not trit.blew_up:
         raise DomainError("composite needs a tritronquee integrated through its pole")
-    scaling = ScalingMapKdV(eps=eps, m=cp.m)
+    scaling = ScalingMapKdV(eps=eps)
     return CompositeSolution(cp=cp, scaling=scaling, ode=ode, reduction=red, tritronquee=trit,
                              x_switch=x_switch)
 

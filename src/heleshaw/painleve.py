@@ -4,17 +4,17 @@ The tritronquee branch is the unique solution with no poles in a wide sector
 around the positive real axis; on the real axis it decays like
 W ~ -sqrt(xi/6) as xi -> +infinity and blows up at a first negative pole
 xi* ~ -2.3841687696.  It is constructed by seeding a formal asymptotic
-series at a large abscissa xi_0 and integrating downward with a Taylor
-method of order TAYLOR_ORDER: W(xi_n + s) = sum a_k s^k with
-(k + 2)(k + 1) a_{k+2} = 6 sum_{i<=k} a_i a_{k-i} - [k = 0] xi_n - [k = 1].
+series of order SERIES_ORDER at a large abscissa xi_0 and integrating
+downward with a Taylor method of order TAYLOR_ORDER: W(xi_n + s) = sum a_k s^k
+with (k + 2)(k + 1) a_{k+2} = 6 sum_{i<=k} a_i a_{k-i} - [k = 0] xi_n - [k = 1].
 The step h = min_k (STEP_EPS tol max(1, |W|) / |a_k|)^(1/k) over the last
 two coefficients keeps the truncated tail near STEP_EPS tol (Jorba & Zou,
 Exp. Math. 14, 2005).  Each step's polynomial is the dense output.  The
 last step ends exactly at W = BLOWUP_THRESHOLD, where the Laurent form
 W ~ (xi - xi*)^-2 gives the pole xi* = xi_N - W_N^(-1/2) to O(W_N^(-5/2)).
 The solution depends on no flow parameter: equal arguments and step
-constants (TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD) share one
-certified, frozen, read-only solution; the last CACHE_SIZE settings are kept, failures never.
+constants (SERIES_ORDER, TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD)
+share one certified, frozen, read-only solution; the last CACHE_SIZE settings are kept, failures never.
 
 No shooting is needed: linearizing around the branch gives delta'' = 12 W
 delta, and 12 W < 0 on the positive axis, so perturbations oscillate instead
@@ -58,6 +58,8 @@ TAYLOR_ORDER = 20
 STEP_EPS = 1.0e-3
 #: steps allowed per integration (xi0 = 1000 needs about 1.3k)
 MAX_STEPS = 10_000
+#: order of the asymptotic series that seeds the integration and continues it above xi0
+SERIES_ORDER = 4
 #: integrations kept by integrate_tritronquee, one per distinct setting
 CACHE_SIZE = 8
 #: Gauss-Legendre nodes x >= 0 and weights, 21 = TAYLOR_ORDER + 1 points; with the nodes -x they are leggauss(21)
@@ -87,7 +89,7 @@ def _series_coefficients(order: int) -> tuple[Fraction, ...]:
     return tuple(bs)
 
 
-def asymptotic_series(xi, order: int = 4):
+def asymptotic_series(xi, order: int = SERIES_ORDER):
     """(W, W') of the truncated large-xi series; exact rational coefficients.
 
     Accepts a float or an ndarray, with the same bits.  Order 0 is the bare
@@ -148,17 +150,15 @@ class TritronqueeSolution:
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
     `_rows` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
     ts[n] to ts[n + 1].  `pole` is the first negative-axis pole when the
-    integration reached blow-up, else None.  `residual_max` is the largest
-    scaled integral-form defect over the certification range
-    [pole + 0.1, xi0] (see module docstring); construction certifies it
+    integration reached blow-up (then blew_up is true), else None.
+    `residual_max` is the largest scaled integral-form defect over the
+    certification range [pole + 0.1, xi0] (see module docstring); construction certifies it
     < 100 * tol or raises CertificationFailed.  Its tuples and arrays are read-only.
     """
 
     xi0: float
     tol: float
     pole: Optional[float]
-    blew_up: bool
-    series_order: int
     _ts: tuple = field(repr=False)
     _ws: tuple = field(repr=False)
     _wps: tuple = field(repr=False)
@@ -170,6 +170,10 @@ class TritronqueeSolution:
         object.__setattr__(self, "_starts", self._ts[:-1])  # frozen dataclass
         object.__setattr__(self, "_keys", tuple(-t for t in self._starts))
         object.__setattr__(self, "residual_max", _certify(self))
+
+    @property
+    def blew_up(self) -> bool:
+        return self.pole is not None
 
     @property
     def xi_reached(self) -> float:
@@ -213,12 +217,12 @@ class TritronqueeSolution:
         the junction.
         """
         if isinstance(xi, (int, float)):
-            return asymptotic_series(float(xi), self.series_order) if xi > self.xi0 else self.eval(xi)
+            return asymptotic_series(float(xi), SERIES_ORDER) if xi > self.xi0 else self.eval(xi)
         import numpy as np
         xi = np.asarray(xi, dtype=float)
         w, wp, above = np.empty_like(xi), np.empty_like(xi), xi > self.xi0
         if above.any():
-            w[above], wp[above] = asymptotic_series(xi[above], self.series_order)
+            w[above], wp[above] = asymptotic_series(xi[above], SERIES_ORDER)
         if not above.all():
             w[~above], wp[~above] = self.eval_many(xi[~above])
         return w, wp
@@ -246,7 +250,9 @@ def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
     """Coefficients a_0..a_TAYLOR_ORDER at xi and the (negative) step to take."""
     a = [w, wp]
     for k in range(TAYLOR_ORDER - 1):
-        conv = sum(a[i] * a[k - i] for i in range(k + 1))
+        conv = 0.0
+        for i in range(k + 1):  # left to right (hodograph.left_sum), and faster than sum()
+            conv += a[i] * a[k - i]
         forcing = xi if k == 0 else 1.0 if k == 1 else 0.0
         a.append((6.0 * conv - forcing) / ((k + 2) * (k + 1)))
     scale = STEP_EPS * tol * max(1.0, abs(w))
@@ -265,8 +271,7 @@ def _to_threshold(a: list, s: float) -> float:
     return s
 
 
-def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 1e-11,
-                          series_order: int = 4) -> TritronqueeSolution:
+def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 1e-11) -> TritronqueeSolution:
     """Integrate downward from a series seed at xi0 until xi_min or blow-up.
 
     tol scales the Taylor step control (module docstring); the errors of W
@@ -279,14 +284,14 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
         raise SeedUnreliable(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
     if not xi_min < 0.0 < xi0:
         raise DomainError("need xi_min < 0 < xi0")
-    return _integrate(float(xi0), float(xi_min), float(tol), series_order,
-                      (TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD))
+    return _integrate(float(xi0), float(xi_min), float(tol),
+                      (SERIES_ORDER, TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _integrate(xi0: float, xi_min: float, tol: float, series_order: int, step_constants) -> TritronqueeSolution:
+def _integrate(xi0: float, xi_min: float, tol: float, step_constants) -> TritronqueeSolution:
     """The integration; step_constants completes the cache key (the steps read the module's)."""
-    w0, wp0 = asymptotic_series(xi0, series_order)
+    w0, wp0 = asymptotic_series(xi0, SERIES_ORDER)
     ts, ws, wps, rows = [xi0], [float(w0)], [float(wp0)], []
     blew_up = False
     while ts[-1] > xi_min and not blew_up:
@@ -310,8 +315,8 @@ def _integrate(xi0: float, xi_min: float, tol: float, series_order: int, step_co
     if pole is not None and not pole < 0.0:
         raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
 
-    return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, blew_up=blew_up, series_order=series_order,
-                               _ts=tuple(ts), _ws=tuple(ws), _wps=tuple(wps), _rows=tuple(map(tuple, rows)))
+    return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, _ts=tuple(ts), _ws=tuple(ws), _wps=tuple(wps),
+                               _rows=tuple(map(tuple, rows)))
 
 
 def _certify(sol: TritronqueeSolution) -> float:

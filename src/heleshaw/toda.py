@@ -11,8 +11,9 @@ the bubble tips sit at a = u - 2 sqrt(v), b = u + 2 sqrt(v).  The first
 equation gives v = -(t + 3 t_3 u^2)/(6 t_3), which turns the second exactly
 into the cubic 3 t_3 u^3 + t u - x = 0; the pair is solved through it with
 hodograph.branch_root, on the monotone piece of the cubic that holds the
-seed.  A second-order critical point (merging moment) is a double root of
-that cubic, where two pieces meet; it occurs on v_c = u_c^2 with
+seed, one value of u (v follows from u).  A second-order critical point
+(merging moment) is a double root of that cubic, where two pieces meet; it
+occurs on v_c = u_c^2 with
 
     t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0.
 
@@ -87,19 +88,19 @@ class TodaCritical:
 
 # -- branch solving ---------------------------------------------------------
 
-def solve_toda_hodograph(times: TodaTimes, seed: tuple[float, float],
-                         tol: float = 1e-13) -> tuple[float, float]:
-    """Root (u, v) of the hodograph pair on the bubble branch that seed[0] selects.
+def solve_toda_hodograph(times: TodaTimes, seed: float) -> tuple[float, float]:
+    """Root (u, v) of the hodograph pair on the bubble branch that the seed u selects.
 
     With v = -(t + 3 t_3 u^2)/(6 t_3) from the first equation, u is
     branch_root's root of the cubic 3 t_3 u^3 + t u - x = 0 on its monotone
-    piece around seed[0] (seed[1] is not used).  A fold of the cubic is the
-    merging point (the pair's Jacobian 36 t_3^2 (u^2 - v) vanishes there);
-    beyond it the piece holds no root and DerivativeVanishes is raised.
+    piece around the seed, to the residual 1e-13 poly_scale.  A fold of the
+    cubic is the merging point (the pair's Jacobian 36 t_3^2 (u^2 - v)
+    vanishes there); beyond it the piece holds no root and DerivativeVanishes
+    is raised.
     """
     t3 = times.t_3
     coeffs = [-float(times.x), float(times.t), 0.0, 3.0 * t3]
-    u = branch_root(coeffs, seed[0], tol * poly_scale(coeffs, seed[0]))
+    u = branch_root(coeffs, seed, 1e-13 * poly_scale(coeffs, seed))
     return u, -(times.t + 3 * t3 * u * u) / (6 * t3)
 
 
@@ -170,10 +171,9 @@ class TodaInner:
 
 
 def build_toda_inner(t_3: float, x_c: float, eps: float,
-                     tritronquee: Optional[TritronqueeSolution] = None,
-                     xi0: float = 30.0, tol: float = 1e-11) -> TodaInner:
+                     tritronquee: Optional[TritronqueeSolution] = None, tol: float = 1e-11) -> TodaInner:
     crit = find_toda_critical(t_3, x_c)
-    trit = tritronquee if tritronquee is not None else integrate_tritronquee(xi0=xi0, tol=tol)
+    trit = tritronquee if tritronquee is not None else integrate_tritronquee(tol=tol)
     return TodaInner(crit=crit, eps=eps, tritronquee=trit)
 
 

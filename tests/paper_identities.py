@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from heleshaw.errors import DomainError, UnsupportedOrder
+from heleshaw.errors import DomainError
 from heleshaw.hodograph import CriticalPoint, eval_dH
 from heleshaw.multiscale import LeadingODE, PIReduction
 from heleshaw.painleve import TritronqueeSolution
@@ -47,9 +47,7 @@ def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:
 # -- multiscale: the quintic reduction ----------------------------------------
 
 def canonical_m2(ode: LeadingODE):
-    """(1, 3, rhs) of u1'' + 3 u1^2 = rhs * x~ for the m = 2 case."""
-    if ode.m != 2:
-        raise UnsupportedOrder("canonical form implemented for m = 2 only")
+    """(1, 3, rhs) of u1'' + 3 u1^2 = rhs * x~ (m = 2)."""
     return (1, 3, -8 / ode.A)
 
 

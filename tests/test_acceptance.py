@@ -114,7 +114,6 @@ def test_criterion_3_gelfand_dikii_exactness():
 
 def test_criterion_4_reduction_pipeline_exact():
     cp = CriticalPoint(
-        m=2,
         times_c=quintic_times(Fraction(-4, 5), x=Fraction(16, 25)),
         v_c=Fraction(4, 5),
         c=Fraction(-2, 3),

@@ -10,7 +10,7 @@ import paper_identities
 #: module -> names that left it: deleted (an equivalent stays in the API) or moved to paper_identities
 GONE = {
     "painleve": ("find_first_negative_pole", "laurent_leading_coefficient"),
-    "errors": ("NoPoleInRange",),
+    "errors": ("NoPoleInRange", "UnsupportedOrder"),
     "multiscale": ("overlap_error", "pi_reduction_exact_coefficients", "recover_leading_multiplier"),
     "toda": (
         "toda_r_coeff", "hodograph_pair_residuals", "toda_inner_V2_xtilde", "toda_inner_V2_xtilde2",
@@ -24,7 +24,8 @@ GONE_METHODS = {
     ("multiscale", "LeadingODE"): ("canonical_m2",),
     ("hodograph", "CriticalPoint"): ("residuals",),
 }
-DELETED = {"find_first_negative_pole", "NoPoleInRange", "overlap_error", "x_to_inner", "x_from_inner"}
+DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "overlap_error", "x_to_inner",
+           "x_from_inner"}
 
 
 def test_every_public_name_resolves():

@@ -170,6 +170,13 @@ def test_closed_u0_refuses_x_c_out_of_float_range(t1, x):
     assert "critical abscissa x_c = -t_1 v_c" in str(closed.value)
 
 
+@pytest.mark.parametrize("x", [-1.7e308, np.array([0.0, -1.7e308])], ids=["float", "array"])
+def test_closed_u0_refuses_an_overflowing_k(x):
+    # k = (8/5)(x_c - x) is inf: a seed blind to it stays at 1, and u = v_c + 1 = 1.8 would pass
+    with pytest.raises(DomainError, match=r"\(8/5\)\(x_c - x\) overflows at t_1 = -0.8"):
+        closed_u0(x, -0.8)
+
+
 def test_closed_u0_negative_x_continuity():
     # across the casus-irreducibilis boundary at x = -x_c the branch is smooth
     left = closed_u0(-0.64 - 1e-9, -0.8)
@@ -188,7 +195,7 @@ def test_closed_u0_at_the_fold_is_v_c(t1):
 def _largest_real_root(x: float, t1: float):
     """40-digit largest real root of (5/8) u^3 + (3/2) t_1 u + x = 0."""
     with mpmath.workdps(40):
-        if x < -1e100:  # the only real root, s r with s = (-8x/5)^(1/3) and r^3 - (3 t_1 s / 2x) r = 1
+        if x < -100:  # the only real root, s r with s = (-8x/5)^(1/3) and r^3 - (3 t_1 s / 2x) r = 1
             s = mpmath.cbrt(-mpmath.mpf(8) / 5 * x)
             return s * mpmath.findroot(lambda r: r**3 - 1.5 * mpmath.mpf(t1) * s / x * r - 1, 1)
         roots = mpmath.polyroots([mpmath.mpf(5) / 8, 0, 1.5 * mpmath.mpf(t1), mpmath.mpf(x)],
@@ -200,10 +207,10 @@ def _largest_real_root(x: float, t1: float):
 def test_closed_u0_against_mpmath(t1):
     # |u - u_ref| <= 2 eps (|u_ref| + |x_c| |du/dx|): two rounding errors of
     # x_c carried through the fold's slope du/dx = -1/((15/8) u^2 + (3/2) t_1).  Far from the
-    # fold, x_c - 1e300, the root lies within a rounding of k^(1/3), the seed's cube-root bound.
+    # fold, x_c - 10^j up to j = 300, Newton descends from the seed 2^ceil(e/3), up to twice the root.
     cp = find_critical_25(t1)
     xs = np.concatenate([cp.x_c - np.logspace(-15, -1, 29), np.linspace(-3 * cp.x_c, cp.x_c - 0.1, 21),
-                         [cp.x_c - 1e300, cp.x_c - 1e200]])
+                         cp.x_c - 10.0 ** np.arange(2, 301)])
     for x, u in zip(xs, closed_u0(xs, t1)):
         ref = _largest_real_root(float(x), t1)
         slope = 1 / abs(mpmath.mpf(15) / 8 * ref**2 + 1.5 * mpmath.mpf(t1))
@@ -341,7 +348,7 @@ def test_find_critical_25_underflowing_x_c_is_named():
 
 def test_find_critical_newton_matches_closed_form():
     closed = find_critical_25(-0.8)
-    searched = find_critical(quintic_times(-0.8, x=0.0), m=2, v_seed=1.1)
+    searched = find_critical(quintic_times(-0.8, x=0.0), v_seed=1.1)
     assert searched.v_c == pytest.approx(closed.v_c, abs=1e-12)
     assert searched.x_c == pytest.approx(closed.x_c, abs=1e-12)
     assert searched.c == pytest.approx(closed.c, rel=1e-12)

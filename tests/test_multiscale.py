@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heleshaw.errors import DegenerateReduction, OutOfRange, UnsupportedOrder
+from heleshaw.errors import DegenerateReduction, OutOfRange
 from heleshaw.hodograph import CriticalPoint, closed_u0, find_critical_25, quintic_times
 from heleshaw.multiscale import (
     LeadingODE,
@@ -22,7 +22,6 @@ from paper_identities import canonical_m2, pi_reduction_exact_coefficients, reco
 from test_painleve import W_REF
 
 EXACT_CP = CriticalPoint(
-    m=2,
     times_c=quintic_times(Fraction(-4, 5), x=Fraction(16, 25)),
     v_c=Fraction(4, 5),
     c=Fraction(-2, 3),
@@ -37,14 +36,14 @@ def comp():
 # -- scaling map ----------------------------------------------------------
 
 def test_scaling_exponent_arithmetic():
-    s = ScalingMapKdV(eps=1e-5, m=2)
+    s = ScalingMapKdV(eps=1e-5)
     assert s.eps_tilde == pytest.approx(1e-2, rel=1e-15)
     assert s.zoom == pytest.approx(1e-4, rel=1e-15)
     assert (0.64 + 1e-4 * 3.5 - 0.64) / s.zoom == pytest.approx(3.5, rel=1e-12)
 
 
 def test_scaling_consistency_identity():
-    s = ScalingMapKdV(eps=2e-4, m=2)
+    s = ScalingMapKdV(eps=2e-4)
     assert s.zoom * s.eps_tilde == pytest.approx(s.eps ** (2 * 3 / 5.0), rel=1e-14)
 
 
@@ -53,7 +52,6 @@ def test_scaling_consistency_identity():
 def test_leading_ode_exact_quintic_data():
     ode = build_leading_ode(EXACT_CP)
     assert ode.A == Fraction(4)           # (35/2)(2/7) v_c = 5 v_c
-    assert ode.m == 2
     # b covers every deformation slot, zero times included:
     # c_10 = 3 v_c/2 and c_20 = 15 v_c^2/8 both evaluate to 6/5 at v_c = 4/5
     assert ode.b == (Fraction(6, 5), Fraction(6, 5), Fraction(28, 25))
@@ -73,7 +71,7 @@ def test_leading_ode_t1_contribution_vanishes():
 
 
 def test_leading_ode_degenerate():
-    cp = CriticalPoint(m=2, times_c=quintic_times(Fraction(-4, 5), x=0, t_3=0), v_c=Fraction(4, 5), c=1)
+    cp = CriticalPoint(times_c=quintic_times(Fraction(-4, 5), x=0, t_3=0), v_c=Fraction(4, 5), c=1)
     with pytest.raises(DegenerateReduction):
         build_leading_ode(cp)
 
@@ -93,15 +91,9 @@ def test_reduce_to_pi_exact_coefficients():
     assert pi_reduction_exact_coefficients(Fraction(7, 3)) == (1, -6, 1)
 
 
-def test_reduce_to_pi_rejects_higher_order():
-    ode = LeadingODE(A=Fraction(4), b=(1,), m=3, v_c=1.0)
-    with pytest.raises(UnsupportedOrder):
-        reduce_to_pi(ode)
-
-
 def test_reduction_inverse_recovers_multiplier():
     for a in (4.0, 2.5, 9.0):
-        ode = LeadingODE(A=a, b=(), m=2, v_c=0.8)
+        ode = LeadingODE(A=a, b=(), v_c=0.8)
         red = reduce_to_pi(ode)
         assert recover_leading_multiplier(red) == pytest.approx(a, rel=1e-14)
 

@@ -92,7 +92,7 @@ def test_toda_r_coeff_against_series_oracle(k):
 def test_solve_at_exact_critical_data():
     crit = find_toda_critical(1.0, -6.0)
     times = TodaTimes(t=float(crit.t_c), t_3=1.0, x=float(crit.x_c))
-    u, v = solve_toda_hodograph(times, (1.05, 0.95))
+    u, v = solve_toda_hodograph(times, 1.05)
     assert u == pytest.approx(1.0, abs=1e-10)
     assert v == pytest.approx(1.0, abs=1e-10)
 
@@ -100,7 +100,7 @@ def test_solve_at_exact_critical_data():
 def test_elimination_consistency():
     # v from the first equation reduces the pair to a cubic in u; both agree
     times = TodaTimes(t=-12.0, t_3=1.0, x=-6.0)
-    u, v = solve_toda_hodograph(times, (0.5, 1.9))
+    u, v = solve_toda_hodograph(times, 0.5)
     assert v == pytest.approx(-(times.t + 3 * times.t_3 * u * u) / (6 * times.t_3), rel=1e-12)
     roots = sorted(np.roots([3 * times.t_3, 0.0, times.t, -times.x]).real)
     assert u == pytest.approx(roots[1], abs=1e-10)
@@ -108,8 +108,8 @@ def test_elimination_consistency():
 
 def test_two_branches_before_merging():
     times = TodaTimes(t=-12.0, t_3=1.0, x=-6.0)
-    u1, v1 = solve_toda_hodograph(times, (0.5, 1.9))
-    u2, v2 = solve_toda_hodograph(times, (1.7, 0.6))
+    u1, v1 = solve_toda_hodograph(times, 0.5)
+    u2, v2 = solve_toda_hodograph(times, 1.7)
     assert u1 < 1.0 < u2
     assert abs(u1 - u2) > 0.5
     for u, v in ((u1, v1), (u2, v2)):
@@ -119,7 +119,7 @@ def test_two_branches_before_merging():
 
 def test_residuals_below_tolerance():
     times = TodaTimes(t=-9.5, t_3=1.0, x=-6.0)
-    u, v = solve_toda_hodograph(times, (0.8, 1.2))
+    u, v = solve_toda_hodograph(times, 0.8)
     r1, r2 = hodograph_pair_residuals(times, u, v)
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
@@ -138,7 +138,7 @@ def _merging_times(t3, x_c, s):
 @pytest.mark.parametrize("s", [-1e-2, -1e-4, -1e-6, -1e-8, -1e-11])
 def test_before_merging_solution_is_a_root_of_the_cubic(t3, x_c, s):
     times, u_c = _merging_times(t3, x_c, s)
-    u, v = solve_toda_hodograph(times, (u_c, u_c * u_c))
+    u, v = solve_toda_hodograph(times, u_c)
     with mpmath.workdps(40):
         roots = mpmath.polyroots([3 * mpmath.mpf(t3), 0, mpmath.mpf(times.t), -mpmath.mpf(x_c)],
                                  maxsteps=200, extraprec=200)
@@ -152,7 +152,7 @@ def test_before_merging_solution_is_a_root_of_the_cubic(t3, x_c, s):
 def test_past_merging_is_refused(t3, x_c, s):
     times, u_c = _merging_times(t3, x_c, s)
     with pytest.raises((DerivativeVanishes, NoConvergence)):
-        solve_toda_hodograph(times, (u_c, u_c * u_c))
+        solve_toda_hodograph(times, u_c)
 
 
 # -- critical point --------------------------------------------------------
@@ -283,9 +283,8 @@ def test_composite_matches_hodograph_o_eps2(trit):
         for dt in np.linspace(et**3, 2 * et**3, 11):
             tt = -dt / et**4
             u_in, v_in = toda_composite(tt, inn)
-            seed = (1 - math.sqrt(dt) / 3, 1 + math.sqrt(dt) / 3)
             u_out, v_out = solve_toda_hodograph(
-                TodaTimes(t=float(crit.t_c) - dt, t_3=1.0, x=-6.0), seed)
+                TodaTimes(t=float(crit.t_c) - dt, t_3=1.0, x=-6.0), 1 - math.sqrt(dt) / 3)
             errs.append(max(abs(u_in - u_out), abs(v_in - v_out)))
         scaled_errs.append(max(errs) / et**2)
     assert scaled_errs[0] > scaled_errs[1] > scaled_errs[2]
