@@ -218,7 +218,7 @@ def _cmd_critical(opts) -> int:
     from .hodograph import find_critical_25
 
     cp = find_critical_25(opts["t1"])
-    print(json_text({"m": cp.m, "x_c": float(cp.x_c), "v_c": float(cp.v_c), "c": float(cp.c)}))
+    print(json_text({"m": cp.m, "x_c": cp.x_c, "v_c": cp.v_c, "c": cp.c}))
     return 0
 
 
@@ -303,8 +303,8 @@ def _cmd_toda(opts) -> int:
     crit = inner.crit
     return _write_table(opts, "toda.csv", "t_tilde,u,v", grid(opts["x_from"], t_to, opts["n"]),
                         lambda t: toda_composite(t, inner),
-                        u_c=float(crit.u_c), v_c=float(crit.v_c), t_c=float(crit.t_c),
-                        x_c=float(crit.x_c), identity_residual=crit.identity_residual(),
+                        u_c=crit.u_c, v_c=crit.v_c, t_c=crit.t_c, x_c=crit.x_c,
+                        identity_residual=crit.identity_residual(),
                         t_tilde_pole=inner.t_tilde_pole)
 
 

@@ -49,10 +49,6 @@ class Monomial:
             raise ValueError("derivative orders must be non-negative")
         object.__setattr__(self, "orders", tup)
 
-    @classmethod
-    def of(cls, *orders: int) -> "Monomial":
-        return cls(tuple(orders))
-
     @property
     def weight(self) -> int:
         return sum(k + 2 for k in self.orders)

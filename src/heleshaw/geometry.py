@@ -310,7 +310,7 @@ def emit_frames(source: CompositeSolution | TodaInner, abscissas: Sequence[float
                   for x, u in zip(abscissas, source.eval_many(abscissas).tolist()))
     else:
         us, vs = toda_composite(np.array(abscissas), source)
-        frames = (bubble_curve(u, v, float(source.crit.t_3), n=n, x_label=t)
+        frames = (bubble_curve(u, v, source.crit.t_3, n=n, x_label=t)
                   for t, u, v in zip(abscissas, us.tolist(), vs.tolist()))
 
     events = events or []

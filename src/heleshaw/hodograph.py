@@ -17,7 +17,8 @@ which is what the multiscale reduction removes.  The order m = 2 is fixed
 H is a polynomial in v.  hodograph_poly gives its coefficients, exact (int
 or Fraction) for exact times, and eval_H / eval_dH are Horner evaluations of
 them and of their derivatives, so the downstream reduced-ODE construction can
-be carried out exactly for rational critical data.
+be carried out exactly for rational critical data (a hand-built CriticalPoint);
+find_critical_25 and find_critical return floats.
 
 A branch is the monotone piece of H between two folds (zeros of dH/dv).
 branch_root finds the root on the piece that holds a seed; real_roots, one
@@ -279,9 +280,13 @@ def _fold_root(k, v_c, lib, minimum):
     min(2^ceil(e/3), sqrt(k / (3 v_c))), k = m 2^e (frexp), takes two upper bounds: delta^3 < k < 2^e
     and 3 v_c delta^2 <= k.  The first is within a factor 2 of k^(1/3); the second exceeds delta by
     the relative delta / (6 v_c) > 2^-30 at the smallest k > 0 (one ulp of x_c), far above its
-    rounding.  A k that is not finite gives a NaN seed (1 + 0 k) and root; a k >= 2^1023 whose seed's
-    cube overflows gives -inf.  closed_u0 refuses both.  Every operation is exact or correctly
-    rounded, so floats and ndarrays agree bit for bit on every CPU."""
+    rounding.  A k that is not finite gives a NaN seed (1 + 0 k) and root, which closed_u0 refuses.
+    At k >= 2^1023 the seed's cube would overflow, so there the root is 2 delta(k/8, v_c/2), exact
+    in powers of 2.  Every operation is exact or correctly rounded, so floats and ndarrays agree bit
+    for bit on every CPU."""
+    s = 1.0 + (k >= 2.0**1023)
+    k, v_c = k / (s * s * s), v_c / s
+
     def step(d):
         return d - (d * d * (d + 3.0 * v_c) - k) / (d * (3.0 * d + 6.0 * v_c))
 
@@ -289,13 +294,13 @@ def _fold_root(k, v_c, lib, minimum):
     if lib is math:
         while d > 0 and (nd := step(d)) < d:
             d = nd
-        return d
+        return s * d
     for _ in range(100):
         nd = step(d)
         if not (down := nd < d).any():
             break
         d[down] = nd[down]
-    return d
+    return s * d
 
 
 def closed_u0(x, t_1):
@@ -305,10 +310,10 @@ def closed_u0(x, t_1):
     increasing and convex in delta >= 0.  Its root delta >= 0 is the largest real
     root, reached by continuity from the fold (u = v_c exactly at x_c), by Newton
     from above (_fold_root) until no iterate moves: no complex arithmetic, no
-    casus irreducibilis.  Past x_c the branch has folded away: refused, as are an
-    x_c that leaves the float range (as in find_critical_25) and a k that does
-    (x_c - x >~ 5.6e307).  An ndarray, for which alone numpy loads, gives bit for
-    bit the float results.
+    casus irreducibilis.  Past x_c the branch has folded away: refused, as are a
+    NaN x, an x_c that leaves the float range (as in find_critical_25) and a k
+    that does (x_c - x >~ 1.1e308).  An ndarray, for which alone numpy loads,
+    gives bit for bit the float results.
     """
     if not t_1 < 0:
         raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
@@ -318,8 +323,9 @@ def closed_u0(x, t_1):
     if not scalar:
         import numpy as np
     top = x if scalar else np.max(x, initial=-math.inf)
-    if top > x_c:
-        raise DomainError(f"x={top} beyond the catastrophe point x_c={x_c}: branch folded")
+    if not top <= x_c:
+        raise DomainError(f"x={top} is not a number" if math.isnan(top)
+                          else f"x={top} beyond the catastrophe point x_c={x_c}: branch folded")
     if scalar:
         d = _fold_root(1.6 * (x_c - float(x)), v_c, math, min)
     else:
@@ -332,17 +338,24 @@ def closed_u0(x, t_1):
 
 
 def find_critical_25(t_1):
-    """Closed-form 2nd-order catastrophe of the quintic finger class.
+    """Closed-form 2nd-order catastrophe of the quintic finger class, in floats.
 
     v_c = sqrt(-4 t_1 / 5),  x_c = -t_1 v_c = (5/4) v_c^3,  c = -8 / (15 v_c).
-    Returns exact Fractions when t_1 is a Fraction with a perfect-square
-    -4 t_1/5 (e.g. t_1 = -4/5), floats otherwise.
     """
+    t_1 = float_input("t_1", t_1)
     if not t_1 < 0:
         raise DomainError("critical point requires t_1 < 0")
-    v_c = exact_root(-4 * t_1 / 5, 2)
+    v_c = math.sqrt(-4 * t_1 / 5)
     x_c = _fold_abscissa(t_1, v_c)
     return CriticalPoint(times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
+
+
+def float_input(name: str, value) -> float:
+    """float(value); a value beyond the float range (a large int or Fraction) is refused by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is no float: it leaves the float range") from None
 
 
 def _fold_abscissa(t_1, v_c):
@@ -352,29 +365,6 @@ def _fold_abscissa(t_1, v_c):
         raise DomainError(f"critical abscissa x_c = -t_1 v_c {'underflows' if x_c == 0 else 'overflows'} "
                           f"at t_1 = {t_1!r}")
     return x_c
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of the integer n >= 0: integer Newton from above."""
-    x = 1 << -(-n.bit_length() // k)
-    while x > 1 and (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
-        x = y
-    return min(x, n)  # 0 for n = 0
-
-
-def exact_root(q, k: int):
-    """Real k-th root of q (q >= 0 or k odd): exact for a Fraction of two k-th powers, else a float."""
-    if isinstance(q, Fraction):
-        root = Fraction(_iroot(abs(q.numerator), k), _iroot(q.denominator, k))
-        if root**k == abs(q):
-            return root if q >= 0 else -root
-        try:
-            q = float(q)
-        except OverflowError:
-            exponent = math.log10(abs(q.numerator)) - math.log10(q.denominator)
-            raise DomainError(f"radicand {'-' if q < 0 else ''}10^{exponent:.2f} (root of order {k}) "
-                              "is no exact power and leaves the float range") from None
-    return math.sqrt(q) if k == 2 else math.copysign(abs(q) ** (1.0 / k), q)
 
 
 def find_critical(times: KdVTimes, v_seed: float = 1.0) -> CriticalPoint:

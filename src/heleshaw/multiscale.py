@@ -130,16 +130,12 @@ class CompositeSolution:
     x_switch: float
 
     @property
-    def eps(self) -> float:
-        return self.scaling.eps
-
-    @property
     def v_c(self) -> float:
-        return float(self.cp.v_c)
+        return self.cp.v_c
 
     @property
     def x_c(self) -> float:
-        return float(self.cp.x_c)
+        return self.cp.x_c
 
     @property
     def x_star(self) -> float:
@@ -221,6 +217,6 @@ def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: in
         "max_abs_err": float(diff.max()),
         "max_rel_err": float((diff / np.abs(outer)).max()),
         "interval": [float(a), float(b)],
-        "eps": comp.eps,
+        "eps": comp.scaling.eps,
         "n": int(n),
     }

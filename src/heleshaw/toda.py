@@ -15,11 +15,12 @@ seed, one value of u (v follows from u).  A second-order critical point
 (merging moment) is a double root of that cubic, where two pieces meet; it
 occurs on v_c = u_c^2 with
 
-    t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0.
+    t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0,
 
-Near it, with eps~ = eps^(1/5), x = x_c + eps~^4 x~, t = t_c + eps~^4 t~, the
-fields expand as u = u_c + eps~^2 U2 + eps~^3 U3 + ..., v = v_c + eps~^2 V2
-+ ... where U2 = -V2/u_c and U3 = -V2_x~/(2 u_c), and V2 obeys
+computed in floats by find_toda_critical.  Near it, with eps~ = eps^(1/5),
+x = x_c + eps~^4 x~, t = t_c + eps~^4 t~, the fields expand as u = u_c +
+eps~^2 U2 + eps~^3 U3 + ..., v = v_c + eps~^2 V2 + ... where U2 = -V2/u_c and
+U3 = -V2_x~/(2 u_c), and V2 obeys
 
     V2_x~x~ + (6/u_c^2) V2^2 = (2/(3 t_3 u_c)) (x~ - u_c t~).
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .hodograph import branch_root, exact_root, poly_scale
+from .hodograph import branch_root, float_input, poly_scale
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
@@ -69,11 +70,11 @@ class TodaTimes:
 class TodaCritical:
     """Merging-point data: v_c = u_c^2 and the closed-form critical times."""
 
-    u_c: object
-    v_c: object
-    t_c: object
-    x_c: object
-    t_3: object
+    u_c: float
+    v_c: float
+    t_c: float
+    x_c: float
+    t_3: float
 
     def identity_residual(self) -> float:
         """4 t_c^3 + 81 t_3 x_c^2, scaled; vanishes for consistent data."""
@@ -108,15 +109,17 @@ def find_toda_critical(t_3, x_c) -> TodaCritical:
     """Closed-form second-order critical point of the merging class.
 
     u_c is the real cube root of -x_c/(6 t_3); v_c = u_c^2, t_c = -9 t_3
-    u_c^2.  Exact for Fraction inputs with an exact cube root; float data
-    that leave the float range are refused.
+    u_c^2, all in floats.  Inputs beyond the float range, and results that
+    leave it, are refused.
     """
+    t_3, x_c = float_input("t_3", t_3), float_input("x_c", x_c)
     if t_3 == 0 or x_c == 0:
         raise DomainError("need t_3 != 0 and x_c != 0 for a nondegenerate merging point")
-    u_c = exact_root(-x_c / (6 * t_3), 3)
+    q = -x_c / (6 * t_3)
+    u_c = math.copysign(abs(q) ** (1.0 / 3), q)
     v_c = u_c * u_c
     t_c = -9 * t_3 * v_c
-    if not all(math.isfinite(q) for q in (u_c, v_c, t_c) if isinstance(q, float)):
+    if not all(map(math.isfinite, (u_c, v_c, t_c))):
         raise DomainError(f"merging point u_c = (-x_c/(6 t_3))^(1/3) = {u_c!r} (v_c = {v_c!r}, t_c = {t_c!r}) "
                           f"overflows at t_3 = {t_3!r}, x_c = {x_c!r}")
     return TodaCritical(u_c=u_c, v_c=v_c, t_c=t_c, x_c=x_c, t_3=t_3)
@@ -149,11 +152,11 @@ class TodaInner:
 
     @property
     def u_c(self) -> float:
-        return float(self.crit.u_c)
+        return self.crit.u_c
 
     @property
     def a(self) -> float:
-        return 2.0 * self.u_c**2 / (3.0 * float(self.crit.t_3))
+        return 2.0 * self.u_c**2 / (3.0 * self.crit.t_3)
 
     @property
     def eps_tilde(self) -> float:
@@ -191,5 +194,5 @@ def toda_composite(t_tilde, inner: TodaInner):
     v2 = toda_inner_V2(t_tilde, inner)
     e2 = inner.eps_tilde**2
     u = inner.u_c - e2 / inner.u_c * v2
-    v = float(inner.crit.v_c) + e2 * v2
+    v = inner.crit.v_c + e2 * v2
     return u, v

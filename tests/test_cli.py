@@ -414,6 +414,15 @@ def test_trace_underflowing_x_c_names_it_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_trace_far_field_is_finite(tmp_path, capsys):
+    # k = (8/5)(x_c - x) = 1.6e308 is a float, though the cube of Newton's first seed is not
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "trace", "--from=-1e308", "--to", "0.5", "--n", "3")
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[1]) == pytest.approx(5.4288e102, rel=1e-4)
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
+
+
 def test_vanishing_similarity_constant_names_it_exit_1(tmp_path, capsys):
     # a = 2 u_c^2/(3 t_3) ~ 2e-201 stretches t~ so far that t~_pole - 0.01 is the pole image
     code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--xc=-1e-300")

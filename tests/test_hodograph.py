@@ -177,6 +177,12 @@ def test_closed_u0_refuses_an_overflowing_k(x):
         closed_u0(x, -0.8)
 
 
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, np.nan])], ids=["float", "array"])
+def test_closed_u0_refuses_a_nan_abscissa(x):
+    with pytest.raises(DomainError, match=r"^x=nan is not a number$"):
+        closed_u0(x, -0.8)
+
+
 def test_closed_u0_negative_x_continuity():
     # across the casus-irreducibilis boundary at x = -x_c the branch is smooth
     left = closed_u0(-0.64 - 1e-9, -0.8)
@@ -207,10 +213,11 @@ def _largest_real_root(x: float, t1: float):
 def test_closed_u0_against_mpmath(t1):
     # |u - u_ref| <= 2 eps (|u_ref| + |x_c| |du/dx|): two rounding errors of
     # x_c carried through the fold's slope du/dx = -1/((15/8) u^2 + (3/2) t_1).  Far from the
-    # fold, x_c - 10^j up to j = 300, Newton descends from the seed 2^ceil(e/3), up to twice the root.
+    # fold, x_c - 10^j up to j = 300, Newton descends from the seed 2^ceil(e/3), up to twice the root;
+    # at x_c - 10^308, where that seed's cube overflows, it solves the problem halved in scale.
     cp = find_critical_25(t1)
     xs = np.concatenate([cp.x_c - np.logspace(-15, -1, 29), np.linspace(-3 * cp.x_c, cp.x_c - 0.1, 21),
-                         cp.x_c - 10.0 ** np.arange(2, 301)])
+                         cp.x_c - 10.0 ** np.arange(2, 301), [cp.x_c - 1e308]])
     for x, u in zip(xs, closed_u0(xs, t1)):
         ref = _largest_real_root(float(x), t1)
         slope = 1 / abs(mpmath.mpf(15) / 8 * ref**2 + 1.5 * mpmath.mpf(t1))
@@ -303,19 +310,12 @@ def test_solve_branch_bisection_fallback_from_stationary_seed():
 
 # -- critical points --------------------------------------------------------
 
-def test_find_critical_25_reference_point():
-    cp = find_critical_25(Fraction(-4, 5))
-    assert cp.m == 2
-    assert cp.x_c == Fraction(16, 25)
-    assert cp.v_c == Fraction(4, 5)
-    assert cp.c == Fraction(-2, 3)
-
-
 def test_find_critical_25_float_path():
     cp = find_critical_25(-0.8)
     assert cp.x_c == pytest.approx(0.64, abs=1e-14)
     assert cp.v_c == pytest.approx(0.8, abs=1e-14)
     assert cp.c == pytest.approx(-2 / 3, rel=1e-14)
+    assert find_critical_25(Fraction(-3, 4)).v_c == math.sqrt(0.6)
 
 
 def test_find_critical_25_defining_equations():
@@ -331,13 +331,10 @@ def test_find_critical_25_rejects_nonnegative_t1():
         find_critical_25(0.0)
 
 
-def test_find_critical_25_radicand_beyond_float_range_is_named():
-    # -4 t_1/5 = 10^401 + 1 is no exact square and no float
-    with pytest.raises(DomainError, match=r"radicand 10\^401\.00 .*float range"):
-        find_critical_25(Fraction(-5 * 10**401 - 5, 4))
-    # an exact square beyond the float range stays exact
-    assert find_critical_25(Fraction(-5 * 10**400, 4)).v_c == 10**200
-    assert find_critical_25(Fraction(-3, 4)).v_c == math.sqrt(0.6)
+def test_find_critical_25_input_beyond_float_range_is_named():
+    for t1 in (-5 * 10**401, Fraction(-5 * 10**401 - 5, 4)):
+        with pytest.raises(DomainError, match=r"^t_1 is no float: it leaves the float range$"):
+            find_critical_25(t1)
 
 
 def test_find_critical_25_underflowing_x_c_is_named():

@@ -172,12 +172,16 @@ def test_critical_exact_fractions():
     assert 4 * crit.t_c**3 + 81 * crit.t_3 * crit.x_c**2 == 0
 
 
-def test_critical_exact_beyond_float_range():
-    # -x_c/(6 t_3) = 10^402 is no float, but it is an exact cube
-    crit = find_toda_critical(Fraction(1), Fraction(-6 * 10**402))
-    assert crit.u_c == 10**134 and isinstance(crit.u_c, Fraction)
-    assert crit.t_c == -9 * 10**268
-    assert find_toda_critical(Fraction(1), Fraction(81, 4)).u_c == Fraction(-3, 2)
+def test_critical_input_beyond_float_range_is_named():
+    for t3, x_c, name in ((1, -6 * 10**402, "x_c"), (Fraction(10**400), -6.0, "t_3")):
+        with pytest.raises(DomainError, match=rf"^{name} is no float: it leaves the float range$"):
+            find_toda_critical(t3, x_c)
+
+
+def test_critical_fields_are_floats():
+    crit = find_toda_critical(Fraction(1), Fraction(81, 4))
+    assert crit.u_c == -1.5
+    assert all(type(q) is float for q in (crit.u_c, crit.v_c, crit.t_c, crit.x_c, crit.t_3))
 
 
 @pytest.mark.parametrize("t3", [0.5, 1.0, 2.0])
