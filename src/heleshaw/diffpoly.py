@@ -6,6 +6,10 @@ monomial.  Coefficients are exact rationals, so the constants produced by the
 Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...) stay exact and are safe to
 reuse when assembling the reduced ODEs downstream.
 
+A polynomial is stored as a positive rational content times a primitive integer
+part (sorted order-tuples mapped to ints with gcd 1; zero is {}).  The form is
+canonical, so equality is structural, and the algebra runs on ints and tuples.
+
 The weight of a monomial is ``sum(order + 2)`` over its factors.  The n-th
 Gel'fand-Dikii polynomial R_n is weight-homogeneous of weight 2n and is
 produced by
@@ -26,53 +30,41 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import JetTooShort, NotExactDerivative
 
-Rational = Union[int, Fraction]
 
+class Monomial(tuple):
+    """Product of field derivatives: an immutable tuple of its orders, sorted ascending (canonical form)."""
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """Product of field derivatives, kept sorted ascending (canonical form)."""
+    __slots__ = ()
 
-    orders: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        tup = tuple(sorted(self.orders))
-        if tup and tup[0] < 0:
+    def __new__(cls, orders: Iterable[int] = ()):
+        orders = sorted(orders)
+        if orders and orders[0] < 0:
             raise ValueError("derivative orders must be non-negative")
-        object.__setattr__(self, "orders", tup)
+        return super().__new__(cls, orders)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def weight(self) -> int:
-        return sum(k + 2 for k in self.orders)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.orders
-
-    @property
-    def max_order(self) -> int:
-        return max(self.orders, default=-1)
+        return sum(k + 2 for k in self)
 
     def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.orders + other.orders)
+        return Monomial(self + other)
+
+    def __repr__(self) -> str:
+        return f"Monomial({self.orders!r})"
 
     def __str__(self) -> str:
-        if not self.orders:
-            return "1"
-        parts = []
-        for order, group in itertools.groupby(self.orders):
-            power = len(list(group))
-            name = _factor_name(order)
-            parts.append(name if power == 1 else f"{name}^{power}")
-        return " ".join(parts)
+        powers = [(_factor_name(k), self.count(k)) for k in dict.fromkeys(self)]
+        return " ".join(name if power == 1 else f"{name}^{power}" for name, power in powers) or "1"
 
 
 def _factor_name(order: int) -> str:
@@ -83,23 +75,43 @@ def _factor_name(order: int) -> str:
     return f"u_x{order}"
 
 
-_CONST = Monomial()
-_FIELD = Monomial((0,))
+def _bumps(orders: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """D of one monomial: each run of equal orders bumps its last factor (so the tuple stays sorted)."""
+    start = 0
+    for i, k in enumerate(orders):
+        if i + 1 == len(orders) or orders[i + 1] != k:
+            yield orders[:i] + (k + 1,) + orders[i + 1:], i + 1 - start
+            start = i + 1
+
+
+def _make(content: Fraction, terms: dict) -> "DiffPoly":
+    return object.__new__(DiffPoly)._set(content, terms)
 
 
 class DiffPoly:
-    """Differential polynomial: finite map from monomials to exact rationals."""
+    """Differential polynomial over Q: a positive rational content times a primitive integer part."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_content", "_terms")
 
-    def __init__(self, terms: Mapping[Monomial, Rational] | Iterable[tuple[Monomial, Rational]] = ()):
+    def __init__(self, terms: Mapping[Monomial, int | Fraction]
+                 | Iterable[tuple[Monomial, int | Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in items:
-            q = Fraction(coeff)
-            if q:
-                acc[mono] = acc.get(mono, Fraction(0)) + q
-        self._terms = {m: c for m, c in acc.items() if c}
+            acc[mono.orders] = acc.get(mono.orders, 0) + Fraction(coeff)
+        den = math.lcm(*(q.denominator for q in acc.values()))
+        self._set(Fraction(1, den), {orders: q.numerator * (den // q.denominator) for orders, q in acc.items()})
+
+    def _set(self, content: Fraction, terms: dict) -> "DiffPoly":
+        """Store content * terms canonically: gcd 1 in the terms, a positive content, zero as {}."""
+        g = math.gcd(*terms.values())
+        if not (g and content):
+            content, g, terms = Fraction(1), 1, {}
+        elif content < 0:
+            content, g = -content, -g
+        self._content = content * abs(g)
+        self._terms = {orders: c // g for orders, c in terms.items() if c}
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -108,22 +120,22 @@ class DiffPoly:
         return cls()
 
     @classmethod
-    def const(cls, value: Rational) -> "DiffPoly":
-        return cls({_CONST: Fraction(value)})
+    def const(cls, value: int | Fraction) -> "DiffPoly":
+        return cls({Monomial(): value})
 
     @classmethod
     def field(cls) -> "DiffPoly":
         """The bare field u."""
-        return cls({_FIELD: Fraction(1)})
+        return _make(Fraction(1), {(0,): 1})
 
     @classmethod
-    def monomial(cls, orders: Iterable[int], coeff: Rational = 1) -> "DiffPoly":
-        return cls({Monomial(tuple(orders)): Fraction(coeff)})
+    def monomial(cls, orders: Iterable[int], coeff: int | Fraction = 1) -> "DiffPoly":
+        return cls({Monomial(tuple(orders)): coeff})
 
     # -- ring structure ----------------------------------------------------
 
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        return {Monomial(orders): self._content * c for orders, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -132,52 +144,52 @@ class DiffPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._content == other._content and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._content, frozenset(self._terms.items())))
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc[mono] = acc.get(mono, Fraction(0)) + c
-        return DiffPoly(acc)
+        a, b = self._content, other._content
+        g = Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
+        ka, kb = int(a / g), int(b / g)
+        acc = {orders: c * ka for orders, c in self._terms.items()}
+        for orders, c in other._terms.items():
+            acc[orders] = acc.get(orders, 0) + c * kb
+        return _make(g, acc)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self._terms.items()})
+        return _make(-self._content, self._terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1.times(m2)
-                acc[mono] = acc.get(mono, Fraction(0)) + c1 * c2
-        return DiffPoly(acc)
+        acc: dict = {}
+        for o1, c1 in self._terms.items():
+            for o2, c2 in other._terms.items():
+                key = tuple(sorted(o1 + o2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return _make(self._content * other._content, acc)
 
     __rmul__ = __mul__
 
-    def scale(self, factor: Rational) -> "DiffPoly":
-        f = Fraction(factor)
-        return DiffPoly({m: c * f for m, c in self._terms.items()})
+    def scale(self, factor: int | Fraction) -> "DiffPoly":
+        return _make(self._content * Fraction(factor), self._terms)
 
     # -- calculus ----------------------------------------------------------
 
     def derive(self) -> "DiffPoly":
         """Total x-derivative (Leibniz rule over every monomial factor)."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            orders = mono.orders
-            for i in range(len(orders)):
-                bumped = Monomial(orders[:i] + (orders[i] + 1,) + orders[i + 1:])
-                acc[bumped] = acc.get(bumped, Fraction(0)) + coeff
-        return DiffPoly(acc)
+        acc: dict = {}
+        for orders, c in self._terms.items():
+            for bumped, run in _bumps(orders):
+                acc[bumped] = acc.get(bumped, 0) + c * run
+        return _make(self._content, acc)
 
     def integrate(self) -> "DiffPoly":
         """Inverse of :meth:`derive`, with zero constant term, by parts.
@@ -191,84 +203,75 @@ class DiffPoly:
         its top derivative, so a repeated top order, a leftover u^m or a
         constant raises :class:`NotExactDerivative` (e.g. for u^2 or u_x^2).
         The antiderivative with zero constant term is unique, so the result
-        does not depend on the order of the steps.
+        does not depend on the order of the steps.  The steps run on the integer
+        part times L = lcm(1 .. factor count), and each division by p+1 is exact:
+        a step with p >= 1 only feeds terms with a repeated top order, which must
+        cancel, so every coefficient divided is a multiple of L.
         """
-        rest = dict(self._terms)
-        out: dict[Monomial, Fraction] = {}
+        lift = math.lcm(*range(1, max(map(len, self._terms), default=0) + 1))
+        rest = {orders: c * lift for orders, c in self._terms.items()}
+        out: dict = {}
         for k in range(self.max_order(), 0, -1):
-            for mono in [m for m in rest if m.max_order == k]:
-                orders, c = mono.orders, rest.pop(mono)
+            for orders in [orders for orders in rest if orders[-1:] == (k,)]:
+                c = rest.pop(orders)
                 if not c:
                     continue
                 if orders[-2:-1] == (k,):
+                    mono = Monomial(orders)
                     raise NotExactDerivative(f"{mono} repeats its top derivative: not a total derivative")
                 p = orders.count(k - 1)
                 below, lifted = orders[:-1 - p], (k - 1,) * (p + 1)
-                q = c / (p + 1)
-                prim = Monomial(below + lifted)
-                out[prim] = out.get(prim, Fraction(0)) + q
-                for i in range(len(below)):
-                    bumped = Monomial(below[:i] + (below[i] + 1,) + below[i + 1:] + lifted)
-                    rest[bumped] = rest.get(bumped, Fraction(0)) - q
+                q, r = divmod(c, p + 1)
+                if r:
+                    raise ArithmeticError(f"by parts, {c} {Monomial(orders)} is not divisible by {p + 1}")
+                out[below + lifted] = out.get(below + lifted, 0) + q
+                for bumped, run in _bumps(below):
+                    rest[bumped + lifted] = rest.get(bumped + lifted, 0) - q * run
         if any(rest.values()):
-            raise NotExactDerivative(f"{DiffPoly(rest)} is left over: not a total derivative")
-        return DiffPoly(out)
+            raise NotExactDerivative(f"{_make(self._content / lift, rest)} is left over: not a total derivative")
+        return _make(self._content / lift, out)
 
     # -- queries -----------------------------------------------------------
 
     def eval(self, jet: Sequence[float]) -> float:
         """Evaluate at a jet: jet[k] is the k-th derivative value of the field."""
-        needed = max((m.max_order for m in self._terms), default=-1)
+        needed = self.max_order()
         if needed >= len(jet):
             raise JetTooShort(f"jet of length {len(jet)} but order {needed} required")
         total = 0.0
-        for mono, coeff in self._terms.items():
-            prod = float(coeff)
-            for k in mono.orders:
-                prod *= jet[k]
-            total += prod
+        for mono, coeff in self.terms().items():
+            total += math.prod((jet[k] for k in mono.orders), start=float(coeff))
         return total
 
     def dispersionless_part(self) -> "DiffPoly":
         """Derivative-free part: terms built only from u itself."""
-        return DiffPoly({m: c for m, c in self._terms.items() if m.max_order <= 0})
+        return _make(self._content, {orders: c for orders, c in self._terms.items() if not any(orders)})
 
     def constant_part(self) -> Fraction:
-        return self._terms.get(_CONST, Fraction(0))
+        return self._content * self._terms.get((), 0)
 
     def homogeneous_weight(self) -> int | None:
         """The common monomial weight, or None if mixed (zero poly -> None)."""
-        weights = {m.weight for m in self._terms}
+        weights = {sum(orders) + 2 * len(orders) for orders in self._terms}
         return weights.pop() if len(weights) == 1 else None
 
     def max_order(self) -> int:
-        return max((m.max_order for m in self._terms), default=-1)
+        return max((orders[-1] for orders in self._terms if orders), default=-1)
 
     def coeff(self, orders: Iterable[int]) -> Fraction:
-        return self._terms.get(Monomial(tuple(orders)), Fraction(0))
+        return self._content * self._terms.get(Monomial(tuple(orders)).orders, 0)
 
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono in sorted(self._terms):
-            coeff = self._terms[mono]
+        text = ""
+        for orders, c in sorted(self._terms.items()):
+            coeff = self._content * c
+            mag, mono = abs(coeff), Monomial(orders)
+            body = str(mag) if not orders else str(mono) if mag == 1 else f"{mag} {mono}"
             sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if mono.is_constant:
-                body = str(mag)
-            elif mag == 1:
-                body = str(mono)
-            else:
-                body = f"{mag} {mono}"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            text += f" {sign} {body}" if text else ("-" if coeff < 0 else "") + body
+        return text or "0"
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
@@ -276,8 +279,8 @@ class DiffPoly:
     def to_json_terms(self) -> list[dict]:
         """JSON-friendly dump: monomial orders plus exact coefficient strings."""
         return [
-            {"orders": list(m.orders), "num": str(c.numerator), "den": str(c.denominator)}
-            for m, c in sorted(self._terms.items())
+            {"orders": list(orders), "num": str(q.numerator), "den": str(q.denominator)}
+            for orders, q in ((orders, self._content * c) for orders, c in sorted(self._terms.items()))
         ]
 
 
@@ -286,20 +289,16 @@ class DiffPoly:
 def gd_next(r_n: DiffPoly) -> DiffPoly:
     """One step of the recursion d/dx R_{n+1} = (1/4 d3 + u d + 1/2 u_x) R_n.
 
-    The integration constant is fixed by :meth:`DiffPoly.integrate` returning
-    a zero constant term, which makes the derivative-free part of R_{n+1}
-    come out as binom(2n+2, n+1) u^(n+1) / 4^(n+1) automatically.
-    A NotExactDerivative escaping from here indicates an internal
-    inconsistency (the right-hand side of the recursion is always exact).
+    The right-hand side is formed as (D3 R + 4u DR + 2u_x R) / 4.  The zero
+    constant term of :meth:`DiffPoly.integrate` makes the derivative-free part
+    of R_{n+1} come out as binom(2n+2, n+1) u^(n+1) / 4^(n+1).  A
+    NotExactDerivative escaping from here indicates an internal inconsistency
+    (the right-hand side of the recursion is always exact).
     """
     u = DiffPoly.field()
     dr = r_n.derive()
-    rhs = (
-        Fraction(1, 4) * dr.derive().derive()
-        + u * dr
-        + Fraction(1, 2) * u.derive() * r_n
-    )
-    return rhs.integrate()
+    rhs = dr.derive().derive() + (u * dr).scale(4) + (u.derive() * r_n).scale(2)
+    return rhs.scale(Fraction(1, 4)).integrate()
 
 
 _GD_CACHE: list[DiffPoly] = [DiffPoly.const(1)]

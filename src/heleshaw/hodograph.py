@@ -351,11 +351,14 @@ def find_critical_25(t_1):
 
 
 def float_input(name: str, value) -> float:
-    """float(value); a value beyond the float range (a large int or Fraction) is refused by name."""
+    """float(value); a value beyond the float range (a large int or Fraction), NaN or inf is refused by name."""
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise DomainError(f"{name} is no float: it leaves the float range") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} is not a finite number")
+    return x
 
 
 def _fold_abscissa(t_1, v_c):

@@ -23,11 +23,11 @@ GONE_METHODS = {
     ("multiscale", "ScalingMapKdV"): ("x_to_inner", "x_from_inner"),
     ("multiscale", "LeadingODE"): ("canonical_m2",),
     ("hodograph", "CriticalPoint"): ("residuals",),
-    ("diffpoly", "Monomial"): ("of",),
+    ("diffpoly", "Monomial"): ("of", "is_constant", "max_order"),
     ("multiscale", "CompositeSolution"): ("eps",),
 }
 DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "overlap_error", "x_to_inner",
-           "x_from_inner", "exact_root", "_iroot", "of", "eps"}
+           "x_from_inner", "exact_root", "_iroot", "of", "eps", "is_constant", "max_order"}
 
 
 @pytest.mark.parametrize("module", sorted(GONE))

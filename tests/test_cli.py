@@ -124,6 +124,16 @@ def test_gd_json_digest(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, digest", [
+    (12, "3b81bda6ea7757b29d3f5f5dafa4f94fb8fe8f22106b77a42f4c2f2650a2e37f"),
+    (16, "f8307fcdb553fd8d11ba459b376148b3a3f4718677eb9f49e6909dac3c590d5c"),
+])
+def test_gd_text_digest(capsys, n, digest):
+    code, out, _ = run(capsys, "gd", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_trace_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "--outdir", str(tmp_path), "trace", "--t1", "-0.8", "--n", "11")
     assert code == 0

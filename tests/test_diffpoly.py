@@ -39,6 +39,22 @@ def test_scale():
     assert UXX.scale(Fraction(1, 8)) == DiffPoly.monomial((2,), Fraction(1, 8))
 
 
+def test_equal_rationals_give_one_polynomial():
+    m = Monomial((0, 2))
+    p, q = DiffPoly({m: Fraction(2, 4)}), DiffPoly({m: Fraction(1, 2)})
+    assert p == q and hash(p) == hash(q)
+
+
+@pytest.mark.parametrize("factor", [-1, 0, Fraction(-3, 7)])
+def test_scaled_polynomial_is_its_rational_counterpart(factor):
+    # the content and the integer part are canonical: equal values compare and hash equal
+    p = poly(((0, 0, 1), (3, 7)), ((2, 2), (-1, 4)), ((5,), (2, 1)), ((), (6, 1)))
+    counterpart = DiffPoly({m: c * factor for m, c in p.terms().items()})
+    for scaled in [p.scale(factor), factor * p] + ([-p] if factor == -1 else []):
+        assert scaled == counterpart and hash(scaled) == hash(counterpart)
+        assert scaled.terms() == counterpart.terms()
+
+
 def test_no_zero_coefficients_stored():
     p = U + U.scale(-1) + DiffPoly.const(0)
     assert p.terms() == {}
@@ -77,6 +93,13 @@ def test_integrate_not_exact(poly):
 def test_integrate_constant_not_exact():
     with pytest.raises(NotExactDerivative):
         DiffPoly.const(1).integrate()
+
+
+@pytest.mark.parametrize("orders", [(1,) * 5 + (2,), (0,) * 6 + (3,), (0,) + (2,) * 5 + (4,), (1,) * 7], ids=str)
+def test_integrate_undoes_derive_with_five_equal_factors(orders):
+    # by parts divides by p + 1 up to the factor count: all exact in the integer part times lcm(1..count)
+    m = DiffPoly.monomial(orders, Fraction(-5, 3))
+    assert m.derive().integrate() == m
 
 
 def test_derive_integrate_identity_on_image():
@@ -235,6 +258,13 @@ def test_derive_is_a_derivation(p, q):
 @given(small_polys)
 def test_integrate_recovers_up_to_constant(p):
     assert p.derive().integrate() == p - DiffPoly.const(p.constant_part())
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys)
+def test_equal_values_hash_equal(p, q):
+    r = (p + q) - q
+    assert r == p and hash(r) == hash(p) and r.terms() == p.terms()
 
 
 @settings(max_examples=60, deadline=None)

@@ -337,6 +337,12 @@ def test_find_critical_25_input_beyond_float_range_is_named():
             find_critical_25(t1)
 
 
+@pytest.mark.parametrize("t1", [math.nan, math.inf, -math.inf], ids=str)
+def test_find_critical_25_non_finite_input_is_named(t1):
+    with pytest.raises(DomainError, match=r"^t_1 is not a finite number$"):
+        find_critical_25(t1)
+
+
 def test_find_critical_25_underflowing_x_c_is_named():
     # v_c = 8.9e-151 is a float, but x_c = -t_1 v_c = 8.9e-451 is not
     with pytest.raises(DomainError, match=r"x_c = -t_1 v_c underflows at t_1 = -1e-300"):

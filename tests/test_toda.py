@@ -178,6 +178,14 @@ def test_critical_input_beyond_float_range_is_named():
             find_toda_critical(t3, x_c)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name", ["t_3", "x_c"])
+def test_critical_non_finite_input_is_named(name, bad):
+    t3, x_c = (bad, 1.0) if name == "t_3" else (1.0, bad)
+    with pytest.raises(DomainError, match=rf"^{name} is not a finite number$"):
+        find_toda_critical(t3, x_c)
+
+
 def test_critical_fields_are_floats():
     crit = find_toda_critical(Fraction(1), Fraction(81, 4))
     assert crit.u_c == -1.5
