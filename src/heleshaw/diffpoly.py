@@ -137,10 +137,6 @@ class DiffPoly:
     def terms(self) -> dict[Monomial, Fraction]:
         return {Monomial(orders): self._content * c for orders, c in self._terms.items()}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
             return NotImplemented
@@ -150,6 +146,8 @@ class DiffPoly:
         return hash((self._content, frozenset(self._terms.items())))
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         a, b = self._content, other._content
         g = Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
         ka, kb = int(a / g), int(b / g)
@@ -159,6 +157,8 @@ class DiffPoly:
         return _make(g, acc)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
+        if not isinstance(other, DiffPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "DiffPoly":
@@ -243,18 +243,6 @@ class DiffPoly:
             total += math.prod((jet[k] for k in mono.orders), start=float(coeff))
         return total
 
-    def dispersionless_part(self) -> "DiffPoly":
-        """Derivative-free part: terms built only from u itself."""
-        return _make(self._content, {orders: c for orders, c in self._terms.items() if not any(orders)})
-
-    def constant_part(self) -> Fraction:
-        return self._content * self._terms.get((), 0)
-
-    def homogeneous_weight(self) -> int | None:
-        """The common monomial weight, or None if mixed (zero poly -> None)."""
-        weights = {sum(orders) + 2 * len(orders) for orders in self._terms}
-        return weights.pop() if len(weights) == 1 else None
-
     def max_order(self) -> int:
         return max((orders[-1] for orders in self._terms if orders), default=-1)
 
@@ -311,8 +299,3 @@ def gd_polynomials(n: int) -> list[DiffPoly]:
     while len(_GD_CACHE) <= n:
         _GD_CACHE.append(gd_next(_GD_CACHE[-1]))
     return _GD_CACHE[: n + 1]
-
-
-def dispersionless_coefficient(n: int) -> Fraction:
-    """Exact coefficient of u^n in the derivative-free part of R_n."""
-    return Fraction(math.comb(2 * n, n), 4**n)

@@ -21,10 +21,6 @@ class NoConvergence(HeleShawError):
     """A search has no single answer (e.g. an event level straddled by a jump)."""
 
 
-class DerivativeVanishes(HeleShawError):
-    """The seed's branch holds no root: it ends at a fold (gradient catastrophe)."""
-
-
 class DegenerateReduction(HeleShawError):
     """The multiscale reduction degenerates (leading multiplier vanishes)."""
 

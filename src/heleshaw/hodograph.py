@@ -1,4 +1,4 @@
-"""Dispersionless KdV hodograph equation and its gradient catastrophes.
+"""Dispersionless KdV hodograph equation and its gradient catastrophe, in closed form.
 
 The interface unknown v solves the implicit hodograph equation
 
@@ -14,31 +14,29 @@ d^2H/dv^2 nonzero; beyond it the branch folds and derivatives of v blow up
 which is what the multiscale reduction removes.  The order m = 2 is fixed
 (CriticalPoint.m): higher orders need the deformation times to move too.
 
-H is a polynomial in v.  hodograph_poly gives its coefficients, exact (int
-or Fraction) for exact times, and eval_H / eval_dH are Horner evaluations of
-them and of their derivatives, so the downstream reduced-ODE construction can
-be carried out exactly for rational critical data (a hand-built CriticalPoint);
-find_critical_25 and find_critical return floats.
+The pipeline works in the quintic finger class (t_3 = 2/7, all other
+deformation times zero except t_1 < 0), where H reads
+(5/8) v^3 + (3/2) t_1 v + x, and everything it needs has a closed form:
 
-A branch is the monotone piece of H between two folds (zeros of dH/dv).
-branch_root finds the root on the piece that holds a seed; real_roots, one
-routine for every polynomial (also behind heleshaw.geometry's event levels),
-splits the line at the critical points.  find_critical is branch_root on
-dH/dv, and heleshaw.toda solves the eliminated cubic of the Toda pair with it.
+  * find_critical_25: the fold v_c = sqrt(-4 t_1 / 5), x_c = (5/4) v_c^3,
+    c = -8 / (15 v_c), in floats;
+  * closed_u0: the outer branch, the largest real root of the cubic for
+    x <= x_c, by Newton from above on delta^2 (delta + 3 v_c) = (8/5)(x_c - x);
+  * real_roots: the real roots of a polynomial of degree <= 2, the quadratic
+    event levels and curve zeros of heleshaw.geometry.
 
-The worked configuration throughout is the quintic finger class
-(t_3 = 2/7, all other deformation times zero except t_1), for which the
-hodograph equation becomes (5/8) v^3 + (3/2) t_1 v + x = 0.
+The general route (H for any times, a root finder for any degree and the
+branch and critical-point search on it) checks these closed forms
+independently in the tests (tests/branch_solvers.py).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DerivativeVanishes, DomainError
+from .errors import DomainError
 
 #: deformation time t_3 of the quintic finger configuration
 T3_QUINTIC = Fraction(2, 7)
@@ -59,9 +57,6 @@ class KdVTimes:
     def items(self):
         """Pairs (k, t_k) for the nonzero deformation times, 1-based."""
         return [(k, tk) for k, tk in enumerate(self.t, start=1) if tk != 0]
-
-    def with_x(self, x) -> "KdVTimes":
-        return KdVTimes(x, self.t)
 
 
 def quintic_times(t_1, x=0.0, t_3=T3_QUINTIC) -> KdVTimes:
@@ -123,31 +118,6 @@ def c_coeff(j: int, r: int, v):
                           f"overflows at v = {v!r}") from None
 
 
-# -- the hodograph polynomial H and its v-derivatives ----------------------
-
-def hodograph_poly(times: KdVTimes) -> list:
-    """Coefficients of H in v, ascending: x, then (2k+1) t_k binom(2k,k)/4^k.
-
-    Exact (int or Fraction) for exact times, float for float times.
-    """
-    coeffs = [times.x] + [0] * len(times.t)
-    for k, tk in times.items():
-        coeffs[k] = Fraction((2 * k + 1) * math.comb(2 * k, k), 4**k) * tk
-    return coeffs
-
-
-def _derivative(coeffs: list, j: int = 1) -> list:
-    """Ascending coefficients of the j-th derivative of the polynomial `coeffs`."""
-    return [math.perm(k, j) * c for k, c in enumerate(coeffs)][j:]
-
-
-def _horner(coeffs: list, v):
-    total = 0 * v
-    for c in reversed(coeffs):
-        total = total * v + c
-    return total
-
-
 def left_sum(terms, total=0):
     """sum(terms, total) added left to right, also on Python 3.12+, whose sum of floats is compensated."""
     for term in terms:
@@ -155,122 +125,30 @@ def left_sum(terms, total=0):
     return total
 
 
-def eval_H(times: KdVTimes, v):
-    """H(t, v) = x + sum (2k+1) t_k r_k(v), exact for exact input."""
-    return _horner(hodograph_poly(times), v)
-
-
-def eval_dH(times: KdVTimes, v, j: int):
-    """j-th v-derivative of H, exact for exact input."""
-    if j < 0:
-        raise DomainError("derivative order must be non-negative")
-    return _horner(_derivative(hodograph_poly(times), j), v)
-
-
-# -- real roots of a polynomial ----------------------------------------------
-
-def poly_scale(coeffs: list, v: float) -> float:
-    """Term magnitude 1 + sum |c_k| |v|^k of the polynomial `coeffs` at v."""
-    return 1.0 + _horner([abs(c) for c in coeffs], abs(v))
-
-
-def _piece_root(cs: list, a: float, b: float, pa: float) -> float:
-    """Root of p on [a, b], where p is monotone and p(a) = pa has the other sign than p(b).
-
-    Newton from the midpoint, kept inside the shrinking bracket: a step that
-    leaves it, or that does not halve the step before last, bisects instead.
-    """
-    slope, x = _derivative(cs), 0.5 * a + 0.5 * b
-    step = last = b - a
-    for _ in range(2200):  # bisection alone reaches adjacent floats within this
-        px, dpx = _horner(cs, x), _horner(slope, x)
-        if px == 0.0:
-            return x
-        if (px < 0.0) == (pa < 0.0):
-            a, pa = x, px
-        else:
-            b = x
-        newton = dpx != 0.0 and a < x - px / dpx < b and abs(2.0 * px) <= abs(last * dpx)
-        last, step = step, px / dpx if newton else x - (0.5 * a + 0.5 * b)
-        x -= step
-        if abs(step) <= 2.0**-50 * abs(x):
-            return x
-    return x
-
+# -- real roots in closed form ------------------------------------------------
 
 def real_roots(coeffs: list) -> list[float]:
-    """Sorted real roots of the polynomial `coeffs` (ascending), a multiple root once.
+    """Sorted real roots of the polynomial `coeffs` (ascending) of degree <= 2, a double root once.
 
-    Degrees 1 and 2 are closed forms.  A higher degree splits the real line
-    at the critical points of p (real_roots of p') and at the Cauchy bound.
-    p is monotone on each piece, so a piece holds a root exactly when p
-    changes sign across it (_piece_root).  A critical point where |p| is
-    within rounding of zero is a multiple root.
+    The pipeline's polynomials in u are the quintic finger's event conditions
+    and curve prefactor, all quadratics; a higher degree is a DomainError
+    that names it.  The quadratic's roots are q / c_2 and c_0 / q with
+    q = -(c_1 + sign(c_1) sqrt(disc)) / 2, which cancels nothing.
     """
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
         cs.pop()
     if len(cs) <= 2:
         return [-cs[0] / cs[1]] if len(cs) == 2 else []
-    if len(cs) == 3:
-        c0, c1, c2 = cs
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            return []
-        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
-        roots = {q / c2} | ({c0 / q} if q != 0 else {-c1 / (2 * c2)})
-        return sorted(roots)
-    mags, crit = [abs(c) for c in cs], real_roots(_derivative(cs))
-    roots = [c for c in crit if abs(_horner(cs, c)) <= 2.0**-51 * len(cs) * _horner(mags, abs(c))]
-    bound = min(1.0 + max(mags[:-1]) / mags[-1], 1.7976931348623157e308)
-    ends = [-bound, *crit, bound]
-    for a, b in zip(ends, ends[1:]):
-        pa, pb = _horner(cs, a), _horner(cs, b)
-        if pa * pb < 0.0 and a not in roots and b not in roots:
-            roots.append(_piece_root(cs, a, b, pa))
+    if len(cs) > 3:
+        raise DomainError(f"real_roots solves degree 2 at most in closed form, not degree {len(cs) - 1}")
+    c0, c1, c2 = cs
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
+    roots = {q / c2} | ({c0 / q} if q != 0 else {-c1 / (2 * c2)})
     return sorted(roots)
-
-
-def branch_root(coeffs: list, seed: float, atol: float) -> float:
-    """Root of the polynomial `coeffs` on the monotone piece of p that holds the seed.
-
-    The piece runs between the nearest critical points of p on either side
-    of the seed; one within a few ulps of the seed joins its two pieces.
-    Newton from the seed runs first, and a limit inside the piece is its
-    root.  Otherwise the piece's roots are real_roots of p, the nearest to
-    the seed winning; without one, a bounding critical point with |p| <=
-    10 atol (a double root).  Without that either, the branch ends at a
-    fold: DerivativeVanishes.
-    """
-    cs, seed = [float(c) for c in coeffs], float(seed)
-    slope, gap = _derivative(cs), 4.0 * math.ulp(seed)
-    crit = real_roots(slope)
-    i, j = bisect.bisect_left(crit, seed - gap), bisect.bisect_right(crit, seed + gap)
-    lo, hi, x = ([-math.inf] + crit)[i], (crit + [math.inf])[j], seed
-    for _ in range(8 if i == j else 0):  # ample from a continuation seed; else the search below
-        px, dpx = _horner(cs, x), _horner(slope, x)
-        step = px / dpx if dpx else math.inf
-        x -= step
-        if not lo < x < hi:
-            break
-        if abs(px) <= atol or abs(step) <= 2.0**-50 * abs(x):
-            return x
-    roots = [r for r in real_roots(cs) if lo <= r <= hi]
-    roots = roots or [c for c in (lo, *crit[i:j], hi) if abs(_horner(cs, c)) <= 10.0 * atol]
-    if not roots:
-        raise DerivativeVanishes(f"no root on the branch of v={seed:.6g}: it ends at a fold")
-    return min(roots, key=lambda r: abs(r - seed))
-
-
-def solve_branch(times: KdVTimes, seed: float) -> float:
-    """Root of H(t, v) = 0 on the branch of the seed: branch_root on hodograph_poly.
-
-    atol is 1e-13 (1 + sum |c_k| |seed|^k) over H's coefficients c_k, so at
-    the fold abscissa the double root v_c is returned.  To continue a branch,
-    reuse the previous root as the next seed.
-    """
-    coeffs = [float(c) for c in hodograph_poly(times)]
-    return branch_root(coeffs, seed, 1e-13 * poly_scale(coeffs, seed))
 
 
 def _fold_root(k, v_c, lib, minimum):
@@ -369,17 +247,3 @@ def _fold_abscissa(t_1, v_c):
                           f"at t_1 = {t_1!r}")
     return x_c
 
-
-def find_critical(times: KdVTimes, v_seed: float = 1.0) -> CriticalPoint:
-    """Second-order catastrophe on the branch of v_seed: branch_root on dH/dv, then x_c from H = 0.
-
-    The residual bound of dH/dv, and the size below which d2H/dv2 counts as
-    zero, are 1e-12 times their magnitudes from poly_scale.
-    """
-    slope = _derivative([float(c) for c in hodograph_poly(times)])
-    v = branch_root(slope, v_seed, 1e-12 * poly_scale(slope, v_seed))
-    h2 = _horner(_derivative(slope), v)
-    if abs(h2) <= 1e-12 * poly_scale(_derivative(slope), v):
-        raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
-    x_c = times.x - eval_H(times, v)  # H is affine in x
-    return CriticalPoint(times_c=times.with_x(x_c), v_c=v, c=-2.0 / h2)

@@ -33,6 +33,11 @@ def fmt(value) -> str:
     return f"{v:.17g}"
 
 
+#: JSON escapes of a string: the backslash, the quote and the control characters U+0000..U+001F
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(32)} | {
+    ord(c): "\\" + e for c, e in zip('\\"\b\f\n\r\t', '\\"bfnrt')}
+
+
 def json_text(obj, indent: int = 0) -> str:
     """Minimal JSON serializer with fmt() floats and sorted keys."""
     pad = " " * indent
@@ -43,12 +48,12 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, float)):
         return fmt(obj)
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + obj.translate(_ESCAPES) + '"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  "{k}": {json_text(obj[k], indent + 2)}' for k in sorted(obj)
+            f"{pad}  {json_text(k)}: {json_text(obj[k], indent + 2)}" for k in sorted(obj)
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

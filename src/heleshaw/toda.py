@@ -9,15 +9,13 @@ active solves the pair
 whose coefficients are the large-z expansion of r = z / sqrt((z-u)^2 - 4v);
 the bubble tips sit at a = u - 2 sqrt(v), b = u + 2 sqrt(v).  The first
 equation gives v = -(t + 3 t_3 u^2)/(6 t_3), which turns the second exactly
-into the cubic 3 t_3 u^3 + t u - x = 0; the pair is solved through it with
-hodograph.branch_root, on the monotone piece of the cubic that holds the
-seed, one value of u (v follows from u).  A second-order critical point
-(merging moment) is a double root of that cubic, where two pieces meet; it
-occurs on v_c = u_c^2 with
+into the cubic 3 t_3 u^3 + t u - x = 0.  The second-order critical point
+(merging moment) is a double root of that cubic; it lies on v_c = u_c^2 with
 
     t_c + 9 t_3 u_c^2 = 0,    6 t_3 u_c^3 + x_c = 0,    4 t_c^3 + 81 t_3 x_c^2 = 0,
 
-computed in floats by find_toda_critical.  Near it, with eps~ = eps^(1/5),
+in closed form: find_toda_critical takes u_c as the real cube root of
+-x_c/(6 t_3), in floats.  Near it, with eps~ = eps^(1/5),
 x = x_c + eps~^4 x~, t = t_c + eps~^4 t~, the fields expand as u = u_c +
 eps~^2 U2 + eps~^3 U3 + ..., v = v_c + eps~^2 V2 + ... where U2 = -V2/u_c and
 U3 = -V2_x~/(2 u_c), and V2 obeys
@@ -37,9 +35,11 @@ real cube root u_c = (-x_c/(6 t_3))^(1/3) is negative when x_c/t_3 > 0 and
 then the matched branch is the mirror one).
 
 The module computes the leading term, u_c - (eps~^2/u_c) V2 and v_c + eps~^2
-V2.  The higher-order terms (U3, U4), the generating coefficients of the
-pair, the shifted string equations and the exact P-I change of variables
-are checked in the tests (tests/paper_identities.py).
+V2; it never solves the pair away from the merging point.  A solver of the
+pair through its cubic, the higher-order terms (U3, U4), the generating
+coefficients of the pair, the shifted string equations and the exact P-I
+change of variables check the leading term in the tests
+(tests/branch_solvers.py, tests/paper_identities.py).
 """
 
 from __future__ import annotations
@@ -49,21 +49,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .hodograph import branch_root, float_input, poly_scale
+from .hodograph import float_input
 from .painleve import TritronqueeSolution, integrate_tritronquee
-
-
-@dataclass(frozen=True)
-class TodaTimes:
-    """Physical time t (= t_1), cubic deformation t_3, and abscissa x."""
-
-    t: float
-    t_3: float
-    x: float
-
-    def __post_init__(self):
-        if self.t_3 == 0:
-            raise DomainError("the worked class needs t_3 != 0")
 
 
 @dataclass(frozen=True)
@@ -87,23 +74,7 @@ class TodaCritical:
         return abs(lhs) / scale if scale else 0.0
 
 
-# -- branch solving ---------------------------------------------------------
-
-def solve_toda_hodograph(times: TodaTimes, seed: float) -> tuple[float, float]:
-    """Root (u, v) of the hodograph pair on the bubble branch that the seed u selects.
-
-    With v = -(t + 3 t_3 u^2)/(6 t_3) from the first equation, u is
-    branch_root's root of the cubic 3 t_3 u^3 + t u - x = 0 on its monotone
-    piece around the seed, to the residual 1e-13 poly_scale.  A fold of the
-    cubic is the merging point (the pair's Jacobian 36 t_3^2 (u^2 - v)
-    vanishes there); beyond it the piece holds no root and DerivativeVanishes
-    is raised.
-    """
-    t3 = times.t_3
-    coeffs = [-float(times.x), float(times.t), 0.0, 3.0 * t3]
-    u = branch_root(coeffs, seed, 1e-13 * poly_scale(coeffs, seed))
-    return u, -(times.t + 3 * t3 * u * u) / (6 * t3)
-
+# -- critical point ----------------------------------------------------------
 
 def find_toda_critical(t_3, x_c) -> TodaCritical:
     """Closed-form second-order critical point of the merging class.

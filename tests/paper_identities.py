@@ -1,14 +1,16 @@
 """Reference oracles for the paper's identities; the tests import them.
 
 The pipeline computes the leading term of the regularization.  The
-functions below check what the paper derives around it: the generating
-coefficients and the residuals of the Toda pair, the higher-order inner
-terms U2, U3 and U4 of the merging branch, the shifted-argument string
-equations, the exact change of variables of each reduction to
-Painleve-I, the inverse of the quintic reduction, the Laurent coefficient
-at the first pole, the re-expansion that inverts the positive-part
-projection, and the vanishing H-derivatives at a critical point.  No CLI
-run calls them, so they live beside the tests instead of in the package.
+functions below check what the paper derives around it: the structure of
+the Gel'fand-Dikii polynomials (weight, derivative-free and constant parts),
+the generating coefficients and the residuals of the Toda pair, the
+higher-order inner terms U2, U3 and U4 of the merging branch, the
+shifted-argument string equations, the exact change of variables of each
+reduction to Painleve-I, the inverse of the quintic reduction, the Laurent
+coefficient at the first pole, the exact positive-part projection and the
+re-expansion that inverts it, and the vanishing H-derivatives at a
+critical point.  No CLI run calls them, so they live beside the tests
+instead of in the package.
 """
 
 from __future__ import annotations
@@ -19,11 +21,35 @@ from typing import Sequence
 
 import numpy as np
 
+from branch_solvers import TodaTimes, eval_dH
+from heleshaw.diffpoly import DiffPoly
 from heleshaw.errors import DomainError
-from heleshaw.hodograph import CriticalPoint, eval_dH
+from heleshaw.geometry import prefactor_at, prefactor_table
+from heleshaw.hodograph import CriticalPoint, KdVTimes
 from heleshaw.multiscale import LeadingODE, PIReduction
 from heleshaw.painleve import TritronqueeSolution
-from heleshaw.toda import TodaInner, TodaTimes, toda_inner_V2
+from heleshaw.toda import TodaInner, toda_inner_V2
+
+
+# -- diffpoly: structure of the Gel'fand-Dikii polynomials --------------------
+
+def is_zero(p: DiffPoly) -> bool:
+    return not p.terms()
+
+
+def dispersionless_part(p: DiffPoly) -> DiffPoly:
+    """Derivative-free part: terms built only from u itself."""
+    return DiffPoly({mono: c for mono, c in p.terms().items() if not any(mono)})
+
+
+def constant_part(p: DiffPoly) -> Fraction:
+    return p.coeff(())
+
+
+def homogeneous_weight(p: DiffPoly) -> int | None:
+    """The common monomial weight, or None if mixed (zero poly -> None)."""
+    weights = {mono.weight for mono in p.terms()}
+    return weights.pop() if len(weights) == 1 else None
 
 
 # -- hodograph: the critical data ---------------------------------------------
@@ -80,6 +106,16 @@ def recover_leading_multiplier(red: PIReduction) -> float:
 
 
 # -- geometry: the positive-part projection -----------------------------------
+
+def oplus_project(times: KdVTimes, v) -> list:
+    """Prefactor coefficients (ascending in X) of the finger curve at u = v.
+
+    Evaluates the package's prefactor_table; exact for Fraction inputs.  For
+    a float v each product c * v**m is float(c) * v**m, the bits of the float
+    table of frames.
+    """
+    return prefactor_at(prefactor_table(times), v)
+
 
 def reexpand_curve_series(coeffs: Sequence, v, n_terms: int) -> list:
     """Coefficients of P(z^2) sqrt(z^2 - v) in decreasing odd powers of z.

@@ -12,15 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heleshaw.diffpoly import DiffPoly, dispersionless_coefficient, gd_polynomials
-from heleshaw.geometry import detect_events, oplus_project
+from branch_solvers import solve_branch
+from heleshaw.diffpoly import DiffPoly, gd_polynomials
+from heleshaw.geometry import detect_events
 from heleshaw.hodograph import (
     CriticalPoint,
     KdVTimes,
     closed_u0,
     find_critical_25,
     quintic_times,
-    solve_branch,
+    r_coeff,
 )
 from heleshaw.multiscale import (
     build_composite,
@@ -32,6 +33,9 @@ from heleshaw.painleve import integrate_tritronquee
 from heleshaw.toda import build_toda_inner, find_toda_critical, toda_inner_V2
 from paper_identities import (
     canonical_m2,
+    dispersionless_part,
+    is_zero,
+    oplus_project,
     pi_reduction_exact_coefficients,
     reexpand_curve_series,
     toda_pi_exact_coefficients,
@@ -58,15 +62,14 @@ def test_criterion_1_critical_point_reproduction():
 
 
 def test_criterion_2_closed_form_vs_newton():
-    times = quintic_times(-0.8)
-    solve_branch(times.with_x(0.6), 1.0)  # warm
+    solve_branch(quintic_times(-0.8, x=0.6), 1.0)  # warm
     xs = np.linspace(0.58, 0.6399, 1000)
     t0 = time.perf_counter()
     worst = 0.0
     seed = closed_u0(0.58, -0.8)
     for x in xs:
         u_closed = closed_u0(float(x), -0.8)
-        u_newton = solve_branch(times.with_x(float(x)), seed)
+        u_newton = solve_branch(quintic_times(-0.8, x=float(x)), seed)
         seed = u_newton
         worst = max(worst, abs(u_closed - u_newton))
     dt = time.perf_counter() - t0
@@ -82,9 +85,9 @@ def test_criterion_3_gelfand_dikii_exactness():
     assert rs[1] == u.scale(Fraction(1, 2))
     assert rs[2] == (u.derive().derive() + (u * u).scale(3)).scale(Fraction(1, 8))
     for n in range(1, 6):
-        expected = DiffPoly.monomial((0,) * n, dispersionless_coefficient(n))
-        assert rs[n].dispersionless_part() == expected
-        assert dispersionless_coefficient(n) == Fraction(math.comb(2 * n, n), 4**n)
+        expected = DiffPoly.monomial((0,) * n, r_coeff(n, Fraction(1)))
+        assert dispersionless_part(rs[n]) == expected
+        assert r_coeff(n, Fraction(1)) == Fraction(math.comb(2 * n, n), 4**n)
 
     # quadratic generating identity, truncated after R_4: coefficients of
     # w^-1 .. w^3 (w = z^-2) vanish identically in the exact algebra
@@ -107,7 +110,7 @@ def test_criterion_3_gelfand_dikii_exactness():
         lhs[k] = lhs.get(k, DiffPoly.zero()) + DiffPoly.field() * p.scale(2)
     lhs[-1] = lhs.get(-1, DiffPoly.zero()) + DiffPoly.const(2)
     for order in range(-1, N + 1):
-        assert lhs.get(order, DiffPoly.zero()).is_zero
+        assert is_zero(lhs.get(order, DiffPoly.zero()))
     dt = time.perf_counter() - t0
     report(3, "Gel'fand-Dikii chain exact through R_5 + generating identity", dt, 1.0)
 

@@ -97,6 +97,25 @@ def test_critical_json(capsys):
     assert payload["c"] == pytest.approx(-2 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, same", [
+    (("critical", "--t1", "-8e-1"), ("critical", "--t1", "-0.8")),
+    (("critical", "--t1", "-.8E+0"), ("critical", "--t1", "-0.8")),
+    (("trace", "--from", "-1e308", "--to", "0.5", "--n", "3"), ("trace", "--from=-1e308", "--to", "0.5", "--n", "3")),
+], ids=lambda argv: " ".join(argv))
+def test_negative_number_in_exponent_form_is_a_value(tmp_path, capsys, argv, same):
+    # argparse's own pattern took -8e-1 for an option and stopped with "expected one argument"
+    expected = run(capsys, "--outdir", str(tmp_path), *same)
+    assert expected[0] == 0
+    assert run(capsys, "--outdir", str(tmp_path), *argv) == expected
+
+
+def test_outdir_with_control_characters_prints_valid_json(tmp_path, capsys):
+    outdir = tmp_path / "a\tb\nc"
+    code, out, _ = run(capsys, "--outdir", str(outdir), "trace", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["file"] == str(outdir / "trace.csv")
+
+
 def test_gd_text_golden(capsys):
     code, out, _ = run(capsys, "gd", "--n", "3")
     assert code == 0
@@ -395,6 +414,7 @@ def test_out_of_range_input_exit_2(tmp_path, capsys, argv):
     ("toda", "--xc=-1e300"),
     ("critical", "--t1=-1e300"),
     ("trace", "--from=-1.7e308", "--to", "0.5"),
+    ("trace", "--from", "-1.7e308", "--to", "0.5"),
     ("toda", "--t3=1e-300"),
     ("toda", "--t3=5e-324"),
 ], ids=" ".join)
@@ -616,9 +636,10 @@ print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows]
     assert runs[0] == runs[1]
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     """Importing the package or the CLI loads no numpy, scipy or layer module,
-    and `gd` and `critical` each load only their own layer, without numpy."""
+    `gd` and `critical` each load only their own layer, without numpy, and
+    `frames` loads no scipy and not the merging branch (heleshaw.toda)."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = """
@@ -630,20 +651,26 @@ import heleshaw
 stages.append(loaded())
 from heleshaw.cli import main
 stages.append(loaded())
-for argv in (['gd', '--n', '3'], ['critical']):
+for argv in (['gd', '--n', '3'], ['critical'], ['--outdir', sys.argv[1], 'frames']):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     stages.append(loaded())
 print(json.dumps(stages))
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True)
     cli = ["heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio"]
-    assert json.loads(out.stdout) == [
+    *cold, frames = json.loads(out.stdout)
+    assert cold == [
         ["heleshaw"],
         cli,
         sorted([*cli, "heleshaw.diffpoly"]),
         sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
     ]
+    layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
+    assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
+                             "heleshaw.multiscale", "heleshaw.painleve"])
+    assert not [m for m in frames if m.split(".")[0] == "scipy"]
 
 
 def test_float_path_subcommands_load_no_numpy(tmp_path):

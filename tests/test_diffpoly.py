@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heleshaw.diffpoly import (
-    DiffPoly,
-    Monomial,
-    dispersionless_coefficient,
-    gd_next,
-    gd_polynomials,
-)
+from heleshaw.diffpoly import DiffPoly, Monomial, gd_next, gd_polynomials
 from heleshaw.errors import JetTooShort, NotExactDerivative
+from heleshaw.hodograph import r_coeff
+from paper_identities import constant_part, dispersionless_part, homogeneous_weight, is_zero
 
 U = DiffPoly.field()
 UX = U.derive()
@@ -28,7 +24,15 @@ def poly(*terms):
 # -- ring operations ---------------------------------------------------------
 
 def test_additive_inverse():
-    assert (U + (-U)).is_zero
+    assert is_zero(U + (-U))
+
+
+@pytest.mark.parametrize("expr", [lambda: U + 1, lambda: U - 1, lambda: U - Fraction(1, 2), lambda: 1 + U],
+                         ids=["u + 1", "u - 1", "u - 1/2", "1 + u"])
+def test_adding_a_number_is_a_type_error(expr):
+    # the polynomial 1 is DiffPoly.const(1); a bare number is no DiffPoly
+    with pytest.raises(TypeError, match="unsupported operand"):
+        expr()
 
 
 def test_mul_square():
@@ -71,7 +75,7 @@ def test_derive_linear():
 
 
 def test_derive_constant():
-    assert DiffPoly.const(7).derive().is_zero
+    assert is_zero(DiffPoly.const(7).derive())
 
 
 # -- integrate ---------------------------------------------------------------
@@ -157,21 +161,21 @@ def test_gd_r3_structure():
 
 def test_gd_dispersionless_part_r3():
     r3 = gd_next(gd_next(U.scale(Fraction(1, 2))))
-    assert r3.dispersionless_part() == DiffPoly.monomial((0, 0, 0), Fraction(5, 16))
+    assert dispersionless_part(r3) == DiffPoly.monomial((0, 0, 0), Fraction(5, 16))
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_gd_weight_homogeneous(n):
     rn = gd_polynomials(6)[n]
-    assert rn.homogeneous_weight() == 2 * n
+    assert homogeneous_weight(rn) == 2 * n
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gd_dispersionless_coefficient(n):
     rn = gd_polynomials(6)[n]
-    expected = DiffPoly.monomial((0,) * n, dispersionless_coefficient(n))
-    assert rn.dispersionless_part() == expected
-    assert dispersionless_coefficient(n) == Fraction(math.comb(2 * n, n), 4**n)
+    expected = DiffPoly.monomial((0,) * n, r_coeff(n, Fraction(1)))
+    assert dispersionless_part(rn) == expected
+    assert r_coeff(n, Fraction(1)) == Fraction(math.comb(2 * n, n), 4**n)
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -190,7 +194,7 @@ def test_gd_recursion_identity_exact(n):
 
 def test_gd_zero_constant_terms():
     for rn in gd_polynomials(6)[1:]:
-        assert rn.constant_part() == 0
+        assert constant_part(rn) == 0
 
 
 def test_quadratic_generating_identity_truncated():
@@ -226,7 +230,7 @@ def test_quadratic_generating_identity_truncated():
     lhs[-1] = lhs.get(-1, DiffPoly.zero()) + DiffPoly.const(2)
 
     for order in range(-1, N + 1):
-        assert lhs.get(order, DiffPoly.zero()).is_zero, f"w^{order} coefficient nonzero"
+        assert is_zero(lhs.get(order, DiffPoly.zero())), f"w^{order} coefficient nonzero"
 
 
 # -- property tests ------------------------------------------------------
@@ -257,7 +261,7 @@ def test_derive_is_a_derivation(p, q):
 @settings(max_examples=60, deadline=None)
 @given(small_polys)
 def test_integrate_recovers_up_to_constant(p):
-    assert p.derive().integrate() == p - DiffPoly.const(p.constant_part())
+    assert p.derive().integrate() == p - DiffPoly.const(constant_part(p))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,20 +9,13 @@ import numpy as np
 import pytest
 import sympy
 
+from branch_solvers import general_real_roots
 from heleshaw.errors import DomainError, HeleShawError, OutOfRange
-from heleshaw.geometry import (
-    CurveSpec,
-    bubble_curve,
-    detect_events,
-    emit_frames,
-    finger_curve,
-    oplus_project,
-)
+from heleshaw.geometry import CurveSpec, detect_events, emit_frames
 from heleshaw.hodograph import KdVTimes, closed_u0, quintic_times, r_coeff
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
-from heleshaw.toda import build_toda_inner
-from paper_identities import reexpand_curve_series
+from paper_identities import oplus_project, reexpand_curve_series
 
 
 @pytest.fixture(scope="module")
@@ -80,23 +73,26 @@ def test_oplus_reexpansion_z_inverse_is_hodograph():
 
 # -- finger curve ---------------------------------------------------------
 
+def _finger(u: float) -> CurveSpec:
+    """The quintic finger curve of t_1 = -0.8 at the branch point u."""
+    return CurveSpec(tuple(float(c) for c in oplus_project(quintic_times(-0.8), u)), u)
+
+
 def test_finger_zero_at_branch_point():
-    frame = finger_curve(1.0, quintic_times(-0.8, x=0.5))
-    assert (1.0, 0.0) in frame.samples
+    assert (1.0, 0.0) in _finger(1.0).samples(1.0, 2.5, 400)
 
 
 def test_finger_direct_evaluation():
     u = 0.9
     spec_y = (4.0 + u / 2 * 2.0 + 3 / 8 * u * u - 6 / 5) * math.sqrt(2.0 - u)
-    frame = finger_curve(u, quintic_times(-0.8, x=0.5), X_range=(u, 3.0), n=50)
-    got = CurveSpec("finger", tuple(float(c) for c in oplus_project(quintic_times(-0.8), u)), u).y(2.0)
+    got = _finger(u).y(2.0)
     assert got == pytest.approx(spec_y, rel=1e-14)
 
 
 def test_finger_cusp_onset_double_zero():
     # at u = 4/5 the largest prefactor root collides with u: Y ~ (X-u)^(3/2)
     u = 0.8
-    spec = CurveSpec("finger", tuple(float(c) for c in oplus_project(quintic_times(-0.8), u)), u)
+    spec = _finger(u)
     assert spec.prefactor(u) == pytest.approx(0.0, abs=1e-14)
     deltas = np.array([1e-4, 1e-6])
     ys = spec.y(u + deltas)
@@ -106,19 +102,18 @@ def test_finger_cusp_onset_double_zero():
 
 def test_finger_domain_error():
     with pytest.raises(DomainError):
-        finger_curve(0.9, quintic_times(-0.8, x=0.5), X_range=(0.5, 2.0))
+        _finger(0.9).samples(0.5, 2.0, 400)
 
 
 def test_finger_empty_window_domain_error():
-    # at u = 1e17 the default window (u, u + 1.5) rounds to a single point
+    # at u = 1e17 the frame window (u, u + 1) rounds to a single point
     with pytest.raises(DomainError, match="empty sampling window"):
-        finger_curve(1e17, quintic_times(-0.8, x=0.5))
+        _finger(1e17).samples(1e17, 1e17 + 1.0, 400)
 
 
 def test_finger_exact_zero_insertion():
     u = 0.7
-    frame = finger_curve(u, quintic_times(-0.8, x=0.5), X_range=(u, 3.0))
-    zero_xs = [x for x, y in frame.samples if y == 0.0]
+    zero_xs = [x for x, y in _finger(u).samples(u, 3.0, 400) if y == 0.0]
     assert u in zero_xs
     # largest prefactor root (> u for u < 4/5 on this branch set) hit exactly
     roots = [x for x in zero_xs if x > u]
@@ -140,40 +135,25 @@ def _distinct_real_roots_40(poly):
     (-0.25, -0.25, -0.25, -0.25), (2, 2, 3, -1), (1.5, 1.5, 1.5, 2.5), (-1, -1, 0.75, 0.75),
 ], ids=str)
 def test_finger_real_zeros_multiple_prefactor_roots(roots):
-    # dyadic roots keep the float coefficients exact: each multiple root must be one zero
+    # dyadic roots keep the float coefficients exact: each multiple root must be one zero.
+    # CurveSpec.real_zeros solves degree 2 only; its zeros of a higher-degree prefactor come from the oracle
     poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
     u = -1.5
-    zeros = CurveSpec("finger", poly, u).real_zeros()
+    zeros = sorted({u, *(r for r in general_real_roots(poly) if r >= u)})
     expected = [u] + [r for r in _distinct_real_roots_40(poly) if r >= u]
     assert len(zeros) == len(expected)
     assert all(abs(z - e) <= 1e-12 for z, e in zip(zeros, expected))
 
 
-# -- bubble curve -----------------------------------------------------------
-
-def test_bubble_tip_zeros():
-    frame = bubble_curve(0.5, 0.36, 1.0)
-    spec = CurveSpec("bubbles", (1.5, 3.0), u=0.5, v=0.36)
-    a, b = spec.tips
-    zero_xs = [x for x, y in frame.samples if y == 0.0]
-    assert a in zero_xs and b in zero_xs
-    assert a == pytest.approx(-0.7, abs=1e-15) and b == pytest.approx(1.7, abs=1e-15)
+@pytest.mark.parametrize("roots", [(1, 1), (0.5, 0.5), (-0.25, -0.25), (2, -1), (-2, 3)], ids=str)
+def test_finger_real_zeros_quadratic_prefactor(roots):
+    # dyadic roots keep the float coefficients exact: a double root is one zero
+    poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
+    u = -1.5
+    assert CurveSpec(poly, u).real_zeros() == sorted({u, *(r for r in roots if r >= u)})
 
 
-def test_bubble_merged_tips_at_v_zero():
-    spec = CurveSpec("bubbles", (1.5, 3.0), u=0.5, v=0.0)
-    assert spec.tips == (0.5, 0.5)
-
-
-def test_bubble_gap_domain_error():
-    with pytest.raises(DomainError):
-        bubble_curve(0.0, 1.0, 1.0, X_range=(-1.0, 1.0))  # strictly inside (-2, 2)
-
-
-def test_bubble_negative_v_rejected():
-    with pytest.raises(DomainError):
-        bubble_curve(0.0, -0.1, 1.0)
-
+# -- the bubble curve's series -----------------------------------------------
 
 def test_bubble_series_structure_hodograph_consistent():
     # Y = 3 t_3 (z + u) sqrt((z-u)^2 - 4v): with (u, v) on the hodograph pair,
@@ -298,13 +278,3 @@ def test_emit_frames_deterministic(comp, events, tmp_path):
     emit_frames(comp, [0.6, 0.64], d2, n=60, events=events)
     for name in ("frame_000.csv", "frame_001.csv", "manifest.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-
-
-def test_emit_frames_toda_source(tmp_path):
-    inner = build_toda_inner(1.0, -6.0, 1e-5)
-    manifest = emit_frames(inner, [-10.0, -5.0, 0.0], tmp_path, n=80)
-    assert len(manifest["frames"]) == 3
-    assert manifest["events"] == []
-    rows = (tmp_path / "frame_000.csv").read_text().strip().splitlines()
-    assert rows[0] == "X,Y"
-    assert len(rows) > 40

@@ -10,19 +10,23 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heleshaw.errors import DerivativeVanishes, DomainError, NoConvergence
+from branch_solvers import (
+    DerivativeVanishes,
+    eval_dH,
+    eval_H,
+    find_critical,
+    hodograph_poly,
+    solve_branch,
+)
+from heleshaw.errors import DomainError, NoConvergence
 from heleshaw.hodograph import (
     KdVTimes,
     c_coeff,
     closed_u0,
-    eval_H,
-    eval_dH,
-    find_critical,
     find_critical_25,
-    hodograph_poly,
     quintic_times,
     r_coeff,
-    solve_branch,
+    real_roots,
 )
 from paper_identities import residuals
 
@@ -293,10 +297,9 @@ def test_solve_branch_agrees_with_closed_u0(t1, frac):
 
 
 def test_solve_branch_continuation_along_x():
-    times = quintic_times(-0.8)
     v = closed_u0(0.0, -0.8)
     for x in [0.1 * i for i in range(1, 7)]:
-        v = solve_branch(times.with_x(x), v)
+        v = solve_branch(quintic_times(-0.8, x=x), v)
         assert v == pytest.approx(closed_u0(x, -0.8), abs=1e-10)
 
 
@@ -437,3 +440,16 @@ def test_solve_branch_stays_on_the_seeds_monotone_piece(times, seed):
         return
     assert len(on_piece) == 1
     assert abs(v - on_piece[0]) <= 1e-10 * (1 + abs(v))
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([3.0], []), ([2.0, -4.0], [0.5]), ([1.0, -2.0, 1.0], [1.0]), ([-2.0, 0.0, 0.5], [-2.0, 2.0]),
+    ([1.0, 0.0, 1.0], []), ([6.0, -5.0, 1.0, 0.0], [2.0, 3.0]),
+], ids=str)
+def test_real_roots_closed_forms(coeffs, roots):
+    assert real_roots(coeffs) == roots
+
+
+def test_real_roots_refuses_degree_above_two():
+    with pytest.raises(DomainError, match=r"^real_roots solves degree 2 at most in closed form, not degree 4$"):
+        real_roots([1.0, 0.0, 0.0, 0.0, 2.0])

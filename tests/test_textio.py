@@ -1,5 +1,6 @@
 """Text output: 17-digit rendering and the atomic CSV writer."""
 
+import json
 import math
 
 import numpy as np
@@ -54,3 +55,10 @@ def test_row_width_must_match_header(tmp_path):
 def test_empty_rows_write_the_header(tmp_path):
     assert write_csv(tmp_path / "t.csv", "x,y", []) == 0
     assert (tmp_path / "t.csv").read_text() == "x,y\n"
+
+
+def test_json_text_escapes_control_characters():
+    text = "".join(map(chr, range(32))) + '"\\ é\x7f'
+    rendered = textio.json_text({"s": text})
+    assert json.loads(rendered) == {"s": text}
+    assert textio.json_text(text) == json.dumps(text, ensure_ascii=False)

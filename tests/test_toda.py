@@ -10,16 +10,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heleshaw.errors import DerivativeVanishes, DomainError, NoConvergence
+from branch_solvers import DerivativeVanishes, TodaTimes, solve_toda_hodograph
+from heleshaw.errors import DomainError, NoConvergence
 from heleshaw.painleve import integrate_tritronquee
-from heleshaw.toda import (
-    TodaTimes,
-    build_toda_inner,
-    find_toda_critical,
-    solve_toda_hodograph,
-    toda_composite,
-    toda_inner_V2,
-)
+from heleshaw.toda import build_toda_inner, find_toda_critical, toda_composite, toda_inner_V2
 from paper_identities import (
     discrete_string_residuals,
     hodograph_pair_residuals,
