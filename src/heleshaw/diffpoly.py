@@ -3,8 +3,7 @@
 A monomial is a finite multiset of derivative orders of a single field u(x):
 ``(0, 0, 2)`` stands for ``u * u * u_xx`` and the empty tuple is the constant
 monomial.  Coefficients are exact rationals, so the constants produced by the
-Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...) stay exact and are safe to
-reuse when assembling the reduced ODEs downstream.
+Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...) stay exact.
 
 A polynomial is stored as a positive rational content times a primitive integer
 part (sorted order-tuples mapped to ints with gcd 1; zero is {}).  The form is

@@ -21,10 +21,6 @@ class NoConvergence(HeleShawError):
     """A search has no single answer (e.g. an event level straddled by a jump)."""
 
 
-class DegenerateReduction(HeleShawError):
-    """The multiscale reduction degenerates (leading multiplier vanishes)."""
-
-
 class OutOfRange(HeleShawError):
     """Evaluation point lies outside the constructed solution's domain."""
 

@@ -5,10 +5,11 @@ prefactor P is the polynomial part (non-negative z-powers, X = z^2) of
 
     sum_k (k + 1/2) t_k z^(2k-1) / sqrt(z^2 - u),
 
-built once as a table of polynomials in u (prefactor_table).  For the
-quintic finger configuration (t_3 = 2/7) this specializes to the quadratic
-P(X) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1, so a curve's zeros are u and
-the closed-form roots of P at or above it.
+which for the quintic finger configuration (t_3 = 2/7, only t_1 < 0 besides)
+is the quadratic P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1
+(finger_prefactor), so a curve's zeros are u and the closed-form roots of P
+at or above it.  The projection for any deformation times, as a table of
+polynomials in u, checks it in the tests (tests/paper_identities.py).
 
 Topological events along the regularized flow are driven by the roots of P
 relative to the branch point u(x):
@@ -20,9 +21,9 @@ relative to the branch point u(x):
   * root-coalescence: the discriminant of P vanishes (both roots merge:
     the remaining bubble is absorbed by the finger).
 
-Both conditions are quadratics in u, so the event levels are their
-closed-form roots, hodograph.real_roots: u = +-v_c and u = +-sqrt(6) v_c.
-u(x) decreases on each branch of the composite flow, so each level is
+Both conditions are quadratics in u (event_quadratics), so the event levels
+are their closed-form roots, hodograph.real_roots: u = +-v_c and
+u = +-sqrt(6) v_c.  u(x) decreases on each branch of the composite flow, so each level is
 crossed at most once per branch and its abscissa follows by bisection there.
 """
 
@@ -30,46 +31,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence
-from .hodograph import KdVTimes, left_sum, r_coeff, real_roots
+from .hodograph import real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
 
 
-# -- the positive-part projection ---------------------------------------
+# -- the quintic finger prefactor and its event conditions --------------------
 
-def prefactor_table(times: KdVTimes) -> list[list]:
-    """Finger prefactor as a table of polynomials in u: row j, entry m multiplies X^j u^m.
-
-    Dividing each z^(2k-1) by sqrt(z^2 - u) and keeping non-negative powers
-    gives P(X; u) = sum_k (k + 1/2) t_k sum_{m=0}^{k-1} r_m(u) X^(k-1-m), with
-    r_m(u) = binom(2m, m) (u/4)^m; exact in rational arithmetic for exact times.
-    """
-    n = len(times.t)
-    table = [[0] * (n - j) for j in range(n)]
-    for k, tk in times.items():
-        for m in range(k):
-            table[k - 1 - m][m] = Fraction(2 * k + 1, 2) * tk * r_coeff(m, Fraction(1))
-    return table
+def finger_prefactor(t_1: float, u: float) -> tuple[float, float, float]:
+    """P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1, ascending in X."""
+    return (1.5 * t_1 + 0.375 * u**2, 0.5 * u, 1.0)
 
 
-def _float_table(times: KdVTimes) -> list[list[float]]:
-    """prefactor_table rounded to floats, for the float paths (frames and events)."""
-    return [[float(c) for c in row] for row in prefactor_table(times)]
-
-
-def prefactor_at(table: list[list], v) -> list:
-    """Prefactor coefficients (ascending in X) at u = v from a prefactor table."""
-    return [left_sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in table]
+def event_quadratics(t_1: float) -> tuple[list[float], list[float]]:
+    """The event conditions, ascending in u: g(u) = P(u; u) = (15/8) u^2 + (3/2) t_1 and the
+    discriminant of P, (u/2)^2 - 4 ((3/8) u^2 + (3/2) t_1) = -(5/4) u^2 - 6 t_1."""
+    return [1.5 * t_1, 0.0, 1.875], [-6.0 * t_1, 0.0, -1.25]
 
 
 # -- the finger curve --------------------------------------------------------
+
+def left_sum(terms, total=0):
+    """sum(terms, total) added left to right, also on Python 3.12+, whose sum of floats is compensated."""
+    for term in terms:
+        total = total + term
+    return total
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -152,12 +145,12 @@ _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list[Event]:
     """Ordered topological events of the composite flow on x_range.
 
-    The event levels are the real_roots of two polynomials in u from the
-    prefactor table: g(u) = P(u; u) (a cusp and, as P keeps its degree, a
-    zero-count-change) and the discriminant p_1^2 - 4 p_2 p_0 of the
-    quadratic P (a root-coalescence).  u(x) decreases on each branch of the
-    composite (outer below x_switch, inner above), so one bisection to
-    machine precision carries each level in a branch's u-range to x.  Events
+    The event levels are the real_roots of the two event_quadratics in u:
+    g(u) = P(u; u) (a cusp and, as P keeps its degree, a zero-count-change)
+    and the discriminant of the quadratic P (a root-coalescence).  u(x)
+    decreases on each branch of the composite (outer below x_switch, inner
+    above), so one bisection to machine precision carries each level in a
+    branch's u-range to x.  Events
     are sorted by x, ties in the order cusp, zero-count-change,
     root-coalescence.  Raises NoConvergence when the jump of u at x_switch
     straddles a level: the glued field has no single crossing of it.
@@ -166,10 +159,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     hi = min(hi, comp.x_star - 2e-7)
     if not lo < hi:
         return []
-    p0, p1, p2 = _float_table(comp.cp.times_c)  # rows of X^0, X^1, X^2, of 3, 2 and 1 entries
-    g = [a + b + c for a, b, c in zip(p0, [0.0, *p1], [0.0, 0.0, *p2])]
-    square = [p1[0] * p1[0], p1[0] * p1[1] + p1[1] * p1[0], p1[1] * p1[1]]
-    disc = [s - 4.0 * (p2[0] * a) for s, a in zip(square, p0)]
+    g, disc = event_quadratics(comp.cp.t_1)
     levels = [(r, ("cusp", "zero-count-change")) for r in real_roots(g)]
     levels += [(r, ("root-coalescence",)) for r in real_roots(disc)]
 
@@ -213,10 +203,10 @@ def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
     events = events or []
     # the branch data of all frames come first, so an abscissa out of range writes no file
     us = comp.eval_many(abscissas).tolist()
-    table = _float_table(comp.cp.times_c)
+    t_1 = comp.cp.t_1
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
     for index, (x, u) in enumerate(zip(abscissas, us)):
-        samples = CurveSpec(tuple(prefactor_at(table, u)), u).samples(u, max(2.5, u + 1.0), n)
+        samples = CurveSpec(finger_prefactor(t_1, u), u).samples(u, max(2.5, u + 1.0), n)
         name = f"frame_{index:03d}.csv"
         write_csv(outdir / name, "X,Y", samples)
         manifest["frames"].append({"index": index, "x": x, "file": name, "n_samples": len(samples),

@@ -1,128 +1,55 @@
-"""Dispersionless KdV hodograph equation and its gradient catastrophe, in closed form.
+"""The quintic finger's hodograph equation and its gradient catastrophe, in closed form.
 
 The interface unknown v solves the implicit hodograph equation
 
     H(t, v) = sum_k (2k+1) t_k r_k(v) + x = 0,
 
 where r_k(v) = binom(2k, k) (v/4)^k are the large-z expansion coefficients of
-z / sqrt(z^2 - v).  A second-order critical point has dH/dv = 0 with
-d^2H/dv^2 nonzero; beyond it the branch folds and derivatives of v blow up
-(gradient catastrophe).  Near such a point
+z / sqrt(z^2 - v).  The pipeline works in the quintic finger class (t_3 = 2/7,
+all other deformation times zero except t_1 < 0), where H reads
+(5/8) v^3 + (3/2) t_1 v + x.  Its second-order critical point has
+dH/dv = 0 with d^2H/dv^2 nonzero; beyond it the branch folds and derivatives
+of v blow up (gradient catastrophe).  Near it
 
     v ~ v_c + (c (x - x_c))^(1/2),      c = -2 / (d^2 H/dv^2),
 
-which is what the multiscale reduction removes.  The order m = 2 is fixed
-(CriticalPoint.m): higher orders need the deformation times to move too.
-
-The pipeline works in the quintic finger class (t_3 = 2/7, all other
-deformation times zero except t_1 < 0), where H reads
-(5/8) v^3 + (3/2) t_1 v + x, and everything it needs has a closed form:
+which is what the multiscale reduction removes.  Everything the pipeline
+needs has a closed form, in floats:
 
   * find_critical_25: the fold v_c = sqrt(-4 t_1 / 5), x_c = (5/4) v_c^3,
-    c = -8 / (15 v_c), in floats;
+    c = -8 / (15 v_c), as a CriticalPoint (t_1, x_c, v_c, c);
   * closed_u0: the outer branch, the largest real root of the cubic for
     x <= x_c, by Newton from above on delta^2 (delta + 3 v_c) = (8/5)(x_c - x);
   * real_roots: the real roots of a polynomial of degree <= 2, the quadratic
     event levels and curve zeros of heleshaw.geometry.
 
-The general route (H for any times, a root finder for any degree and the
-branch and critical-point search on it) checks these closed forms
-independently in the tests (tests/branch_solvers.py).
+The general route checks these closed forms independently in the tests
+(tests/branch_solvers.py): the deformation times and the generating
+coefficients r_k and c_jr in exact rationals, H for any times, a root finder
+for any degree and the branch and critical-point search on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
-
-#: deformation time t_3 of the quintic finger configuration
-T3_QUINTIC = Fraction(2, 7)
-
-
-@dataclass(frozen=True)
-class KdVTimes:
-    """Flow abscissa x plus deformation times (t_1, ..., t_{l+1}), l >= 1."""
-
-    x: float
-    t: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(self.t))
-        if len(self.t) < 2:
-            raise ValueError("need at least (t_1, t_2); pure-t_1 flows have no catastrophe")
-
-    def items(self):
-        """Pairs (k, t_k) for the nonzero deformation times, 1-based."""
-        return [(k, tk) for k, tk in enumerate(self.t, start=1) if tk != 0]
-
-
-def quintic_times(t_1, x=0.0, t_3=T3_QUINTIC) -> KdVTimes:
-    return KdVTimes(x, (t_1, 0, t_3))
 
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Second-order gradient catastrophe: critical times, v_c and the constant c.
+    """Second-order gradient catastrophe of the quintic finger at t_1: x_c, v_c and the constant c.
 
     c is the local-fold constant of v ~ v_c + (c (x - x_c))^(1/2), equal to
     -2 / (d^2 H / dv^2) at the critical point.
     """
 
     m = 2  # the order, a class constant: only second-order catastrophes are built
-    times_c: KdVTimes
+    t_1: float
+    x_c: float
     v_c: float
     c: float
-
-    @property
-    def x_c(self):
-        return self.times_c.x
-
-
-# -- generating coefficients ----------------------------------------------
-
-def r_coeff(k: int, v):
-    """k-th coefficient of z/sqrt(z^2 - v): r_k(v) = binom(2k,k) (v/4)^k.
-
-    Exact for Fraction input, float for float input.
-    """
-    if k < 0:
-        raise DomainError("k must be non-negative")
-    return math.comb(2 * k, k) * v**k / 4**k
-
-
-def _halfint_rising_coeff(r: int, n: int) -> Fraction:
-    """n-th series coefficient of (1 - w)^(-(2r+1)/2)."""
-    return math.prod((Fraction(2 * r + 1 + 2 * i, 2) for i in range(n)), start=Fraction(1)) / math.factorial(n)
-
-
-def c_coeff(j: int, r: int, v):
-    """Residue coefficient c_{jr}(v) = (2j+1) * oint dz/(2 pi i) z^{2j} (z^2-v)^{-(2r+1)/2}.
-
-    Extracting the z^{-1} coefficient of the binomial series gives zero for
-    j < r and (2j+1) C_{j-r} v^{j-r} otherwise, with C_n the n-th coefficient
-    of (1-w)^{-(2r+1)/2}.  c_{j0} = (2j+1) r_j, the hodograph row; c_{jm}
-    weights the reduced ODE's leading polynomial.
-    """
-    if j < 1 or r < 0:
-        raise DomainError("need j >= 1 and r >= 0")
-    if j < r:
-        return 0 * v
-    coeff = (2 * j + 1) * _halfint_rising_coeff(r, j - r)
-    try:
-        return coeff * v ** (j - r)
-    except OverflowError:
-        raise DomainError(f"residue coefficient c_{{{j},{r}}}(v) = {coeff} v^{j - r} "
-                          f"overflows at v = {v!r}") from None
-
-
-def left_sum(terms, total=0):
-    """sum(terms, total) added left to right, also on Python 3.12+, whose sum of floats is compensated."""
-    for term in terms:
-        total = total + term
-    return total
 
 
 # -- real roots in closed form ------------------------------------------------
@@ -225,7 +152,7 @@ def find_critical_25(t_1):
         raise DomainError("critical point requires t_1 < 0")
     v_c = math.sqrt(-4 * t_1 / 5)
     x_c = _fold_abscissa(t_1, v_c)
-    return CriticalPoint(times_c=quintic_times(t_1, x=x_c), v_c=v_c, c=-8 / (15 * v_c))
+    return CriticalPoint(t_1=t_1, x_c=x_c, v_c=v_c, c=-8 / (15 * v_c))
 
 
 def float_input(name: str, value) -> float:

@@ -251,7 +251,7 @@ def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
     a = [w, wp]
     for k in range(TAYLOR_ORDER - 1):
         conv = 0.0
-        for i in range(k + 1):  # left to right (hodograph.left_sum), and faster than sum()
+        for i in range(k + 1):  # left to right (geometry.left_sum), and faster than sum()
             conv += a[i] * a[k - i]
         forcing = xi if k == 0 else 1.0 if k == 1 else 0.0
         a.append((6.0 * conv - forcing) / ((k + 2) * (k + 1)))

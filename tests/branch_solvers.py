@@ -3,11 +3,12 @@
 The package computes the quintic finger's fold (find_critical_25), its
 outer branch (closed_u0), the merging point of the Toda pair
 (find_toda_critical) and quadratic event levels (real_roots) in closed form.
-The routines below reach the same numbers the general way: the hodograph
-polynomial H for any deformation times, the real roots of a polynomial of
-any degree, the root on the monotone piece of H that holds a seed, the
-critical point as that root of dH/dv, and the Toda pair through its
-eliminated cubic.  No CLI run calls them, so they live beside the tests.
+The routines below reach the same numbers the general way: any deformation
+times and the generating coefficients r_k and c_jr of the hodograph
+equation, its polynomial H, the real roots of a polynomial of any degree,
+the root on the monotone piece of H that holds a seed, the critical point as
+that root of dH/dv, and the Toda pair through its eliminated cubic.  No CLI
+run calls them, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -18,11 +19,83 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from heleshaw.errors import DomainError, HeleShawError
-from heleshaw.hodograph import CriticalPoint, KdVTimes, real_roots
+from heleshaw.hodograph import real_roots
 
 
 class DerivativeVanishes(HeleShawError):
     """The seed's branch holds no root: it ends at a fold (gradient catastrophe)."""
+
+
+# -- deformation times and generating coefficients ----------------------------
+
+@dataclass(frozen=True)
+class KdVTimes:
+    """Flow abscissa x plus deformation times (t_1, ..., t_{l+1}), l >= 1."""
+
+    x: float
+    t: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", tuple(self.t))
+        if len(self.t) < 2:
+            raise ValueError("need at least (t_1, t_2); pure-t_1 flows have no catastrophe")
+
+    def items(self):
+        """Pairs (k, t_k) for the nonzero deformation times, 1-based."""
+        return [(k, tk) for k, tk in enumerate(self.t, start=1) if tk != 0]
+
+
+def quintic_times(t_1, x=0.0, t_3=Fraction(2, 7)) -> KdVTimes:
+    """The quintic finger configuration: t_3 = 2/7 and t_1, t_2 = 0."""
+    return KdVTimes(x, (t_1, 0, t_3))
+
+
+@dataclass(frozen=True)
+class GeneralCriticalPoint:
+    """Second-order catastrophe for any deformation times: the times at x_c, v_c and c = -2 / (d^2H/dv^2)."""
+
+    times_c: KdVTimes
+    v_c: float
+    c: float
+
+    @property
+    def x_c(self):
+        return self.times_c.x
+
+
+def r_coeff(k: int, v):
+    """k-th coefficient of z/sqrt(z^2 - v): r_k(v) = binom(2k,k) (v/4)^k.
+
+    Exact for Fraction input, float for float input.
+    """
+    if k < 0:
+        raise DomainError("k must be non-negative")
+    return math.comb(2 * k, k) * v**k / 4**k
+
+
+def _halfint_rising_coeff(r: int, n: int) -> Fraction:
+    """n-th series coefficient of (1 - w)^(-(2r+1)/2)."""
+    return math.prod((Fraction(2 * r + 1 + 2 * i, 2) for i in range(n)), start=Fraction(1)) / math.factorial(n)
+
+
+def c_coeff(j: int, r: int, v):
+    """Residue coefficient c_{jr}(v) = (2j+1) * oint dz/(2 pi i) z^{2j} (z^2-v)^{-(2r+1)/2}.
+
+    Extracting the z^{-1} coefficient of the binomial series gives zero for
+    j < r and (2j+1) C_{j-r} v^{j-r} otherwise, with C_n the n-th coefficient
+    of (1-w)^{-(2r+1)/2}.  c_{j0} = (2j+1) r_j, the hodograph row; c_{jm}
+    weights the reduced ODE's leading polynomial.
+    """
+    if j < 1 or r < 0:
+        raise DomainError("need j >= 1 and r >= 0")
+    if j < r:
+        return 0 * v
+    coeff = (2 * j + 1) * _halfint_rising_coeff(r, j - r)
+    try:
+        return coeff * v ** (j - r)
+    except OverflowError:
+        raise DomainError(f"residue coefficient c_{{{j},{r}}}(v) = {coeff} v^{j - r} "
+                          f"overflows at v = {v!r}") from None
 
 
 # -- the hodograph polynomial H and its v-derivatives ----------------------
@@ -166,7 +239,7 @@ def solve_branch(times: KdVTimes, seed: float) -> float:
     return branch_root(coeffs, seed, 1e-13 * poly_scale(coeffs, seed))
 
 
-def find_critical(times: KdVTimes, v_seed: float = 1.0) -> CriticalPoint:
+def find_critical(times: KdVTimes, v_seed: float = 1.0) -> GeneralCriticalPoint:
     """Second-order catastrophe on the branch of v_seed: branch_root on dH/dv, then x_c from H = 0.
 
     The residual bound of dH/dv, and the size below which d2H/dv2 counts as
@@ -178,7 +251,7 @@ def find_critical(times: KdVTimes, v_seed: float = 1.0) -> CriticalPoint:
     if abs(h2) <= 1e-12 * poly_scale(_derivative(slope), v):
         raise DerivativeVanishes("d2H/dv2 ~ 0: critical point is not second order")
     x_c = times.x - eval_H(times, v)  # H is affine in x
-    return CriticalPoint(times_c=KdVTimes(x_c, times.t), v_c=v, c=-2.0 / h2)
+    return GeneralCriticalPoint(times_c=KdVTimes(x_c, times.t), v_c=v, c=-2.0 / h2)
 
 
 # -- the Toda pair through its eliminated cubic -------------------------------

@@ -9,24 +9,28 @@ shifted-argument string equations, the exact change of variables of each
 reduction to Painleve-I, the inverse of the quintic reduction, the Laurent
 coefficient at the first pole, the exact positive-part projection and the
 re-expansion that inverts it, and the vanishing H-derivatives at a
-critical point.  No CLI run calls them, so they live beside the tests
-instead of in the package.
+critical point.  It also holds the general route to the constants that the
+package computes in closed form for the quintic finger: the reduced ODE's
+multiplier A as a c_j2 sum over any deformation times and its P-I rescaling
+(alpha, beta), and the finger prefactor as a table of polynomials in u with
+the event quadratics built from it.  No CLI run calls them, so they live
+beside the tests instead of in the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from branch_solvers import TodaTimes, eval_dH
+from branch_solvers import GeneralCriticalPoint, KdVTimes, TodaTimes, c_coeff, eval_dH, quintic_times, r_coeff
 from heleshaw.diffpoly import DiffPoly
-from heleshaw.errors import DomainError
-from heleshaw.geometry import prefactor_at, prefactor_table
-from heleshaw.hodograph import CriticalPoint, KdVTimes
-from heleshaw.multiscale import LeadingODE, PIReduction
+from heleshaw.errors import DomainError, HeleShawError
+from heleshaw.geometry import left_sum
+from heleshaw.hodograph import CriticalPoint
 from heleshaw.painleve import TritronqueeSolution
 from heleshaw.toda import TodaInner, toda_inner_V2
 
@@ -56,7 +60,7 @@ def homogeneous_weight(p: DiffPoly) -> int | None:
 
 def residuals(cp: CriticalPoint) -> list:
     """|d^j H| for j = 0 .. m-1 at the critical data (all should vanish)."""
-    return [abs(eval_dH(cp.times_c, cp.v_c, j)) for j in range(cp.m)]
+    return [abs(eval_dH(quintic_times(cp.t_1, x=cp.x_c), cp.v_c, j)) for j in range(cp.m)]
 
 
 # -- painleve: the first pole -------------------------------------------------
@@ -68,6 +72,62 @@ def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:
     mask = sol.ws > 1e3
     xs, vs = sol.ts[mask][-10:], sol.ws[mask][-10:]
     return float(np.mean(vs * (xs - pole) ** 2))
+
+
+# -- multiscale: the reduction for any deformation times ----------------------
+
+class DegenerateReduction(HeleShawError):
+    """The multiscale reduction degenerates (leading multiplier vanishes)."""
+
+
+@dataclass(frozen=True)
+class LeadingODE:
+    """Reduced equation A R_2(u1) + sum b_j t~_j + x~ = 0 at the critical point.
+
+    Coefficients stay exact Fractions when built from exact critical data.
+    """
+
+    A: object
+    b: tuple
+    v_c: object
+
+
+@dataclass(frozen=True)
+class PIReduction:
+    """Coefficients of u1 = alpha W, x~ = beta xi, the maps carrying the reduced ODE to P-I."""
+
+    alpha: float
+    beta: float
+
+
+def build_leading_ode(cp: GeneralCriticalPoint) -> LeadingODE:
+    """Assemble the reduced-ODE coefficients from critical data.
+
+    A = sum_j c_j2(v_c) t_cj multiplies R_2; b_j = c_j0(v_c) weights the
+    rescaled deformation directions.  Exact for Fraction-valued data.
+    """
+    A = left_sum(c_coeff(j, 2, cp.v_c) * tj for j, tj in cp.times_c.items())
+    if A == 0:
+        raise DegenerateReduction("leading multiplier A vanishes")
+    b = tuple(c_coeff(j, 0, cp.v_c) for j in range(1, len(cp.times_c.t) + 1))
+    return LeadingODE(A=A, b=b, v_c=cp.v_c)
+
+
+def reduce_to_pi(ode: LeadingODE) -> PIReduction:
+    """Rescale the m = 2 leading ODE to W'' = 6 W^2 - xi.
+
+    Solving (A alpha / 8 beta^2) W'' + (3 A alpha^2 / 8) W^2 + beta xi = 0
+    against the target coefficients gives alpha beta^2 = -2 and
+    A alpha = 8 beta^3, i.e. beta = -(A/4)^(1/5), alpha = -2 (4/A)^(2/5).
+    A > 0 keeps beta < 0, which is what sends x~ -> -infinity to
+    xi -> +infinity, the tritronquee matching direction.
+    """
+    if not ode.A > 0:
+        raise DegenerateReduction("leading multiplier must be positive for the fold branch")
+    ratio = float(ode.A) / 4.0
+    beta = -(ratio ** (1.0 / 5.0))
+    alpha = -2.0 * ratio ** (-2.0 / 5.0)
+    return PIReduction(alpha=alpha, beta=beta)
 
 
 # -- multiscale: the quintic reduction ----------------------------------------
@@ -107,12 +167,47 @@ def recover_leading_multiplier(red: PIReduction) -> float:
 
 # -- geometry: the positive-part projection -----------------------------------
 
+def prefactor_table(times: KdVTimes) -> list[list]:
+    """Finger prefactor as a table of polynomials in u: row j, entry m multiplies X^j u^m.
+
+    Dividing each z^(2k-1) by sqrt(z^2 - u) and keeping non-negative powers
+    gives P(X; u) = sum_k (k + 1/2) t_k sum_{m=0}^{k-1} r_m(u) X^(k-1-m), with
+    r_m(u) = binom(2m, m) (u/4)^m; exact in rational arithmetic for exact times.
+    """
+    n = len(times.t)
+    table = [[0] * (n - j) for j in range(n)]
+    for k, tk in times.items():
+        for m in range(k):
+            table[k - 1 - m][m] = Fraction(2 * k + 1, 2) * tk * r_coeff(m, Fraction(1))
+    return table
+
+
+def _float_table(times: KdVTimes) -> list[list[float]]:
+    """prefactor_table rounded to floats."""
+    return [[float(c) for c in row] for row in prefactor_table(times)]
+
+
+def prefactor_at(table: list[list], v) -> list:
+    """Prefactor coefficients (ascending in X) at u = v from a prefactor table."""
+    return [left_sum((c * v**m for m, c in enumerate(row)), 0 * v) for row in table]
+
+
+def table_event_quadratics(table: list[list[float]]) -> tuple[list[float], list[float]]:
+    """g(u) = P(u; u) and the discriminant p_1^2 - 4 p_2 p_0 of a quadratic prefactor's float table.
+
+    List arithmetic with the adds and products of np.polynomial, in its order.
+    """
+    p0, p1, p2 = table  # rows of X^0, X^1, X^2, of 3, 2 and 1 entries
+    g = [a + b + c for a, b, c in zip(p0, [0.0, *p1], [0.0, 0.0, *p2])]
+    square = [p1[0] * p1[0], p1[0] * p1[1] + p1[1] * p1[0], p1[1] * p1[1]]
+    return g, [s - 4.0 * (p2[0] * a) for s, a in zip(square, p0)]
+
+
 def oplus_project(times: KdVTimes, v) -> list:
     """Prefactor coefficients (ascending in X) of the finger curve at u = v.
 
-    Evaluates the package's prefactor_table; exact for Fraction inputs.  For
-    a float v each product c * v**m is float(c) * v**m, the bits of the float
-    table of frames.
+    Evaluates prefactor_table; exact for Fraction inputs.  For a float v each
+    product c * v**m is float(c) * v**m.
     """
     return prefactor_at(prefactor_table(times), v)
 

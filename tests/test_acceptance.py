@@ -12,31 +12,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from branch_solvers import solve_branch
+from branch_solvers import GeneralCriticalPoint, KdVTimes, quintic_times, r_coeff, solve_branch
 from heleshaw.diffpoly import DiffPoly, gd_polynomials
 from heleshaw.geometry import detect_events
-from heleshaw.hodograph import (
-    CriticalPoint,
-    KdVTimes,
-    closed_u0,
-    find_critical_25,
-    quintic_times,
-    r_coeff,
-)
-from heleshaw.multiscale import (
-    build_composite,
-    build_leading_ode,
-    overlap_report,
-    reduce_to_pi,
-)
+from heleshaw.hodograph import closed_u0, find_critical_25
+from heleshaw.multiscale import build_composite, overlap_report
 from heleshaw.painleve import integrate_tritronquee
 from heleshaw.toda import build_toda_inner, find_toda_critical, toda_inner_V2
 from paper_identities import (
+    build_leading_ode,
     canonical_m2,
     dispersionless_part,
     is_zero,
     oplus_project,
     pi_reduction_exact_coefficients,
+    reduce_to_pi,
     reexpand_curve_series,
     toda_pi_exact_coefficients,
 )
@@ -116,7 +106,7 @@ def test_criterion_3_gelfand_dikii_exactness():
 
 
 def test_criterion_4_reduction_pipeline_exact():
-    cp = CriticalPoint(
+    cp = GeneralCriticalPoint(
         times_c=quintic_times(Fraction(-4, 5), x=Fraction(16, 25)),
         v_c=Fraction(4, 5),
         c=Fraction(-2, 3),

@@ -1,6 +1,8 @@
 """The public API is what the pipeline runs; the oracles (paper identities, general solvers) live in the tests."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,9 @@ ORACLES = (paper_identities, branch_solvers)
 #: module -> names that left it: deleted (an equivalent stays in the API) or moved to an oracle module
 GONE = {
     "painleve": ("find_first_negative_pole", "laurent_leading_coefficient"),
-    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes"),
-    "multiscale": ("overlap_error", "pi_reduction_exact_coefficients", "recover_leading_multiplier"),
+    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes", "DegenerateReduction"),
+    "multiscale": ("overlap_error", "pi_reduction_exact_coefficients", "recover_leading_multiplier", "LeadingODE",
+                   "PIReduction", "build_leading_ode", "reduce_to_pi"),
     "toda": (
         "toda_r_coeff", "hodograph_pair_residuals", "toda_inner_V2_xtilde", "toda_inner_V2_xtilde2",
         "toda_inner_U2", "toda_inner_U3", "toda_inner_order4_combination", "toda_inner_U4_of_V4",
@@ -22,20 +25,21 @@ GONE = {
     ),
     "geometry": (
         "reexpand_curve_series", "oplus_project", "bubble_curve", "finger_curve", "InterfaceFrame",
-        "_finger_frame", "_sample_segments",
+        "_finger_frame", "_sample_segments", "prefactor_table", "_float_table", "prefactor_at",
     ),
     "hodograph": (
         "exact_root", "_iroot", "hodograph_poly", "eval_H", "eval_dH", "poly_scale", "_piece_root",
-        "branch_root", "solve_branch", "find_critical", "_derivative", "_horner", "bisect",
+        "branch_root", "solve_branch", "find_critical", "_derivative", "_horner", "bisect", "KdVTimes",
+        "quintic_times", "T3_QUINTIC", "r_coeff", "_halfint_rising_coeff", "c_coeff", "left_sum",
     ),
     "diffpoly": ("dispersionless_coefficient",),
 }
 GONE_METHODS = {
     ("multiscale", "ScalingMapKdV"): ("x_to_inner", "x_from_inner"),
     ("multiscale", "LeadingODE"): ("canonical_m2",),
-    ("hodograph", "CriticalPoint"): ("residuals",),
+    ("hodograph", "CriticalPoint"): ("residuals", "times_c"),
     ("diffpoly", "Monomial"): ("of", "is_constant", "max_order"),
-    ("multiscale", "CompositeSolution"): ("eps",),
+    ("multiscale", "CompositeSolution"): ("eps", "ode", "reduction"),
     ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight"),
     ("hodograph", "KdVTimes"): ("with_x",),
     ("geometry", "CurveSpec"): ("kind", "v", "tips"),
@@ -43,7 +47,8 @@ GONE_METHODS = {
 DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "overlap_error", "x_to_inner",
            "x_from_inner", "exact_root", "_iroot", "of", "eps", "is_constant", "max_order",
            "dispersionless_coefficient", "bubble_curve", "finger_curve", "InterfaceFrame", "_finger_frame",
-           "_sample_segments", "bisect", "with_x", "kind", "v", "tips"}
+           "_sample_segments", "bisect", "with_x", "kind", "v", "tips", "T3_QUINTIC", "times_c", "ode",
+           "reduction", "left_sum"}  # left_sum stays in the package, in geometry, its one caller
 
 
 @pytest.mark.parametrize("module", sorted(GONE))
@@ -54,10 +59,21 @@ def test_moved_and_deleted_names_left_their_module(module):
 
 @pytest.mark.parametrize("owner", sorted(GONE_METHODS), ids="/".join)
 def test_moved_and_deleted_methods_left_their_class(owner):
-    cls = getattr(importlib.import_module(f"heleshaw.{owner[0]}"), owner[1])
-    assert [name for name in GONE_METHODS[owner] if hasattr(cls, name)] == []
+    """Checked where the class lives now: its package module, or an oracle module if it moved there."""
+    module, name = owner
+    home = next(m for m in (importlib.import_module(f"heleshaw.{module}"), *ORACLES) if hasattr(m, name))
+    assert [attr for attr in GONE_METHODS[owner] if hasattr(getattr(home, name), attr)] == []
 
 
 def test_moved_names_are_oracles_beside_the_tests():
     moved = {name for names in [*GONE.values(), *GONE_METHODS.values()] for name in names} - DELETED
     assert sorted(name for name in moved if not any(callable(getattr(m, name, None)) for m in ORACLES)) == []
+
+
+@pytest.mark.parametrize("module", ["hodograph", "multiscale", "geometry"])
+def test_closed_form_layers_import_no_fractions(module):
+    """The quintic finger's closed forms run in floats: these layers import no fractions or decimal."""
+    tree = ast.parse(Path(importlib.import_module(f"heleshaw.{module}").__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"fractions", "decimal"})

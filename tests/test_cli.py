@@ -116,6 +116,17 @@ def test_outdir_with_control_characters_prints_valid_json(tmp_path, capsys):
     assert json.loads(out)["file"] == str(outdir / "trace.csv")
 
 
+def test_outdir_with_an_undecodable_byte_prints_valid_json(tmp_path):
+    # the byte 0xff reaches the CLI as the lone surrogate U+DCFF, which has no UTF-8 form
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+           "PYTHONIOENCODING": "utf-8:surrogateescape"}
+    outdir = os.fsencode(tmp_path) + b"/s\xff"
+    out = subprocess.run([sys.executable, "-m", "heleshaw.cli", "--outdir", outdir, "trace", "--n", "3"], env=env,
+                         capture_output=True, check=True)
+    assert json.loads(out.stdout)["file"] == os.fsdecode(outdir + b"/trace.csv")
+
+
 def test_gd_text_golden(capsys):
     code, out, _ = run(capsys, "gd", "--n", "3")
     assert code == 0
@@ -284,10 +295,19 @@ def _sha256(data: bytes) -> str:
 
 
 def test_output_digests_at_default_arguments(tmp_path, capsys):
-    """The files that do not touch the outer branch are pinned byte for byte."""
-    for sub in ("painleve", "toda", "frames", "composite"):
-        code, _, _ = run(capsys, "--outdir", str(tmp_path), sub)
+    """Every data file, and the stdout that holds no path, is pinned byte for byte."""
+    stdout = {}
+    for sub in ("critical", "trace", "painleve", "match", "toda", "frames", "composite"):
+        code, stdout[sub], _ = run(capsys, "--outdir", str(tmp_path), sub)
         assert code == 0
+    assert _sha256(stdout["critical"].encode()) == (
+        "a3ab01967f359ed87237351bc375e15f7d5473ccbfecf9934d4f0618f58821ae")
+    assert _sha256(stdout["match"].encode()) == (
+        "52c927f3fc6c508cdfa61c0866e63764dace87607d9a90a7d417d3dd3b37d608")
+    assert _sha256((tmp_path / "trace.csv").read_bytes()) == (
+        "29e014c84e4ff786b262858b962f0d38b3ced926031538d499e26e3e500a61b9")
+    assert _sha256((tmp_path / "composite.csv").read_bytes()) == (
+        "90a5c270e192aee3d68aad9f7b39d9d7f25ac46c3b004c395d37e605b70450ae")
     assert _sha256((tmp_path / "painleve.csv").read_bytes()) == (
         "d0031c8a671ef2410e74aeac675c054c907784010b8c1294ea2e6cf0bc6f90cc")
     assert _sha256((tmp_path / "toda.csv").read_bytes()) == (
@@ -637,21 +657,22 @@ print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """Importing the package or the CLI loads no numpy, scipy or layer module,
-    `gd` and `critical` each load only their own layer, without numpy, and
-    `frames` loads no scipy and not the merging branch (heleshaw.toda)."""
+    """Importing the package or the CLI loads no numpy, scipy or layer module; `critical`
+    and `trace` load only their own layer, without numpy and without the exact number
+    types (fractions, decimal); `gd` adds its own layer; and `frames` loads no scipy
+    and not the merging branch (heleshaw.toda)."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = """
 import contextlib, io, json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy'))
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy', 'fractions', 'decimal'))
 stages = []
 import heleshaw
 stages.append(loaded())
 from heleshaw.cli import main
 stages.append(loaded())
-for argv in (['gd', '--n', '3'], ['critical'], ['--outdir', sys.argv[1], 'frames']):
+for argv in (['critical'], ['--outdir', sys.argv[1], 'trace'], ['gd', '--n', '3'], ['--outdir', sys.argv[1], 'frames']):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     stages.append(loaded())
@@ -660,13 +681,15 @@ print(json.dumps(stages))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
                          check=True)
     cli = ["heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio"]
-    *cold, frames = json.loads(out.stdout)
+    *cold, gd, frames = json.loads(out.stdout)
     assert cold == [
         ["heleshaw"],
         cli,
-        sorted([*cli, "heleshaw.diffpoly"]),
-        sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
+        sorted([*cli, "heleshaw.hodograph"]),
+        sorted([*cli, "heleshaw.hodograph"]),
     ]
+    assert [m for m in gd if m.split(".")[0] in ("heleshaw", "numpy")] == sorted(
+        [*cli, "heleshaw.diffpoly", "heleshaw.hodograph"])
     layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
     assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
                              "heleshaw.multiscale", "heleshaw.painleve"])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branch_solvers import r_coeff
 from heleshaw.diffpoly import DiffPoly, Monomial, gd_next, gd_polynomials
 from heleshaw.errors import JetTooShort, NotExactDerivative
-from heleshaw.hodograph import r_coeff
 from paper_identities import constant_part, dispersionless_part, homogeneous_weight, is_zero
 
 U = DiffPoly.field()

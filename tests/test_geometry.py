@@ -8,14 +8,16 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from branch_solvers import general_real_roots
+from branch_solvers import KdVTimes, general_real_roots, quintic_times, r_coeff
 from heleshaw.errors import DomainError, HeleShawError, OutOfRange
-from heleshaw.geometry import CurveSpec, detect_events, emit_frames
-from heleshaw.hodograph import KdVTimes, closed_u0, quintic_times, r_coeff
+from heleshaw.geometry import CurveSpec, detect_events, emit_frames, event_quadratics, finger_prefactor
+from heleshaw.hodograph import closed_u0
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
-from paper_identities import oplus_project, reexpand_curve_series
+from paper_identities import _float_table, oplus_project, prefactor_at, reexpand_curve_series, table_event_quadratics
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,22 @@ def test_oplus_reexpansion_z_inverse_is_hodograph():
     d = len(coeffs) - 1
     series = reexpand_curve_series(coeffs, v, n_terms=d + 2)
     assert series[d + 1] == x / 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(t1=st.floats(-1e6, -1e-6), delta=st.floats(-1e3, 1e3))
+def test_closed_prefactor_and_event_quadratics_equal_the_table_bitwise(t1, delta):
+    """finger_prefactor and event_quadratics are, bit for bit, the float prefactor table of the
+    quintic finger's times evaluated at u and the event quadratics built from it.
+
+    u is formed as both branches form it, v_c plus a float: never -0.0 or -5e-324, where the
+    table's 0.0 + 0.5 u and 0.5 u would differ in the sign of zero.
+    """
+    u = math.sqrt(-4.0 * t1 / 5.0) + delta
+    table = _float_table(quintic_times(t1))
+    assert [c.hex() for c in finger_prefactor(t1, u)] == [c.hex() for c in prefactor_at(table, u)]
+    assert [[c.hex() for c in q] for q in event_quadratics(t1)] == [
+        [c.hex() for c in q] for q in table_event_quadratics(table)]
 
 
 # -- finger curve ---------------------------------------------------------

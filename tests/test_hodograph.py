@@ -12,22 +12,18 @@ from hypothesis import strategies as st
 
 from branch_solvers import (
     DerivativeVanishes,
+    KdVTimes,
+    c_coeff,
     eval_dH,
     eval_H,
     find_critical,
     hodograph_poly,
+    quintic_times,
+    r_coeff,
     solve_branch,
 )
 from heleshaw.errors import DomainError, NoConvergence
-from heleshaw.hodograph import (
-    KdVTimes,
-    c_coeff,
-    closed_u0,
-    find_critical_25,
-    quintic_times,
-    r_coeff,
-    real_roots,
-)
+from heleshaw.hodograph import closed_u0, find_critical_25, real_roots
 from paper_identities import residuals
 
 
@@ -323,10 +319,11 @@ def test_find_critical_25_float_path():
 
 def test_find_critical_25_defining_equations():
     cp = find_critical_25(-0.61)
-    assert abs(eval_H(cp.times_c, cp.v_c)) < 1e-12
-    assert abs(eval_dH(cp.times_c, cp.v_c, 1)) < 1e-12
-    assert abs(eval_dH(cp.times_c, cp.v_c, 2)) > 0.1
-    assert cp.c == pytest.approx(-2.0 / eval_dH(cp.times_c, cp.v_c, 2), rel=1e-13)
+    times = quintic_times(cp.t_1, x=cp.x_c)
+    assert abs(eval_H(times, cp.v_c)) < 1e-12
+    assert abs(eval_dH(times, cp.v_c, 1)) < 1e-12
+    assert abs(eval_dH(times, cp.v_c, 2)) > 0.1
+    assert cp.c == pytest.approx(-2.0 / eval_dH(times, cp.v_c, 2), rel=1e-13)
 
 
 def test_find_critical_25_rejects_nonnegative_t1():

@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heleshaw.errors import DegenerateReduction, OutOfRange
-from heleshaw.hodograph import CriticalPoint, closed_u0, find_critical_25, quintic_times
-from heleshaw.multiscale import (
+from branch_solvers import GeneralCriticalPoint, c_coeff, quintic_times
+from heleshaw.errors import OutOfRange
+from heleshaw.hodograph import closed_u0
+from heleshaw.multiscale import ScalingMapKdV, build_composite, overlap_report
+from paper_identities import (
+    DegenerateReduction,
     LeadingODE,
-    ScalingMapKdV,
-    build_composite,
     build_leading_ode,
-    overlap_report,
+    canonical_m2,
+    pi_reduction_exact_coefficients,
+    recover_leading_multiplier,
     reduce_to_pi,
 )
-from paper_identities import canonical_m2, pi_reduction_exact_coefficients, recover_leading_multiplier
 from test_painleve import W_REF
 
-EXACT_CP = CriticalPoint(
+EXACT_CP = GeneralCriticalPoint(
     times_c=quintic_times(Fraction(-4, 5), x=Fraction(16, 25)),
     v_c=Fraction(4, 5),
     c=Fraction(-2, 3),
@@ -66,12 +68,11 @@ def test_leading_ode_quintic_canonical_form():
 
 def test_leading_ode_t1_contribution_vanishes():
     # c_{12} = 0 because j < m: only t_3 feeds the multiplier
-    from heleshaw.hodograph import c_coeff
     assert c_coeff(1, 2, Fraction(4, 5)) == 0
 
 
 def test_leading_ode_degenerate():
-    cp = CriticalPoint(times_c=quintic_times(Fraction(-4, 5), x=0, t_3=0), v_c=Fraction(4, 5), c=1)
+    cp = GeneralCriticalPoint(times_c=quintic_times(Fraction(-4, 5), x=0, t_3=0), v_c=Fraction(4, 5), c=1)
     with pytest.raises(DegenerateReduction):
         build_leading_ode(cp)
 
@@ -98,18 +99,29 @@ def test_reduction_inverse_recovers_multiplier():
         assert recover_leading_multiplier(red) == pytest.approx(a, rel=1e-14)
 
 
-def test_matching_direction_constant():
+def test_matching_direction_constant(comp):
     # c beta = alpha^2 / 6 is what maps sqrt(c x~) onto -sqrt(xi/6)
-    cp = find_critical_25(-0.8)
-    red = reduce_to_pi(build_leading_ode(cp))
-    assert cp.c * red.beta == pytest.approx(red.alpha**2 / 6.0, rel=1e-13)
+    assert comp.cp.c * comp.beta == pytest.approx(comp.alpha**2 / 6.0, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t1=st.floats(-1e6, -1e-6), eps=st.floats(1e-8, 1e-2))
+def test_closed_reduction_equals_the_general_route_bitwise(t1, eps):
+    """alpha, beta and x* of the package are, bit for bit, those of A as the c_j2 sum over
+    the quintic finger's times followed by the P-I rescaling of any A > 0."""
+    comp = build_composite(t_1=t1, eps=eps, tol=1e-11)
+    cp = comp.cp
+    red = reduce_to_pi(build_leading_ode(GeneralCriticalPoint(quintic_times(cp.t_1, x=cp.x_c), cp.v_c, cp.c)))
+    x_star = cp.x_c + comp.scaling.zoom * red.beta * comp.tritronquee.pole
+    assert [v.hex() for v in (comp.alpha, comp.beta, comp.x_star)] == [
+        v.hex() for v in (red.alpha, red.beta, x_star)]
 
 
 # -- composite solution ------------------------------------------------------
 
 def test_inner_at_critical_point(comp):
     w0, _ = comp.tritronquee.eval(0.0)
-    expected = comp.v_c + comp.scaling.eps_tilde * comp.reduction.alpha * w0
+    expected = comp.v_c + comp.scaling.eps_tilde * comp.alpha * w0
     assert comp.inner_u(comp.x_c) == pytest.approx(expected, rel=1e-14)
 
 
@@ -122,7 +134,7 @@ def test_inner_u_takes_a_sequence(comp):
 
 def test_inner_matches_fold_asymptotics(comp):
     # at xi = 30 the inner solution equals v_c + eps~ sqrt(c x~) up to O(eps~ xi^-2)
-    x = comp.x_c + comp.scaling.zoom * comp.reduction.beta * 30.0
+    x = comp.x_c + comp.scaling.zoom * comp.beta * 30.0
     x_tilde = (x - comp.x_c) / comp.scaling.zoom
     naive = comp.v_c + comp.scaling.eps_tilde * math.sqrt(comp.cp.c * x_tilde)
     tol = comp.scaling.eps_tilde * 30.0**-2
@@ -185,10 +197,10 @@ def test_inner_branch_against_mpmath_reference(comp, xi_ref):
     The bound is eps~ |alpha| times 10 tol (the tritronquee's accuracy)
     plus the rounding of xi(x) times |W'| there.
     """
-    x = comp.x_c + comp.scaling.zoom * comp.reduction.beta * xi_ref
+    x = comp.x_c + comp.scaling.zoom * comp.beta * xi_ref
     xi = comp.xi_of_x(x)
-    scale = comp.scaling.eps_tilde * abs(comp.reduction.alpha)
-    expected = comp.v_c + comp.scaling.eps_tilde * comp.reduction.alpha * W_REF[xi_ref]
+    scale = comp.scaling.eps_tilde * abs(comp.alpha)
+    expected = comp.v_c + comp.scaling.eps_tilde * comp.alpha * W_REF[xi_ref]
     bound = scale * (10 * comp.tritronquee.tol + abs(xi - xi_ref) * abs(comp.tritronquee.eval(xi)[1]))
     assert abs(comp.inner_u(x) - expected) <= bound
 
