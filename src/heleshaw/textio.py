@@ -50,7 +50,7 @@ def json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         text = obj.translate(_ESCAPES)
         if not text.isascii():  # lone surrogates U+D800..U+DFFF (undecodable bytes of a path) have no UTF-8
-            text = "".join(f"\\u{ord(c):04x}" if "\ud800" <= c <= "\udfff" else c for c in text)
+            text = text.encode("utf-8", "backslashreplace").decode("utf-8")
         return '"' + text + '"'
     if isinstance(obj, dict):
         if not obj:

@@ -657,43 +657,54 @@ print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    """Importing the package or the CLI loads no numpy, scipy or layer module; `critical`
-    and `trace` load only their own layer, without numpy and without the exact number
-    types (fractions, decimal); `gd` adds its own layer; and `frames` loads no scipy
-    and not the merging branch (heleshaw.toda)."""
+    """Importing the package or the CLI loads no numpy, scipy or layer module;
+    `gd` and `critical` each load only their own layer, without numpy; `frames`
+    loads no scipy and not the merging branch (heleshaw.toda); and in a fresh
+    interpreter `critical` and `trace` load only the hodograph layer, without
+    the exact number types (fractions, decimal)."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = """
 import contextlib, io, json, sys
 def loaded():
-    return sorted(m for m in sys.modules if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy', 'fractions', 'decimal'))
+    return sorted(m for m in sys.modules
+                  if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy', 'fractions', 'decimal'))
 stages = []
 import heleshaw
 stages.append(loaded())
 from heleshaw.cli import main
 stages.append(loaded())
-for argv in (['critical'], ['--outdir', sys.argv[1], 'trace'], ['gd', '--n', '3'], ['--outdir', sys.argv[1], 'frames']):
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     stages.append(loaded())
 print(json.dumps(stages))
 """
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
-                         check=True)
+
+    def stages(*argvs):
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True,
+                             text=True, check=True)
+        return json.loads(out.stdout)
+
     cli = ["heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio"]
-    *cold, gd, frames = json.loads(out.stdout)
+    *cold, frames = [[m for m in stage if m.split(".")[0] in ("heleshaw", "numpy", "scipy")]
+                     for stage in stages(["gd", "--n", "3"], ["critical"], ["--outdir", str(tmp_path), "frames"])]
     assert cold == [
+        ["heleshaw"],
+        cli,
+        sorted([*cli, "heleshaw.diffpoly"]),
+        sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
+    ]
+    layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
+    assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
+                             "heleshaw.multiscale", "heleshaw.painleve"])
+    assert not [m for m in frames if m.split(".")[0] == "scipy"]
+    assert stages(["critical"], ["--outdir", str(tmp_path), "trace"]) == [
         ["heleshaw"],
         cli,
         sorted([*cli, "heleshaw.hodograph"]),
         sorted([*cli, "heleshaw.hodograph"]),
     ]
-    assert [m for m in gd if m.split(".")[0] in ("heleshaw", "numpy")] == sorted(
-        [*cli, "heleshaw.diffpoly", "heleshaw.hodograph"])
-    layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
-    assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
-                             "heleshaw.multiscale", "heleshaw.painleve"])
-    assert not [m for m in frames if m.split(".")[0] == "scipy"]
 
 
 def test_float_path_subcommands_load_no_numpy(tmp_path):

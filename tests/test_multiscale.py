@@ -106,14 +106,14 @@ def test_matching_direction_constant(comp):
 
 @settings(max_examples=300, deadline=None)
 @given(t1=st.floats(-1e6, -1e-6), eps=st.floats(1e-8, 1e-2))
-def test_closed_reduction_equals_the_general_route_bitwise(t1, eps):
+def test_closed_reduction_equals_the_general_route_bitwise(comp, t1, eps):
     """alpha, beta and x* of the package are, bit for bit, those of A as the c_j2 sum over
     the quintic finger's times followed by the P-I rescaling of any A > 0."""
-    comp = build_composite(t_1=t1, eps=eps, tol=1e-11)
-    cp = comp.cp
+    sol = build_composite(t_1=t1, eps=eps, tol=1e-11, tritronquee=comp.tritronquee)
+    cp = sol.cp
     red = reduce_to_pi(build_leading_ode(GeneralCriticalPoint(quintic_times(cp.t_1, x=cp.x_c), cp.v_c, cp.c)))
-    x_star = cp.x_c + comp.scaling.zoom * red.beta * comp.tritronquee.pole
-    assert [v.hex() for v in (comp.alpha, comp.beta, comp.x_star)] == [
+    x_star = cp.x_c + sol.scaling.zoom * red.beta * sol.tritronquee.pole
+    assert [v.hex() for v in (sol.alpha, sol.beta, sol.x_star)] == [
         v.hex() for v in (red.alpha, red.beta, x_star)]
 
 
