@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
-from .errors import JetTooShort, NotExactDerivative
+from .errors import NotExactDerivative
 
 
 class Monomial(tuple):
@@ -231,16 +231,6 @@ class DiffPoly:
         return _make(self._content / lift, out)
 
     # -- queries -----------------------------------------------------------
-
-    def eval(self, jet: Sequence[float]) -> float:
-        """Evaluate at a jet: jet[k] is the k-th derivative value of the field."""
-        needed = self.max_order()
-        if needed >= len(jet):
-            raise JetTooShort(f"jet of length {len(jet)} but order {needed} required")
-        total = 0.0
-        for mono, coeff in self.terms().items():
-            total += math.prod((jet[k] for k in mono.orders), start=float(coeff))
-        return total
 
     def max_order(self) -> int:
         return max((orders[-1] for orders in self._terms if orders), default=-1)

@@ -13,10 +13,6 @@ class NotExactDerivative(HeleShawError):
     """The differential polynomial is not a total x-derivative."""
 
 
-class JetTooShort(HeleShawError):
-    """The jet does not carry enough derivative values for evaluation."""
-
-
 class NoConvergence(HeleShawError):
     """A search has no single answer (e.g. an event level straddled by a jump)."""
 

@@ -8,8 +8,9 @@ prefactor P is the polynomial part (non-negative z-powers, X = z^2) of
 which for the quintic finger configuration (t_3 = 2/7, only t_1 < 0 besides)
 is the quadratic P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1
 (finger_prefactor), so a curve's zeros are u and the closed-form roots of P
-at or above it.  The projection for any deformation times, as a table of
-polynomials in u, checks it in the tests (tests/paper_identities.py).
+at or above it; finger_samples draws the curve through them on the frame
+window u <= X <= max(2.5, u + 1).  The projection for any deformation times,
+as a table of polynomials in u, checks P in the tests (tests/paper_identities.py).
 
 Topological events along the regularized flow are driven by the roots of P
 relative to the branch point u(x):
@@ -64,52 +65,35 @@ def left_sum(terms, total=0):
     return total
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Finger curve Y = P(X) sqrt(X - u), X >= u: the prefactor P (ascending in X) and u."""
+def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
+    """About n points (X, Y) of Y = P(X; u) sqrt(X - u) on X in [u, max(2.5, u + 1)].
 
-    poly: tuple
-    u: float
-
-    def prefactor(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.poly, dtype=float))
-
-    def y(self, x):
-        """Upper-branch Y(X); DomainError below the branch point."""
-        xs = np.asarray(x, dtype=float)
-        if np.any(xs < self.u - 1e-12 * (1 + abs(self.u))):
-            raise DomainError("finger curve undefined below the branch point u")
-        return self.prefactor(xs) * np.sqrt(np.maximum(xs - self.u, 0.0))
-
-    def real_zeros(self) -> list[float]:
-        """Zeros of Y: the branch point plus the prefactor roots above it."""
-        return sorted({self.u, *(r for r in real_roots(self.poly) if r >= self.u)})
-
-    def samples(self, lo: float, hi: float, n: int) -> list[tuple[float, float]]:
-        """About n points (X, Y) on [lo, hi] (upper branch; the lower one is Y -> -Y).
-
-        The window is cut at the curve zeros and each segment is sampled
-        cosine-clustered toward both ends, which follows the square-root
-        behaviour there; the zeros themselves are hit exactly with Y = 0.
-        """
-        zeros = self.real_zeros()
-        cuts = [lo] + [z for z in zeros if lo < z < hi] + [hi]
-        segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-        if not segments:
-            raise DomainError("empty sampling window")
-        total = left_sum(b - a for a, b in segments)
-        thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
-        xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])
-        ys = self.y(xs)
-        # snap to the analytic zeros: exact coordinates, exact Y = 0
-        for z in zeros:
-            hit = np.abs(xs - z) <= 1e-15 * max(1.0, abs(z))
-            xs[hit], ys[hit] = z, 0.0
-        # x increasing, shared endpoints once
-        order = np.argsort(xs, kind="stable")
-        xs, ys = xs[order], ys[order]
-        keep = np.concatenate(([True], xs[1:] > xs[:-1]))
-        return list(zip(xs[keep].tolist(), ys[keep].tolist()))
+    The upper branch; the lower one is Y -> -Y.  The window is cut at the
+    curve zeros (u and the prefactor roots above it) and each segment is
+    sampled cosine-clustered toward both ends, which follows the square-root
+    behaviour there; the zeros themselves are hit exactly with Y = 0.
+    """
+    poly = finger_prefactor(t_1, u)
+    hi = max(2.5, u + 1.0)
+    zeros = sorted({u, *(r for r in real_roots(poly) if r >= u)})
+    cuts = [u] + [z for z in zeros if u < z < hi] + [hi]
+    segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    if not segments:
+        raise DomainError(f"empty sampling window [u, max(2.5, u + 1)] = [{u!r}, {hi!r}] "
+                          f"at the branch point u = {u!r}")
+    total = left_sum(b - a for a, b in segments)
+    thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
+    xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])
+    ys = np.polynomial.polynomial.polyval(xs, np.asarray(poly, dtype=float)) * np.sqrt(np.maximum(xs - u, 0.0))
+    # snap to the analytic zeros: exact coordinates, exact Y = 0
+    for z in zeros:
+        hit = np.abs(xs - z) <= 1e-15 * max(1.0, abs(z))
+        xs[hit], ys[hit] = z, 0.0
+    # x increasing, shared endpoints once
+    order = np.argsort(xs, kind="stable")
+    xs, ys = xs[order], ys[order]
+    keep = np.concatenate(([True], xs[1:] > xs[:-1]))
+    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
 
 
 # -- events ------------------------------------------------------------------
@@ -192,8 +176,8 @@ def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
                 n: int = 400, events: Optional[list[Event]] = None) -> dict:
     """Write frame_<index>.csv per abscissa plus a JSON manifest with events.
 
-    Each frame samples the finger curve on X in [u, max(2.5, u + 1)]; the
-    events are detected over the abscissa span unless given.
+    Each frame holds the finger_samples of its branch point u; the events are
+    detected over the abscissa span unless given.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -206,7 +190,7 @@ def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
     t_1 = comp.cp.t_1
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
     for index, (x, u) in enumerate(zip(abscissas, us)):
-        samples = CurveSpec(finger_prefactor(t_1, u), u).samples(u, max(2.5, u + 1.0), n)
+        samples = finger_samples(t_1, u, n)
         name = f"frame_{index:03d}.csv"
         write_csv(outdir / name, "X,Y", samples)
         manifest["frames"].append({"index": index, "x": x, "file": name, "n_samples": len(samples),

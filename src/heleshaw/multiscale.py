@@ -34,6 +34,7 @@ A) are checked in the tests (tests/paper_identities.py).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .errors import DomainError, OutOfRange
@@ -105,7 +106,10 @@ class CompositeSolution:
             x = np.asarray(x, dtype=float)
         if x >= self.x_star if scalar else (x >= self.x_star).any():
             raise OutOfRange(f"x beyond the pole image x* = {self.x_star!r}")
-        w, _ = self.tritronquee.eval_extended(self.xi_of_x(x))
+        # far below x_c, xi overflows to inf: silently, as on floats
+        with nullcontext() if scalar else np.errstate(over="ignore"):
+            xi = self.xi_of_x(x)
+        w, _ = self.tritronquee.eval_extended(xi)
         return self.v_c + self.scaling.eps_tilde * self.alpha * w
 
     def outer_u(self, x):

@@ -3,17 +3,17 @@
 The tritronquee branch is the unique solution with no poles in a wide sector
 around the positive real axis; on the real axis it decays like
 W ~ -sqrt(xi/6) as xi -> +infinity and blows up at a first negative pole
-xi* ~ -2.3841687696.  It is constructed by seeding a formal asymptotic
-series of order SERIES_ORDER at a large abscissa xi_0 and integrating
-downward with a Taylor method of order TAYLOR_ORDER: W(xi_n + s) = sum a_k s^k
+xi* ~ -2.3841687696.  It is constructed by seeding the formal asymptotic
+series W ~ -sqrt(xi/6) (1 + sum_{k=1..4} b_k (6 xi^5)^(-k/2)) (_SERIES) at a
+large abscissa xi_0 and integrating downward with a Taylor method of order
+TAYLOR_ORDER: W(xi_n + s) = sum a_k s^k
 with (k + 2)(k + 1) a_{k+2} = 6 sum_{i<=k} a_i a_{k-i} - [k = 0] xi_n - [k = 1].
 The step h = min_k (STEP_EPS tol max(1, |W|) / |a_k|)^(1/k) over the last
 two coefficients keeps the truncated tail near STEP_EPS tol (Jorba & Zou,
 Exp. Math. 14, 2005).  Each step's polynomial is the dense output.  The
 last step ends exactly at W = BLOWUP_THRESHOLD, where the Laurent form
 W ~ (xi - xi*)^-2 gives the pole xi* = xi_N - W_N^(-1/2) to O(W_N^(-5/2)).
-The solution depends on no flow parameter: equal arguments and step
-constants (SERIES_ORDER, TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD)
+The solution depends on no flow parameter: equal arguments (xi0, xi_min, tol)
 share one certified, frozen, read-only solution; the last CACHE_SIZE settings are kept, failures never.
 
 No shooting is needed: linearizing around the branch gives delta'' = 12 W
@@ -39,7 +39,6 @@ import math
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -58,8 +57,6 @@ TAYLOR_ORDER = 20
 STEP_EPS = 1.0e-3
 #: steps allowed per integration (xi0 = 1000 needs about 1.3k)
 MAX_STEPS = 10_000
-#: order of the asymptotic series that seeds the integration and continues it above xi0
-SERIES_ORDER = 4
 #: integrations kept by integrate_tritronquee, one per distinct setting
 CACHE_SIZE = 8
 #: Gauss-Legendre nodes x >= 0 and weights, 21 = TAYLOR_ORDER + 1 points; with the nodes -x they are leggauss(21)
@@ -72,32 +69,19 @@ _GAUSS_HALF = ((0.0, 0.1460811336496907), (0.1455618541608951, 0.144524403989970
 _GAUSS_X, _GAUSS_W = zip(*((-x, w) for x, w in _GAUSS_HALF[:0:-1]), *_GAUSS_HALF)
 
 
-@lru_cache(maxsize=None)
-def _series_coefficients(order: int) -> tuple[Fraction, ...]:
-    """Rational coefficients b_k of W = -sqrt(xi/6) (1 + sum b_k (6 xi^5)^(-k/2)).
+#: b_0..b_4 of the seeding series W = -sqrt(xi/6) (1 + sum_k b_k (6 xi^5)^(-k/2)): substituting it
+#: into W'' = 6 W^2 - xi and matching powers of xi^(-5/2) gives
+#: b_m = -1/2 [b_{m-1} (25 (m-1)^2 - 1) / 4 + sum_{i=1}^{m-1} b_i b_{m-i}], so 1, 1/8, -49/128, 1225/256,
+#: -4412401/32768: dyadic rationals, which these floats hold exactly
+_SERIES = (1.0, 0.125, -0.3828125, 4.78515625, -134.655792236328125)
 
-    Substituting the ansatz into W'' = 6 W^2 - xi and matching powers of
-    xi^(-5/2) gives the quadratic recursion
 
-        b_m = -1/2 [ b_{m-1} (25 (m-1)^2 - 1) / 4 + sum_{i=1}^{m-1} b_i b_{m-i} ].
+def asymptotic_series(xi):
+    """(W, W') of the large-xi series truncated after b_4 (_SERIES).
+
+    Accepts a float or an ndarray, with the same bits.  Refuses xi < 10,
+    where the divergent tail is no longer far below double precision.
     """
-    bs = [Fraction(1)]
-    for m in range(1, order + 1):
-        acc = bs[m - 1] * Fraction(25 * (m - 1) ** 2 - 1, 4)
-        acc += sum((bs[i] * bs[m - i] for i in range(1, m)), Fraction(0))
-        bs.append(-acc / 2)
-    return tuple(bs)
-
-
-def asymptotic_series(xi, order: int = SERIES_ORDER):
-    """(W, W') of the truncated large-xi series; exact rational coefficients.
-
-    Accepts a float or an ndarray, with the same bits.  Order 0 is the bare
-    leading term -sqrt(xi/6).  Refuses xi < 10, where the divergent tail is
-    no longer far below double precision.
-    """
-    if not 0 <= order <= 8:
-        raise DomainError("series order must lie in 0..8")
     scalar = isinstance(xi, (int, float))
     if not scalar:
         import numpy as np
@@ -111,10 +95,9 @@ def asymptotic_series(xi, order: int = SERIES_ORDER):
         poly = 0.0 * xi
         dpoly = 0.0 * xi
         tk = 1.0 + 0.0 * xi
-        for k, b in enumerate(_series_coefficients(order)):
-            bk = float(b)
-            poly = poly + bk * tk
-            dpoly = dpoly + (5 * k - 1) * bk * tk
+        for k, b in enumerate(_SERIES):
+            poly = poly + b * tk
+            dpoly = dpoly + (5 * k - 1) * b * tk
             tk = tk * t
         return -s * poly, s * dpoly / (2.0 * xi)
 
@@ -217,12 +200,12 @@ class TritronqueeSolution:
         the junction.
         """
         if isinstance(xi, (int, float)):
-            return asymptotic_series(float(xi), SERIES_ORDER) if xi > self.xi0 else self.eval(xi)
+            return asymptotic_series(float(xi)) if xi > self.xi0 else self.eval(xi)
         import numpy as np
         xi = np.asarray(xi, dtype=float)
         w, wp, above = np.empty_like(xi), np.empty_like(xi), xi > self.xi0
         if above.any():
-            w[above], wp[above] = asymptotic_series(xi[above], SERIES_ORDER)
+            w[above], wp[above] = asymptotic_series(xi[above])
         if not above.all():
             w[~above], wp[~above] = self.eval_many(xi[~above])
         return w, wp
@@ -284,14 +267,12 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
         raise SeedUnreliable(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
     if not xi_min < 0.0 < xi0:
         raise DomainError("need xi_min < 0 < xi0")
-    return _integrate(float(xi0), float(xi_min), float(tol),
-                      (SERIES_ORDER, TAYLOR_ORDER, STEP_EPS, MAX_STEPS, BLOWUP_THRESHOLD))
+    return _integrate(float(xi0), float(xi_min), float(tol))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _integrate(xi0: float, xi_min: float, tol: float, step_constants) -> TritronqueeSolution:
-    """The integration; step_constants completes the cache key (the steps read the module's)."""
-    w0, wp0 = asymptotic_series(xi0, SERIES_ORDER)
+def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
+    w0, wp0 = asymptotic_series(xi0)
     ts, ws, wps, rows = [xi0], [float(w0)], [float(wp0)], []
     blew_up = False
     while ts[-1] > xi_min and not blew_up:

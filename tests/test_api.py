@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ ORACLES = (paper_identities, branch_solvers)
 
 #: module -> names that left it: deleted (an equivalent stays in the API) or moved to an oracle module
 GONE = {
-    "painleve": ("find_first_negative_pole", "laurent_leading_coefficient"),
-    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes", "DegenerateReduction"),
+    "painleve": ("find_first_negative_pole", "laurent_leading_coefficient", "_series_coefficients", "SERIES_ORDER"),
+    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes", "DegenerateReduction", "JetTooShort"),
     "multiscale": ("overlap_error", "pi_reduction_exact_coefficients", "recover_leading_multiplier", "LeadingODE",
                    "PIReduction", "build_leading_ode", "reduce_to_pi"),
     "toda": (
@@ -25,7 +26,7 @@ GONE = {
     ),
     "geometry": (
         "reexpand_curve_series", "oplus_project", "bubble_curve", "finger_curve", "InterfaceFrame",
-        "_finger_frame", "_sample_segments", "prefactor_table", "_float_table", "prefactor_at",
+        "_finger_frame", "_sample_segments", "prefactor_table", "_float_table", "prefactor_at", "CurveSpec",
     ),
     "hodograph": (
         "exact_root", "_iroot", "hodograph_poly", "eval_H", "eval_dH", "poly_scale", "_piece_root",
@@ -40,15 +41,22 @@ GONE_METHODS = {
     ("hodograph", "CriticalPoint"): ("residuals", "times_c"),
     ("diffpoly", "Monomial"): ("of", "is_constant", "max_order"),
     ("multiscale", "CompositeSolution"): ("eps", "ode", "reduction"),
-    ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight"),
+    ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight", "eval"),
     ("hodograph", "KdVTimes"): ("with_x",),
-    ("geometry", "CurveSpec"): ("kind", "v", "tips"),
+    ("geometry", "CurveSpec"): ("kind", "v", "tips", "prefactor", "y", "real_zeros", "samples"),
+}
+#: (module, function) -> parameters that left it
+GONE_PARAMETERS = {
+    ("painleve", "asymptotic_series"): ("order",),
+    ("painleve", "_integrate"): ("step_constants",),
 }
 DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "overlap_error", "x_to_inner",
            "x_from_inner", "exact_root", "_iroot", "of", "eps", "is_constant", "max_order",
            "dispersionless_coefficient", "bubble_curve", "finger_curve", "InterfaceFrame", "_finger_frame",
            "_sample_segments", "bisect", "with_x", "kind", "v", "tips", "T3_QUINTIC", "times_c", "ode",
-           "reduction", "left_sum"}  # left_sum stays in the package, in geometry, its one caller
+           "reduction", "left_sum",  # left_sum stays in the package, in geometry, its one caller
+           "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
+           "real_zeros", "samples"}
 
 
 @pytest.mark.parametrize("module", sorted(GONE))
@@ -61,8 +69,18 @@ def test_moved_and_deleted_names_left_their_module(module):
 def test_moved_and_deleted_methods_left_their_class(owner):
     """Checked where the class lives now: its package module, or an oracle module if it moved there."""
     module, name = owner
-    home = next(m for m in (importlib.import_module(f"heleshaw.{module}"), *ORACLES) if hasattr(m, name))
+    home = next((m for m in (importlib.import_module(f"heleshaw.{module}"), *ORACLES) if hasattr(m, name)), None)
+    if home is None:  # the class itself is deleted, and its methods with it
+        assert name in GONE[module]
+        return
     assert [attr for attr in GONE_METHODS[owner] if hasattr(getattr(home, name), attr)] == []
+
+
+@pytest.mark.parametrize("owner", sorted(GONE_PARAMETERS), ids="/".join)
+def test_deleted_parameters_left_their_function(owner):
+    module, name = owner
+    parameters = inspect.signature(getattr(importlib.import_module(f"heleshaw.{module}"), name)).parameters
+    assert [p for p in GONE_PARAMETERS[owner] if p in parameters] == []
 
 
 def test_moved_names_are_oracles_beside_the_tests():
@@ -70,9 +88,9 @@ def test_moved_names_are_oracles_beside_the_tests():
     assert sorted(name for name in moved if not any(callable(getattr(m, name, None)) for m in ORACLES)) == []
 
 
-@pytest.mark.parametrize("module", ["hodograph", "multiscale", "geometry"])
+@pytest.mark.parametrize("module", ["hodograph", "multiscale", "geometry", "painleve", "toda"])
 def test_closed_form_layers_import_no_fractions(module):
-    """The quintic finger's closed forms run in floats: these layers import no fractions or decimal."""
+    """The closed forms and the tritronquee run in floats: these layers import no fractions or decimal."""
     tree = ast.parse(Path(importlib.import_module(f"heleshaw.{module}").__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -548,7 +548,11 @@ def test_any_input_ends_cleanly(argv):
 
 def test_failed_certificate_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(painleve, "STEP_EPS", 1e4)  # steps far too long for tol
-    code, _, err = run(capsys, "--outdir", str(tmp_path), "painleve")
+    painleve._integrate.cache_clear()  # the cache is keyed by the arguments only: integrate again
+    try:
+        code, _, err = run(capsys, "--outdir", str(tmp_path), "painleve")
+    finally:
+        painleve._integrate.cache_clear()
     assert code == 1
     assert len(err.splitlines()) == 1
     assert "certification failed" in err
@@ -570,6 +574,21 @@ def test_frames_window_whose_span_overflows_exit_1(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "error: frame window from -1e+308 to 1e+308 is too wide: its span overflows\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_frames_whose_finger_window_rounds_to_a_point_exit_1(tmp_path, capsys):
+    # at x = -1e308 the outer branch gives u = 5.4e102, where u + 1 rounds to u
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "frames", "--from=-1e308", "--to=0.6")
+    assert (code, out) == (1, "")
+    assert err == ("error: empty sampling window [u, max(2.5, u + 1)] = [5.428835233189813e+102, "
+                   "5.428835233189813e+102] at the branch point u = 5.428835233189813e+102\n")
+
+
+def test_match_far_below_the_fold_exit_1_without_a_warning(tmp_path, capsys):
+    # xi = (x - x_c) / (eps~^2 beta) overflows to inf at x = -1e308: the overlap is nan, which is not written
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "match", "--from=-1e308", "--to=-6")
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite result nan cannot be written\n"
 
 
 _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
@@ -660,8 +679,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
     """Importing the package or the CLI loads no numpy, scipy or layer module;
     `gd` and `critical` each load only their own layer, without numpy; `frames`
     loads no scipy and not the merging branch (heleshaw.toda); and in a fresh
-    interpreter `critical` and `trace` load only the hodograph layer, without
-    the exact number types (fractions, decimal)."""
+    interpreter `critical` and `trace` load only the hodograph layer, and
+    `painleve`, `composite`, `toda`, `match` and `frames` load no exact number
+    type (fractions, decimal)."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = """
@@ -705,6 +725,8 @@ print(json.dumps(stages))
         sorted([*cli, "heleshaw.hodograph"]),
         sorted([*cli, "heleshaw.hodograph"]),
     ]
+    floats = stages(*(["--outdir", str(tmp_path), sub] for sub in ("painleve", "composite", "toda", "match", "frames")))
+    assert [[m for m in stage if m in ("fractions", "decimal")] for stage in floats] == [[]] * 7
 
 
 def test_float_path_subcommands_load_no_numpy(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from branch_solvers import r_coeff
 from heleshaw.diffpoly import DiffPoly, Monomial, gd_next, gd_polynomials
-from heleshaw.errors import JetTooShort, NotExactDerivative
+from heleshaw.errors import NotExactDerivative
 from paper_identities import constant_part, dispersionless_part, homogeneous_weight, is_zero
 
 U = DiffPoly.field()
@@ -110,31 +110,6 @@ def test_derive_integrate_identity_on_image():
     p = poly(((0, 0, 1), (3, 7)), ((2, 2), (1, 4)), ((5,), (2, 1)))
     dp = p.derive()
     assert dp.integrate().derive() == dp
-
-
-# -- eval ----------------------------------------------------------------
-
-def test_eval_linear():
-    assert U.scale(Fraction(1, 2)).eval([3.0]) == 1.5
-
-
-def test_eval_r2_jet():
-    r2 = gd_polynomials(2)[2]
-    assert r2.eval([1.0, 0.0, 2.0]) == pytest.approx(0.625, abs=1e-15)
-
-
-def test_eval_jet_too_short():
-    with pytest.raises(JetTooShort):
-        UXX.eval([1.0, 2.0])
-
-
-def test_eval_r3_against_bruteforce():
-    # independent oracle: hand-derived closed form of R_3
-    r3 = gd_polynomials(3)[3]
-    jet = [0.37, -1.21, 0.55, 2.04, -0.83]
-    u0, u1, u2, _, u4 = jet
-    expected = u4 / 32 + 5 * u0 * u2 / 16 + 5 * u1**2 / 32 + 5 * u0**3 / 16
-    assert r3.eval(jet) == pytest.approx(expected, rel=1e-15)
 
 
 # -- Gel'fand-Dikii chain ------------------------------------------------

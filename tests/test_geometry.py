@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from branch_solvers import KdVTimes, general_real_roots, quintic_times, r_coeff
 from heleshaw.errors import DomainError, HeleShawError, OutOfRange
-from heleshaw.geometry import CurveSpec, detect_events, emit_frames, event_quadratics, finger_prefactor
-from heleshaw.hodograph import closed_u0
+from heleshaw.geometry import detect_events, emit_frames, event_quadratics, finger_prefactor, finger_samples
+from heleshaw.hodograph import closed_u0, real_roots
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
 from paper_identities import _float_table, oplus_project, prefactor_at, reexpand_curve_series, table_event_quadratics
@@ -91,47 +91,40 @@ def test_closed_prefactor_and_event_quadratics_equal_the_table_bitwise(t1, delta
 
 # -- finger curve ---------------------------------------------------------
 
-def _finger(u: float) -> CurveSpec:
-    """The quintic finger curve of t_1 = -0.8 at the branch point u."""
-    return CurveSpec(tuple(float(c) for c in oplus_project(quintic_times(-0.8), u)), u)
-
-
 def test_finger_zero_at_branch_point():
-    assert (1.0, 0.0) in _finger(1.0).samples(1.0, 2.5, 400)
+    samples = finger_samples(-0.8, 1.0, 400)
+    assert samples[0] == (1.0, 0.0)
+    assert samples[-1][0] == 2.5
 
 
 def test_finger_direct_evaluation():
-    u = 0.9
-    spec_y = (4.0 + u / 2 * 2.0 + 3 / 8 * u * u - 6 / 5) * math.sqrt(2.0 - u)
-    got = _finger(u).y(2.0)
-    assert got == pytest.approx(spec_y, rel=1e-14)
+    # Y = (X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1) sqrt(X - u) at each sampled X
+    u, t1 = 0.9, -0.8
+    for x, y in finger_samples(t1, u, 400):
+        assert y == pytest.approx((x * x + u / 2 * x + 3 / 8 * u * u + 1.5 * t1) * math.sqrt(x - u),
+                                  rel=1e-14, abs=1e-15)
 
 
 def test_finger_cusp_onset_double_zero():
     # at u = 4/5 the largest prefactor root collides with u: Y ~ (X-u)^(3/2)
     u = 0.8
-    spec = _finger(u)
-    assert spec.prefactor(u) == pytest.approx(0.0, abs=1e-14)
-    deltas = np.array([1e-4, 1e-6])
-    ys = spec.y(u + deltas)
-    ratios = ys / deltas**1.5
-    assert ratios[0] == pytest.approx(ratios[1], rel=2e-2)
-
-
-def test_finger_domain_error():
-    with pytest.raises(DomainError):
-        _finger(0.9).samples(0.5, 2.0, 400)
+    assert np.polynomial.polynomial.polyval(u, finger_prefactor(-0.8, u)) == pytest.approx(0.0, abs=1e-14)
+    near = [(x - u, y) for x, y in finger_samples(-0.8, u, 400) if 1e-9 < x - u < 1e-3]  # past the root's rounding
+    ratios = [y / d**1.5 for d, y in near]
+    assert len(ratios) >= 2
+    assert ratios[0] == pytest.approx(ratios[-1], rel=2e-2)
 
 
 def test_finger_empty_window_domain_error():
-    # at u = 1e17 the frame window (u, u + 1) rounds to a single point
-    with pytest.raises(DomainError, match="empty sampling window"):
-        _finger(1e17).samples(1e17, 1e17 + 1.0, 400)
+    # at u = 1e17 the frame window [u, u + 1] rounds to a single point
+    with pytest.raises(DomainError, match=r"empty sampling window \[u, max\(2.5, u \+ 1\)\] = "
+                                          r"\[1e\+17, 1e\+17\] at the branch point u = 1e\+17"):
+        finger_samples(-0.8, 1e17, 400)
 
 
 def test_finger_exact_zero_insertion():
     u = 0.7
-    zero_xs = [x for x, y in _finger(u).samples(u, 3.0, 400) if y == 0.0]
+    zero_xs = [x for x, y in finger_samples(-0.8, u, 400) if y == 0.0]
     assert u in zero_xs
     # largest prefactor root (> u for u < 4/5 on this branch set) hit exactly
     roots = [x for x in zero_xs if x > u]
@@ -154,7 +147,7 @@ def _distinct_real_roots_40(poly):
 ], ids=str)
 def test_finger_real_zeros_multiple_prefactor_roots(roots):
     # dyadic roots keep the float coefficients exact: each multiple root must be one zero.
-    # CurveSpec.real_zeros solves degree 2 only; its zeros of a higher-degree prefactor come from the oracle
+    # real_roots solves degree 2 only; the zeros of a higher-degree prefactor come from the oracle
     poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
     u = -1.5
     zeros = sorted({u, *(r for r in general_real_roots(poly) if r >= u)})
@@ -165,10 +158,11 @@ def test_finger_real_zeros_multiple_prefactor_roots(roots):
 
 @pytest.mark.parametrize("roots", [(1, 1), (0.5, 0.5), (-0.25, -0.25), (2, -1), (-2, 3)], ids=str)
 def test_finger_real_zeros_quadratic_prefactor(roots):
+    # the zeros that finger_samples inserts: u and the real_roots of its prefactor at or above u.
     # dyadic roots keep the float coefficients exact: a double root is one zero
     poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
     u = -1.5
-    assert CurveSpec(poly, u).real_zeros() == sorted({u, *(r for r in roots if r >= u)})
+    assert sorted({u, *(r for r in real_roots(poly) if r >= u)}) == sorted({u, *(r for r in roots if r >= u)})
 
 
 # -- the bubble curve's series -----------------------------------------------

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +19,7 @@ from heleshaw.errors import (
     StepSizeUnderflow,
     TooCloseToPole,
 )
-from heleshaw.painleve import (
-    _series_coefficients,
-    asymptotic_series,
-    integrate_tritronquee,
-)
+from heleshaw.painleve import _SERIES, asymptotic_series, integrate_tritronquee
 from paper_identities import laurent_leading_coefficient
 
 
@@ -47,8 +42,10 @@ def sol():
 # -- asymptotic series -----------------------------------------------------
 
 def test_series_leading_term_exact():
-    w, _ = asymptotic_series(24.0, order=0)
-    assert w == -2.0
+    # W = -sqrt(xi/6) (1 + t/8 + O(t^2)), t = (6 xi^5)^(-1/2); -sqrt(24/6) = -2
+    t = (6 * 24.0**5) ** -0.5
+    w, _ = asymptotic_series(24.0)
+    assert abs(w + 2.0 * (1 + t / 8)) < 2 * t**2
 
 
 def test_series_coefficients_against_formal_solve():
@@ -62,48 +59,32 @@ def test_series_coefficients_against_formal_solve():
     resid_s = sympy.expand(resid.subs(xi, s**-2))
     poly = sympy.Poly(sympy.expand(resid_s * s ** 3), s)
     sols = sympy.solve([poly.coeff_monomial(s**p) for p in range(0, 24)], a, dict=True)[0]
-    bs = _series_coefficients(4)
+    assert len(_SERIES) == 5 and _SERIES[0] == 1.0
     for k in range(1, 5):
-        expected = sols[a[k - 1]]
-        got = bs[k] * Fraction(6) ** 0 / sympy.sqrt(6) ** k  # a_k = b_k 6^(-k/2)
-        assert sympy.simplify(sympy.nsimplify(bs[k]) * 6 ** sympy.Rational(-k, 2) - expected) == 0
+        b_k = sympy.Rational(*_SERIES[k].as_integer_ratio())  # the float's exact value
+        assert sympy.simplify(b_k * 6 ** sympy.Rational(-k, 2) - sols[a[k - 1]]) == 0  # a_k = b_k 6^(-k/2)
 
 
 def test_series_residual_small_at_30():
     # 4th-order central stencil for W''
     h = 1e-2
     xi = 30.0
-    ws = [asymptotic_series(xi + i * h, 4)[0] for i in (-2, -1, 0, 1, 2)]
+    ws = [asymptotic_series(xi + i * h)[0] for i in (-2, -1, 0, 1, 2)]
     wpp = (-ws[0] + 16 * ws[1] - 30 * ws[2] + 16 * ws[3] - ws[4]) / (12 * h * h)
     assert abs(wpp - 6 * ws[2] ** 2 + xi) < 1e-10
 
 
-def test_series_residual_improves_with_order():
-    xi = 15.0
-    h = 1e-2
-
-    def resid(order):
-        ws = [asymptotic_series(xi + i * h, order)[0] for i in (-2, -1, 0, 1, 2)]
-        wpp = (-ws[0] + 16 * ws[1] - 30 * ws[2] + 16 * ws[3] - ws[4]) / (12 * h * h)
-        return abs(wpp - 6 * ws[2] ** 2 + xi)
-
-    assert resid(0) / resid(1) > 50
-    assert resid(1) / resid(2) > 50
-
-
 def test_series_wprime_consistent():
     h = 1e-5
-    w_minus, _ = asymptotic_series(25.0 - h, 4)
-    w_plus, _ = asymptotic_series(25.0 + h, 4)
-    _, wp = asymptotic_series(25.0, 4)
+    w_minus, _ = asymptotic_series(25.0 - h)
+    w_plus, _ = asymptotic_series(25.0 + h)
+    _, wp = asymptotic_series(25.0)
     assert wp == pytest.approx((w_plus - w_minus) / (2 * h), rel=1e-7)
 
 
 def test_series_domain_guard():
     with pytest.raises(DomainError):
-        asymptotic_series(9.0, 4)
-    with pytest.raises(DomainError):
-        asymptotic_series(30.0, 9)
+        asymptotic_series(9.0)
 
 
 def test_series_far_out_is_leading_term():
@@ -120,7 +101,7 @@ def test_series_far_out_is_leading_term():
 
 def test_overlap_with_series(sol):
     w, wp = sol.eval(25.0)
-    ws, wps = asymptotic_series(25.0, 4)
+    ws, wps = asymptotic_series(25.0)
     assert abs(w - ws) < 1e-9
     assert abs(wp - wps) < 1e-9
 
@@ -195,7 +176,7 @@ def test_step_budget_bounds_large_seed():
 
 
 def test_eval_at_seed_is_exact(sol):
-    w0, wp0 = asymptotic_series(30.0, 4)
+    w0, wp0 = asymptotic_series(30.0)
     w, wp = sol.eval(30.0)
     assert w == w0 and wp == wp0
 
@@ -324,15 +305,6 @@ def test_shared_solution_is_immutable(sol):
         sol.pole = 1.0
     assert all(type(rows) is tuple for rows in (sol._rows, sol._starts, sol._keys))
     assert all(type(row) is tuple for row in sol._rows)
-
-
-def test_step_constants_key_the_cache(sol, monkeypatch):
-    assert integrate_tritronquee() is sol
-    monkeypatch.setattr(painleve, "STEP_EPS", 1e4)  # steps far too long for tol
-    with pytest.raises(CertificationFailed):
-        integrate_tritronquee()
-    monkeypatch.undo()
-    assert integrate_tritronquee() is sol
 
 
 def test_failed_integration_is_not_cached(monkeypatch):
