@@ -33,8 +33,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-# Each subcommand imports its own layers (and numpy) when it runs, so that
-# e.g. `gd` loads only diffpoly and `critical` only hodograph.
+# Each subcommand imports its own layers when it runs, so that e.g. `gd` loads
+# only diffpoly and `critical` only hodograph; no subcommand loads numpy.
 from .errors import ConfigError, DomainError, HeleShawError
 from .textio import json_text, write_csv
 
@@ -258,12 +258,25 @@ def _cmd_painleve(opts) -> int:
                         xi0=xi0, tol=tol, pole=sol.pole, residual_max=sol.residual_max)
 
 
+def _nanmax(values: list) -> float:
+    """max(values), or nan if any value is nan, as numpy's max gives it; Python's max skips a nan after the first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def _cmd_match(opts) -> int:
     """inner/outer matching errors"""
-    from .multiscale import build_composite, overlap_report
+    from .multiscale import build_composite
 
     comp = build_composite(t_1=opts["t1"], eps=opts["eps"], tol=opts["tol"])
-    print(json_text(overlap_report(comp, (opts["x_from"], opts["x_to"]), opts["n"])))
+    a, b, n = opts["x_from"], opts["x_to"], opts["n"]
+    if not a < b:
+        raise DomainError("empty overlap interval")
+    # overlap_report on floats, bit for bit; outer first and from the end: a window past x_c is refused at its end
+    xs = grid(a, b, n)
+    outer = [comp.outer_u(x) for x in reversed(xs)][::-1]
+    diff = [abs(o - comp.inner_u(x)) for x, o in zip(xs, outer)]
+    print(json_text({"max_abs_err": _nanmax(diff), "max_rel_err": _nanmax([d / abs(o) for d, o in zip(diff, outer)]),
+                     "interval": [a, b], "eps": comp.scaling.eps, "n": n}))
     return 0
 
 

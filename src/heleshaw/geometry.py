@@ -26,18 +26,23 @@ Both conditions are quadratics in u (event_quadratics), so the event levels
 are their closed-form roots, hodograph.real_roots: u = +-v_c and
 u = +-sqrt(6) v_c.  u(x) decreases on each branch of the composite flow, so each level is
 crossed at most once per branch and its abscissa follows by bisection there.
+
+The module imports no numpy: finger_samples repeats numpy's linspace, cos and
+polyval on floats, so frames have the same bits on every CPU.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import pairwise
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, OutOfRange
 from .hodograph import real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
@@ -65,13 +70,21 @@ def left_sum(terms, total=0):
     return total
 
 
+@lru_cache(maxsize=16)
+def _cosine_nodes(m: int) -> tuple[float, ...]:
+    """1 - cos(theta) at the m angles of numpy's linspace(0, pi, m): i (pi / (m - 1)), the last one pi."""
+    step = math.pi / (m - 1)
+    return (*(1.0 - math.cos(i * step) for i in range(m - 1)), 1.0 - math.cos(math.pi))
+
+
 def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
     """About n points (X, Y) of Y = P(X; u) sqrt(X - u) on X in [u, max(2.5, u + 1)].
 
     The upper branch; the lower one is Y -> -Y.  The window is cut at the
     curve zeros (u and the prefactor roots above it) and each segment is
     sampled cosine-clustered toward both ends, which follows the square-root
-    behaviour there; the zeros themselves are hit exactly with Y = 0.
+    behaviour there; a sample within 1e-15 max(1, |z|) of a zero z moves onto
+    its nearest zero, with Y = 0, so the zeros are hit exactly.
     """
     poly = finger_prefactor(t_1, u)
     hi = max(2.5, u + 1.0)
@@ -82,18 +95,21 @@ def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
         raise DomainError(f"empty sampling window [u, max(2.5, u + 1)] = [{u!r}, {hi!r}] "
                           f"at the branch point u = {u!r}")
     total = left_sum(b - a for a, b in segments)
-    thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
-    xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])
-    ys = np.polynomial.polynomial.polyval(xs, np.asarray(poly, dtype=float)) * np.sqrt(np.maximum(xs - u, 0.0))
-    # snap to the analytic zeros: exact coordinates, exact Y = 0
-    for z in zeros:
-        hit = np.abs(xs - z) <= 1e-15 * max(1.0, abs(z))
-        xs[hit], ys[hit] = z, 0.0
-    # x increasing, shared endpoints once
-    order = np.argsort(xs, kind="stable")
-    xs, ys = xs[order], ys[order]
-    keep = np.concatenate(([True], xs[1:] > xs[:-1]))
-    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
+    c0, c1, _ = poly
+    samples: list[tuple[float, float]] = []
+    for a, b in segments:
+        half = (b - a) * 0.5
+        xs = [a + half * c for c in _cosine_nodes(max(8, round(n * (b - a) / total)))]
+        # P monic by Horner, as numpy's polyval runs it, times sqrt(X - u) (X >= a >= u)
+        pts = [(x, (c0 + (c1 + x) * x) * math.sqrt(x - u)) for x in xs]
+        for z in zeros:  # the nodes do not decrease: the ones within reach of z are one run
+            tol = 1e-15 * max(1.0, abs(z))
+            for i in range(bisect_left(xs, -tol, key=lambda x: x - z), bisect_right(xs, tol, key=lambda x: x - z)):
+                pts[i] = (min(reversed(zeros), key=lambda w: abs(xs[i] - w)), 0.0)  # nearest, the later on a tie
+        samples += pts
+    # X increasing (a stable sort; it moves samples only where two zeros lie an ulp or two apart), shared ends once
+    samples.sort(key=itemgetter(0))
+    return samples[:1] + [q for p, q in pairwise(samples) if q[0] > p[0]]
 
 
 # -- events ------------------------------------------------------------------
@@ -186,11 +202,13 @@ def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
         events = detect_events(comp, (min(abscissas), max(abscissas)))
     events = events or []
     # the branch data of all frames come first, so an abscissa out of range writes no file
-    us = comp.eval_many(abscissas).tolist()
-    t_1 = comp.cp.t_1
+    top = max(abscissas, default=-math.inf)
+    if top >= comp.x_star:  # named as eval_many names it: the largest abscissa
+        raise OutOfRange(f"x = {top} is at or beyond x* = {comp.x_star}")
+    us = [comp.eval(x) for x in abscissas]
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
     for index, (x, u) in enumerate(zip(abscissas, us)):
-        samples = finger_samples(t_1, u, n)
+        samples = finger_samples(comp.cp.t_1, u, n)
         name = f"frame_{index:03d}.csv"
         write_csv(outdir / name, "X,Y", samples)
         manifest["frames"].append({"index": index, "x": x, "file": name, "n_samples": len(samples),

@@ -34,8 +34,9 @@ A) are checked in the tests (tests/paper_identities.py).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, OutOfRange
 from .hodograph import CriticalPoint, closed_u0, find_critical_25
@@ -52,11 +53,11 @@ class ScalingMapKdV:
         if not self.eps > 0:
             raise DomainError("dispersion parameter must be positive")
 
-    @property
+    @cached_property
     def eps_tilde(self) -> float:
         return self.eps ** (2.0 / 5)
 
-    @property
+    @cached_property
     def zoom(self) -> float:
         """eps~^2, the width of the inner region."""
         return self.eps_tilde**2
@@ -88,7 +89,7 @@ class CompositeSolution:
     def x_c(self) -> float:
         return self.cp.x_c
 
-    @property
+    @cached_property
     def x_star(self) -> float:
         """Image of the first negative pole: end of the composite domain."""
         if self.tritronquee.pole is None:
@@ -106,9 +107,13 @@ class CompositeSolution:
             x = np.asarray(x, dtype=float)
         if x >= self.x_star if scalar else (x >= self.x_star).any():
             raise OutOfRange(f"x beyond the pole image x* = {self.x_star!r}")
-        # far below x_c, xi overflows to inf: silently, as on floats
-        with nullcontext() if scalar else np.errstate(over="ignore"):
+        if scalar:
             xi = self.xi_of_x(x)
+            if math.isinf(xi):
+                raise DomainError(f"inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = {x!r}")
+        else:
+            with np.errstate(over="ignore"):  # far below x_c: xi = inf, and W = nan, which no writer takes
+                xi = self.xi_of_x(x)
         w, _ = self.tritronquee.eval_extended(xi)
         return self.v_c + self.scaling.eps_tilde * self.alpha * w
 

@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heleshaw
@@ -182,6 +182,27 @@ def test_match_headline_numbers(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["max_abs_err"] < 5e-4
     assert payload["max_rel_err"] < 0.000625
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t1=st.floats(-1.5, -0.3), eps=st.floats(-6.0, -2.0).map(lambda e: 10.0**e),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+       n=st.integers(1, 2000))
+@example(t1=-0.8, eps=1e-5, ends=[0.0, 1e-3], n=1)
+def test_match_report_equals_overlap_report(tmp_path_factory, t1, eps, ends, n):
+    """match computes on floats what multiscale.overlap_report computes on arrays, bit for bit, on any
+    window below x_c (ends in units of x_c, measured down from it)."""
+    from heleshaw.multiscale import build_composite, overlap_report
+    from heleshaw.textio import json_text
+
+    comp = build_composite(t_1=t1, eps=eps)
+    a, b = (comp.x_c - e * comp.x_c for e in reversed(ends))
+    assume(a < b)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--outdir", str(tmp_path_factory.getbasetemp()), "match", f"--t1={t1!r}", f"--eps={eps!r}",
+                     f"--from={a!r}", f"--to={b!r}", f"--n={n}"])
+    assert (code, stdout.getvalue()) == (0, json_text(overlap_report(comp, (a, b), n)) + "\n")
 
 
 def test_composite_csv_and_summary(tmp_path, capsys):
@@ -585,10 +606,21 @@ def test_frames_whose_finger_window_rounds_to_a_point_exit_1(tmp_path, capsys):
 
 
 def test_match_far_below_the_fold_exit_1_without_a_warning(tmp_path, capsys):
-    # xi = (x - x_c) / (eps~^2 beta) overflows to inf at x = -1e308: the overlap is nan, which is not written
+    # xi = (x - x_c) / (eps~^2 beta) overflows to inf at x = -1e308: the inner branch refuses it by name
     code, out, err = run(capsys, "--outdir", str(tmp_path), "match", "--from=-1e308", "--to=-6")
     assert (code, out) == (1, "")
-    assert err == "error: non-finite result nan cannot be written\n"
+    assert err == "error: inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = -1e+308\n"
+
+
+def test_match_keeps_a_nan_overlap_nan(tmp_path, capsys, monkeypatch):
+    # numpy's max of the overlap is nan if one value is; Python's max would skip it and print a number
+    from heleshaw.multiscale import CompositeSolution
+
+    mid = grid(0.6365, 0.6367, 3)[1]
+    inner_u = CompositeSolution.inner_u
+    monkeypatch.setattr(CompositeSolution, "inner_u", lambda self, x: math.nan if x == mid else inner_u(self, x))
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "match", "--from=0.6365", "--to=0.6367", "--n=3")
+    assert (code, out, err) == (1, "", "error: non-finite result nan cannot be written\n")
 
 
 _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
@@ -636,9 +668,9 @@ def test_tables_at_a_bulk_row_count_match_the_array_functions(tmp_path, capsys):
 
 
 def test_frames_and_trace_independent_of_numpy_cpu_dispatch(tmp_path):
-    """Frame abscissas and the frame, trace, painleve, composite and toda files
-    keep their bits when the AVX-512 kernels of numpy are switched off in a
-    child process.
+    """Frame abscissas, the frame, trace, painleve, composite and toda files and
+    match's report keep their bits when the AVX-512 kernels of numpy are
+    switched off in a child process.
 
     Over these windows, np.geomspace placed 24 of 7809 frames differently on
     an AVX-512 host.  Where numpy has no such kernels, the variable changes
@@ -660,25 +692,28 @@ for _ in range(300):
 digests = {}
 for i, argv in enumerate((["frames"], ["frames", "--from=0.62", "--to=0.6401", "--count=13"], ["trace"],
                           ["trace", "--t1=-1.3", "--from=-2", "--to=1.1", "--n=999"],
-                          ["painleve"], ["composite"], ["toda"])):
+                          ["painleve"], ["composite"], ["toda"], ["match"],
+                          ["match", "--t1=-1.1", "--eps=1e-4", "--from=0.9", "--to=1.0", "--n=333"])):
     outdir = Path(sys.argv[1]) / str(i)
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         assert main(["--outdir", str(outdir), *argv]) == 0
     for f in sorted(outdir.iterdir()):
         digests[f"{i}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    if argv[0] == "match":  # its stdout holds no path
+        digests[f"{i}/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
 print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows], "files": digests}))
 """
     runs = [json.loads(subprocess.run([sys.executable, "-c", code, str(tmp_path / str(i))], env=child,
                                       capture_output=True, text=True, check=True).stdout)
             for i, child in enumerate((env, no_avx512))]
-    assert len(runs[0]["files"]) == (8 + 1) + (13 + 1) + 1 + 1 + 3
+    assert len(runs[0]["files"]) == (8 + 1) + (13 + 1) + 1 + 1 + 3 + 2
     assert runs[0] == runs[1]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
     """Importing the package or the CLI loads no numpy, scipy or layer module;
     `gd` and `critical` each load only their own layer, without numpy; `frames`
-    loads no scipy and not the merging branch (heleshaw.toda); and in a fresh
+    loads no numpy, no scipy and not the merging branch (heleshaw.toda); and in a fresh
     interpreter `critical` and `trace` load only the hodograph layer, and
     `painleve`, `composite`, `toda`, `match` and `frames` load no exact number
     type (fractions, decimal)."""
@@ -718,7 +753,7 @@ print(json.dumps(stages))
     layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
     assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
                              "heleshaw.multiscale", "heleshaw.painleve"])
-    assert not [m for m in frames if m.split(".")[0] == "scipy"]
+    assert not [m for m in frames if m.split(".")[0] in ("numpy", "scipy")]
     assert stages(["critical"], ["--outdir", str(tmp_path), "trace"]) == [
         ["heleshaw"],
         cli,
@@ -730,20 +765,20 @@ print(json.dumps(stages))
 
 
 def test_float_path_subcommands_load_no_numpy(tmp_path):
-    """trace, painleve, composite and toda at their default row counts run without numpy."""
+    """Each of the 8 subcommands at its defaults runs without numpy, in a fresh interpreter of its own."""
     src = str(Path(heleshaw.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = f"""
 import contextlib, io, sys
 from heleshaw.cli import main
-for sub in ('trace', 'painleve', 'composite', 'toda'):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(['--outdir', {str(tmp_path)!r}, sub]) == 0
-    print(sub, 'numpy' in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(['--outdir', {str(tmp_path)!r}, *sys.argv[1:]]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["trace", "False", "painleve", "False", "composite", "False",
-                                  "toda", "False"]
+    loaded = {sub: subprocess.run([sys.executable, "-c", code, *sub.split()], env=env, capture_output=True,
+                                  text=True, check=True).stdout.strip()
+              for sub in ("gd --n 12", "critical", "trace", "painleve", "match", "composite", "frames", "toda")}
+    assert loaded == dict.fromkeys(loaded, "[]")
 
 
 def test_numerical_subcommands_load_no_numpy_ma(tmp_path):

@@ -1,19 +1,22 @@
 """Curve, projection and event tests for the interface geometry."""
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branch_solvers import KdVTimes, general_real_roots, quintic_times, r_coeff
 from heleshaw.errors import DomainError, HeleShawError, OutOfRange
-from heleshaw.geometry import detect_events, emit_frames, event_quadratics, finger_prefactor, finger_samples
+from heleshaw.cli import frame_abscissas, main
+from heleshaw.geometry import detect_events, emit_frames, event_quadratics, finger_prefactor, finger_samples, left_sum
 from heleshaw.hodograph import closed_u0, real_roots
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
@@ -113,6 +116,70 @@ def test_finger_cusp_onset_double_zero():
     ratios = [y / d**1.5 for d, y in near]
     assert len(ratios) >= 2
     assert ratios[0] == pytest.approx(ratios[-1], rel=2e-2)
+
+
+def numpy_finger_samples(t_1, u, n):
+    """The numpy sampler that finger_samples replaced, as an oracle: linspace/cos nodes, polyval, a snap
+    to each zero in turn (a later zero takes over the points of an earlier one), stable argsort."""
+    poly = finger_prefactor(t_1, u)
+    hi = max(2.5, u + 1.0)
+    zeros = sorted({u, *(r for r in real_roots(poly) if r >= u)})
+    cuts = [u] + [z for z in zeros if u < z < hi] + [hi]
+    segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    total = left_sum(b - a for a, b in segments)
+    thetas = [np.linspace(0.0, math.pi, max(8, round(n * (b - a) / total))) for a, b in segments]
+    xs = np.concatenate([a + (b - a) * 0.5 * (1.0 - np.cos(t)) for (a, b), t in zip(segments, thetas)])
+    ys = np.polynomial.polynomial.polyval(xs, np.asarray(poly, dtype=float)) * np.sqrt(np.maximum(xs - u, 0.0))
+    for z in zeros:
+        hit = np.abs(xs - z) <= 1e-15 * max(1.0, abs(z))
+        xs[hit], ys[hit] = z, 0.0
+    order = np.argsort(xs, kind="stable")
+    xs, ys = xs[order], ys[order]
+    keep = np.concatenate(([True], xs[1:] > xs[:-1]))
+    return list(zip(xs[keep].tolist(), ys[keep].tolist()))
+
+
+def _near_a_level(t_1, ulps):
+    """u within `ulps` steps of an event level +-v_c or +-sqrt(6) v_c, where the prefactor roots meet u or
+    each other."""
+    v_c = math.sqrt(-4.0 * t_1 / 5.0)
+    return st.sampled_from([v_c, -v_c, math.sqrt(6) * v_c, -math.sqrt(6) * v_c]).map(
+        lambda level: level + ulps * math.ulp(level))
+
+
+def _zeros_within_two_reaches(t_1, u):
+    """Two curve zeros (u, the prefactor roots above it) within two snap reaches 2e-15 max(1, |z|) of each
+    other: a root just above u (the cusp onset) or a near-double root (root coalescence).  There the old
+    sampler snapped the points of the earlier zero onto the later one, the earlier zero's own included."""
+    zeros = sorted({u, *(r for r in real_roots(finger_prefactor(t_1, u)) if r >= u)})
+    return any(b - a <= 2e-15 * max(1.0, abs(a), abs(b)) for a, b in zip(zeros, zeros[1:]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(t_1=st.floats(-3.0, -1e-3), n=st.integers(1, 2000), data=st.data())
+def test_finger_samples_equal_the_numpy_sampler_bitwise(t_1, n, data):
+    u = data.draw(st.one_of(st.floats(-4.0, 4.0), st.integers(-40, 40).flatmap(lambda k: _near_a_level(t_1, k))))
+    assume(not _zeros_within_two_reaches(t_1, u))
+    assert [(x.hex(), y.hex()) for x, y in finger_samples(t_1, u, n)] == [
+        (x.hex(), y.hex()) for x, y in numpy_finger_samples(t_1, u, n)]
+
+
+def test_cusp_frame_starts_at_its_branch_point(tmp_path, capsys):
+    """At the cusp onset u = v_c = 4/5 a prefactor root lies one ulp above u; the frame still starts at
+    (u, 0), which is where bench/checks.frames reads each frame's branch point."""
+    assert finger_samples(-0.8, 0.8, 400)[:2] == [(0.8, 0.0), (0.8000000000000002, 0.0)]
+    spec = importlib.util.spec_from_file_location("bench_checks", Path(__file__).parents[1] / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    # the outer branch reaches the cusp at x_c exactly, u(x_c) = v_c; a switch one ulp above keeps it there
+    x_c = 0.6400000000000001
+    assert main(["--outdir", str(tmp_path), "frames", "--switch", repr(math.nextafter(x_c, 1.0)),
+                 "--from", "0.6", "--to", repr(x_c), "--count", "3"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    problems, ends = checks.frames(tmp_path, manifest, frame_abscissas(0.6, x_c, 3))
+    assert problems == []
+    assert ends == (closed_u0(0.6, -0.8), 0.8)
 
 
 def test_finger_empty_window_domain_error():
