@@ -241,13 +241,15 @@ class DiffPoly:
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
+        num, den = self._content.numerator, self._content.denominator
         text = ""
         for orders, c in sorted(self._terms.items()):
-            coeff = self._content * c
-            mag, mono = abs(coeff), Monomial(orders)
-            body = str(mag) if not orders else str(mono) if mag == 1 else f"{mag} {mono}"
-            sign = "-" if coeff < 0 else "+"
-            text += f" {sign} {body}" if text else ("-" if coeff < 0 else "") + body
+            # |content * c| as str(Fraction) spells it, reduced in ints: "p" or "p/q"
+            g = math.gcd(num * c, den)
+            mag = f"{abs(num * c) // g}" + (f"/{den // g}" if g != den else "")
+            body = mag if not orders else str(Monomial(orders)) if mag == "1" else f"{mag} {Monomial(orders)}"
+            sign = "-" if c < 0 else "+"
+            text += f" {sign} {body}" if text else ("-" if c < 0 else "") + body
         return text or "0"
 
     def __repr__(self) -> str:

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange
 from .hodograph import real_roots
@@ -114,8 +113,7 @@ def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
 
 # -- events ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Topological change of the interface at flow abscissa x_value."""
 
     kind: str           # cusp | zero-count-change | root-coalescence

@@ -32,13 +32,12 @@ for any degree and the branch and critical-point search on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """Second-order gradient catastrophe of the quintic finger at t_1: x_c, v_c and the constant c.
 
     c is the local-fold constant of v ~ v_c + (c (x - x_c))^(1/2), equal to

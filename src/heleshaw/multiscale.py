@@ -35,7 +35,6 @@ A) are checked in the tests (tests/paper_identities.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, OutOfRange
@@ -43,27 +42,20 @@ from .hodograph import CriticalPoint, closed_u0, find_critical_25
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
-@dataclass(frozen=True)
 class ScalingMapKdV:
-    """Zoom maps between physical and inner variables near the catastrophe."""
+    """Zoom maps between physical and inner variables near the catastrophe: eps, eps~ = eps^(2/5)
+    and zoom = eps~^2, the width of the inner region."""
 
-    eps: float
+    __slots__ = ("eps", "eps_tilde", "zoom")
 
-    def __post_init__(self):
-        if not self.eps > 0:
+    def __init__(self, eps: float):
+        if not eps > 0:
             raise DomainError("dispersion parameter must be positive")
-
-    @cached_property
-    def eps_tilde(self) -> float:
-        return self.eps ** (2.0 / 5)
-
-    @cached_property
-    def zoom(self) -> float:
-        """eps~^2, the width of the inner region."""
-        return self.eps_tilde**2
+        self.eps = eps
+        self.eps_tilde = eps ** (2.0 / 5)
+        self.zoom = self.eps_tilde**2
 
 
-@dataclass
 class CompositeSolution:
     """Outer hodograph branch glued to the rescaled inner tritronquee.
 
@@ -74,12 +66,10 @@ class CompositeSolution:
     evaluable.  alpha and beta are the P-I rescaling u1 = alpha W, x~ = beta xi.
     """
 
-    cp: CriticalPoint
-    scaling: ScalingMapKdV
-    alpha: float
-    beta: float
-    tritronquee: TritronqueeSolution
-    x_switch: float
+    def __init__(self, cp: CriticalPoint, scaling: ScalingMapKdV, alpha: float, beta: float,
+                 tritronquee: TritronqueeSolution, x_switch: float):
+        self.cp, self.scaling, self.alpha, self.beta = cp, scaling, alpha, beta
+        self.tritronquee, self.x_switch = tritronquee, x_switch
 
     @property
     def v_c(self) -> float:

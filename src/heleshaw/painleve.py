@@ -38,9 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional
 
 from .errors import (CertificationFailed, DomainError, OutOfRange, SeedUnreliable, StepSizeUnderflow,
                      TooCloseToPole)
@@ -126,7 +124,6 @@ def _frozen_array(name: str) -> cached_property:
     return cached_property(build)
 
 
-@dataclass(frozen=True, eq=False)
 class TritronqueeSolution:
     """Dense numerical tritronquee with certified residual; immutable.
 
@@ -139,20 +136,21 @@ class TritronqueeSolution:
     < 100 * tol or raises CertificationFailed.  Its tuples and arrays are read-only.
     """
 
-    xi0: float
-    tol: float
-    pole: Optional[float]
-    _ts: tuple = field(repr=False)
-    _ws: tuple = field(repr=False)
-    _wps: tuple = field(repr=False)
-    _rows: tuple = field(repr=False)
-    residual_max: float = field(init=False)
     ts, ws, wps, _coef = map(_frozen_array, ("_ts", "_ws", "_wps", "_rows"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_starts", self._ts[:-1])  # frozen dataclass
-        object.__setattr__(self, "_keys", tuple(-t for t in self._starts))
-        object.__setattr__(self, "residual_max", _certify(self))
+    def __init__(self, xi0: float, tol: float, pole: float | None, _ts: tuple, _ws: tuple, _wps: tuple,
+                 _rows: tuple):
+        starts = _ts[:-1]
+        self.__dict__.update(xi0=xi0, tol=tol, pole=pole, _ts=_ts, _ws=_ws, _wps=_wps, _rows=_rows,
+                             _starts=starts, _keys=tuple(-t for t in starts))
+        self.__dict__["residual_max"] = _certify(self)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # the error a frozen dataclass raises; loaded on this path only
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
 
     @property
     def blew_up(self) -> bool:

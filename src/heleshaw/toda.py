@@ -45,16 +45,14 @@ change of variables check the leading term in the tests
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .hodograph import float_input
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
-@dataclass(frozen=True)
-class TodaCritical:
+class TodaCritical(NamedTuple):
     """Merging-point data: v_c = u_c^2 and the closed-form critical times."""
 
     u_c: float
@@ -98,7 +96,6 @@ def find_toda_critical(t_3, x_c) -> TodaCritical:
 
 # -- inner solution ----------------------------------------------------------
 
-@dataclass
 class TodaInner:
     """Rescaled inner data: critical point, zoom parameter and tritronquee.
 
@@ -106,14 +103,11 @@ class TodaInner:
     change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.
     """
 
-    crit: TodaCritical
-    eps: float
-    tritronquee: TritronqueeSolution
-
-    def __post_init__(self):
-        if not self.eps > 0:
+    def __init__(self, crit: TodaCritical, eps: float, tritronquee: TritronqueeSolution):
+        self.crit, self.eps, self.tritronquee = crit, eps, tritronquee
+        if not eps > 0:
             raise DomainError("eps must be positive")
-        a, crit = self.a, self.crit
+        a = self.a
         if a in (0.0, math.inf):  # a itself leaves the float range
             raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) {'overflows' if a else 'underflows'} "
                               f"at t_3 = {crit.t_3!r}, x_c = {crit.x_c!r}")
