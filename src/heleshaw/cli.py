@@ -174,8 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 def grid(start: float, stop: float, n: int) -> list[float]:
     """n abscissas from start to stop, the ends pinned, by numpy's linspace formula without numpy:
     i step + start, or i (delta/div) + start where the step underflows.  A handler maps its layer's
-    float function over them, so the CLI's tables load no numpy at any row count."""
+    float function over them, so the CLI's tables load no numpy at any row count.  A window whose span
+    overflows is refused: numpy would give nan and inf abscissas, values the user never gave."""
     delta, div = stop - start, max(n - 1, 1)
+    if not math.isfinite(delta):
+        raise DomainError(f"window from {start} to {stop} is too wide: its span overflows")
     step = delta / div
     xs = [i * step + start if step else i / div * delta + start for i in range(n - 1)]
     return [*xs, stop] if n > 1 else [0.0 * delta + start]

@@ -1,21 +1,23 @@
 """Exact differential-polynomial algebra in one field variable.
 
-A monomial is a finite multiset of derivative orders of a single field u(x):
-``(0, 0, 2)`` stands for ``u * u * u_xx`` and the empty tuple is the constant
-monomial.  Coefficients are exact rationals, so the constants produced by the
-Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...) stay exact.
+A monomial is an ascending tuple of the derivative orders of its factors,
+all of a single field u(x): ``(0, 0, 2)`` stands for ``u * u * u_xx`` and the
+empty tuple is the constant monomial.  Coefficients are exact rationals, so
+the constants produced by the Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...)
+stay exact.
 
 A polynomial is stored as a positive rational content times a primitive integer
-part (sorted order-tuples mapped to ints with gcd 1; zero is {}).  The form is
+part (order tuples mapped to ints with gcd 1; zero is {}).  The form is
 canonical, so equality is structural, and the algebra runs on ints and tuples.
 
 The weight of a monomial is ``sum(order + 2)`` over its factors.  The n-th
 Gel'fand-Dikii polynomial R_n is weight-homogeneous of weight 2n and is
 produced by
 
-    d/dx R_{n+1} = (1/4 d3/dx3 + u d/dx + 1/2 u_x) R_n,      R_0 = 1.
+    d/dx R_{n+1} = (1/4 d3/dx3 + u d/dx + 1/2 u_x) R_n,      R_0 = 1,
 
-The right-hand side is integrated exactly by parts (:meth:`DiffPoly.integrate`):
+integrated once by parts into R_{n+1} = 1/4 R_n'' + u R_n - 1/2 int u_x R_n dx.
+The one integration, of u_x R_n, is exact by parts (:meth:`DiffPoly.integrate`):
 the highest derivative u_k of each monomial is absorbed into a derivative of
 u_{k-1}, one order at a time from the top down, so no linear system is
 solved.  The antiderivative is taken with zero constant term, which fixes
@@ -31,39 +33,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import groupby
+from typing import Iterator, Mapping
 
 from .errors import NotExactDerivative
-
-
-class Monomial(tuple):
-    """Product of field derivatives: an immutable tuple of its orders, sorted ascending (canonical form)."""
-
-    __slots__ = ()
-
-    def __new__(cls, orders: Iterable[int] = ()):
-        orders = sorted(orders)
-        if orders and orders[0] < 0:
-            raise ValueError("derivative orders must be non-negative")
-        return super().__new__(cls, orders)
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
-    def weight(self) -> int:
-        return sum(k + 2 for k in self)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self + other)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.orders!r})"
-
-    def __str__(self) -> str:
-        powers = [(_factor_name(k), self.count(k)) for k in dict.fromkeys(self)]
-        return " ".join(name if power == 1 else f"{name}^{power}" for name, power in powers) or "1"
 
 
 def _factor_name(order: int) -> str:
@@ -72,6 +45,12 @@ def _factor_name(order: int) -> str:
     if order <= 3:
         return "u_" + "x" * order
     return f"u_x{order}"
+
+
+def _monomial_text(orders: tuple[int, ...]) -> str:
+    """Text of one monomial, e.g. "u^2 u_xx" for (0, 0, 2) and "1" for ()."""
+    powers = [(_factor_name(k), len(list(run))) for k, run in groupby(orders)]
+    return " ".join(name if power == 1 else f"{name}^{power}" for name, power in powers) or "1"
 
 
 def _bumps(orders: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -92,12 +71,14 @@ class DiffPoly:
 
     __slots__ = ("_content", "_terms")
 
-    def __init__(self, terms: Mapping[Monomial, int | Fraction]
-                 | Iterable[tuple[Monomial, int | Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[tuple[int, ...], int | Fraction]):
+        """From {orders: coefficient}; each key is sorted, so keys naming the same monomial add up."""
         acc: dict[tuple[int, ...], Fraction] = {}
-        for mono, coeff in items:
-            acc[mono.orders] = acc.get(mono.orders, 0) + Fraction(coeff)
+        for orders, coeff in terms.items():
+            orders = tuple(sorted(orders))
+            if orders and orders[0] < 0:
+                raise ValueError("derivative orders must be non-negative")
+            acc[orders] = acc.get(orders, 0) + Fraction(coeff)
         den = math.lcm(*(q.denominator for q in acc.values()))
         self._set(Fraction(1, den), {orders: q.numerator * (den // q.denominator) for orders, q in acc.items()})
 
@@ -115,26 +96,18 @@ class DiffPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "DiffPoly":
-        return cls()
-
-    @classmethod
     def const(cls, value: int | Fraction) -> "DiffPoly":
-        return cls({Monomial(): value})
+        return cls({(): value})
 
     @classmethod
     def field(cls) -> "DiffPoly":
         """The bare field u."""
         return _make(Fraction(1), {(0,): 1})
 
-    @classmethod
-    def monomial(cls, orders: Iterable[int], coeff: int | Fraction = 1) -> "DiffPoly":
-        return cls({Monomial(tuple(orders)): coeff})
-
     # -- ring structure ----------------------------------------------------
 
-    def terms(self) -> dict[Monomial, Fraction]:
-        return {Monomial(orders): self._content * c for orders, c in self._terms.items()}
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {orders: self._content * c for orders, c in self._terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
@@ -216,13 +189,13 @@ class DiffPoly:
                 if not c:
                     continue
                 if orders[-2:-1] == (k,):
-                    mono = Monomial(orders)
-                    raise NotExactDerivative(f"{mono} repeats its top derivative: not a total derivative")
+                    raise NotExactDerivative(f"{_monomial_text(orders)} repeats its top derivative: "
+                                             "not a total derivative")
                 p = orders.count(k - 1)
                 below, lifted = orders[:-1 - p], (k - 1,) * (p + 1)
                 q, r = divmod(c, p + 1)
                 if r:
-                    raise ArithmeticError(f"by parts, {c} {Monomial(orders)} is not divisible by {p + 1}")
+                    raise ArithmeticError(f"by parts, {c} {_monomial_text(orders)} is not divisible by {p + 1}")
                 out[below + lifted] = out.get(below + lifted, 0) + q
                 for bumped, run in _bumps(below):
                     rest[bumped + lifted] = rest.get(bumped + lifted, 0) - q * run
@@ -235,9 +208,6 @@ class DiffPoly:
     def max_order(self) -> int:
         return max((orders[-1] for orders in self._terms if orders), default=-1)
 
-    def coeff(self, orders: Iterable[int]) -> Fraction:
-        return self._content * self._terms.get(Monomial(tuple(orders)).orders, 0)
-
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -247,7 +217,7 @@ class DiffPoly:
             # |content * c| as str(Fraction) spells it, reduced in ints: "p" or "p/q"
             g = math.gcd(num * c, den)
             mag = f"{abs(num * c) // g}" + (f"/{den // g}" if g != den else "")
-            body = mag if not orders else str(Monomial(orders)) if mag == "1" else f"{mag} {Monomial(orders)}"
+            body = mag if not orders else _monomial_text(orders) if mag == "1" else f"{mag} {_monomial_text(orders)}"
             sign = "-" if c < 0 else "+"
             text += f" {sign} {body}" if text else ("-" if c < 0 else "") + body
         return text or "0"
@@ -268,16 +238,18 @@ class DiffPoly:
 def gd_next(r_n: DiffPoly) -> DiffPoly:
     """One step of the recursion d/dx R_{n+1} = (1/4 d3 + u d + 1/2 u_x) R_n.
 
-    The right-hand side is formed as (D3 R + 4u DR + 2u_x R) / 4.  The zero
-    constant term of :meth:`DiffPoly.integrate` makes the derivative-free part
-    of R_{n+1} come out as binom(2n+2, n+1) u^(n+1) / 4^(n+1).  A
-    NotExactDerivative escaping from here indicates an internal inconsistency
-    (the right-hand side of the recursion is always exact).
+    Integrated once by parts, since int (u R_n' + 1/2 u_x R_n) = u R_n - 1/2 int u_x R_n:
+
+        R_{n+1} = 1/4 R_n'' + u R_n - 1/2 int u_x R_n dx.
+
+    u_x R_n is a total derivative, as the other two terms of the recursion are.
+    The zero constant term of :meth:`DiffPoly.integrate` makes the
+    derivative-free part of R_{n+1} come out as binom(2n+2, n+1) u^(n+1) / 4^(n+1).
+    A NotExactDerivative escaping from here indicates an internal inconsistency.
     """
     u = DiffPoly.field()
-    dr = r_n.derive()
-    rhs = dr.derive().derive() + (u * dr).scale(4) + (u.derive() * r_n).scale(2)
-    return rhs.scale(Fraction(1, 4)).integrate()
+    return (r_n.derive().derive().scale(Fraction(1, 4)) + u * r_n
+            - (u.derive() * r_n).integrate().scale(Fraction(1, 2)))
 
 
 _GD_CACHE: list[DiffPoly] = [DiffPoly.const(1)]

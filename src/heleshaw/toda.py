@@ -100,32 +100,23 @@ class TodaInner:
     """Rescaled inner data: critical point, zoom parameter and tritronquee.
 
     `a` is the similarity-ODE forcing constant 2 u_c^2 / (3 t_3); the P-I
-    change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.
+    change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a and
+    eps~ = eps^(1/5) are computed once, at construction.
     """
 
     def __init__(self, crit: TodaCritical, eps: float, tritronquee: TritronqueeSolution):
         self.crit, self.eps, self.tritronquee = crit, eps, tritronquee
         if not eps > 0:
             raise DomainError("eps must be positive")
-        a = self.a
+        self.u_c = crit.u_c
+        self.a = a = 2.0 * self.u_c**2 / (3.0 * crit.t_3)
         if a in (0.0, math.inf):  # a itself leaves the float range
             raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) {'overflows' if a else 'underflows'} "
                               f"at t_3 = {crit.t_3!r}, x_c = {crit.x_c!r}")
         if not a > 0:
             raise DomainError("similarity constant a = 2 u_c^2/(3 t_3) must be positive "
                               "(t_3 > 0) for the tritronquee matching direction")
-
-    @property
-    def u_c(self) -> float:
-        return self.crit.u_c
-
-    @property
-    def a(self) -> float:
-        return 2.0 * self.u_c**2 / (3.0 * self.crit.t_3)
-
-    @property
-    def eps_tilde(self) -> float:
-        return self.eps ** (1.0 / 5.0)
+        self.eps_tilde = eps ** (1.0 / 5.0)
 
     def xi_of_ttilde(self, t_tilde):
         return -(self.a ** (1.0 / 5.0)) * t_tilde

@@ -43,16 +43,16 @@ def is_zero(p: DiffPoly) -> bool:
 
 def dispersionless_part(p: DiffPoly) -> DiffPoly:
     """Derivative-free part: terms built only from u itself."""
-    return DiffPoly({mono: c for mono, c in p.terms().items() if not any(mono)})
+    return DiffPoly({orders: c for orders, c in p.terms().items() if not any(orders)})
 
 
 def constant_part(p: DiffPoly) -> Fraction:
-    return p.coeff(())
+    return p.terms().get((), Fraction(0))
 
 
 def homogeneous_weight(p: DiffPoly) -> int | None:
     """The common monomial weight, or None if mixed (zero poly -> None)."""
-    weights = {mono.weight for mono in p.terms()}
+    weights = {sum(k + 2 for k in orders) for orders in p.terms()}
     return weights.pop() if len(weights) == 1 else None
 
 

@@ -33,15 +33,16 @@ GONE = {
         "branch_root", "solve_branch", "find_critical", "_derivative", "_horner", "bisect", "KdVTimes",
         "quintic_times", "T3_QUINTIC", "r_coeff", "_halfint_rising_coeff", "c_coeff", "left_sum",
     ),
-    "diffpoly": ("dispersionless_coefficient",),
+    "diffpoly": ("dispersionless_coefficient", "Monomial"),
 }
 GONE_METHODS = {
     ("multiscale", "ScalingMapKdV"): ("x_to_inner", "x_from_inner"),
     ("multiscale", "LeadingODE"): ("canonical_m2",),
     ("hodograph", "CriticalPoint"): ("residuals", "times_c"),
-    ("diffpoly", "Monomial"): ("of", "is_constant", "max_order"),
+    ("diffpoly", "Monomial"): ("of", "is_constant", "max_order", "orders", "weight", "times"),
     ("multiscale", "CompositeSolution"): ("eps", "ode", "reduction"),
-    ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight", "eval"),
+    ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight", "eval",
+                               "zero", "monomial", "coeff"),
     ("hodograph", "KdVTimes"): ("with_x",),
     ("geometry", "CurveSpec"): ("kind", "v", "tips", "prefactor", "y", "real_zeros", "samples"),
 }
@@ -56,7 +57,7 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "_sample_segments", "bisect", "with_x", "kind", "v", "tips", "T3_QUINTIC", "times_c", "ode",
            "reduction", "left_sum",  # left_sum stays in the package, in geometry, its one caller
            "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
-           "real_zeros", "samples"}
+           "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff"}
 
 
 @pytest.mark.parametrize("module", sorted(GONE))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import heleshaw
 from heleshaw import painleve, toda
 from heleshaw.cli import OPTIONS, frame_abscissas, grid, load_config, main
-from heleshaw.errors import ConfigError
+from heleshaw.errors import ConfigError, DomainError
 
 
 def run(capsys, *argv):
@@ -597,6 +597,15 @@ def test_frames_window_whose_span_overflows_exit_1(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("sub", ["trace", "composite", "toda", "match"])
+def test_table_window_whose_span_overflows_exit_1(tmp_path, capsys, sub):
+    # stop - start = inf: the grid would hold nan and inf abscissas, values the user never gave
+    code, out, err = run(capsys, "--outdir", str(tmp_path), sub, "--from=-1e308", "--to=1e308")
+    assert (code, out) == (1, "")
+    assert err == "error: window from -1e+308 to 1e+308 is too wide: its span overflows\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_frames_whose_finger_window_rounds_to_a_point_exit_1(tmp_path, capsys):
     # at x = -1e308 the outer branch gives u = 5.4e102, where u + 1 rounds to u
     code, out, err = run(capsys, "--outdir", str(tmp_path), "frames", "--from=-1e308", "--to=0.6")
@@ -630,11 +639,15 @@ _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_in
 @given(start=_FINITE, stop=_FINITE, n=st.integers(1, 2000))
 @example(start=0.0, stop=math.pi, n=1999)
 @example(start=0.0, stop=5e-324, n=7)  # the step underflows to 0
-@example(start=-1e308, stop=1e308, n=5)  # the span overflows: nan rows, as numpy gives
+@example(start=-1e308, stop=1e308, n=5)  # the span overflows: refused, where numpy gives nan rows
 @example(start=0.58, stop=0.6399, n=1)
 def test_grid_matches_numpy_linspace(start, stop, n):
     import numpy as np
 
+    if not math.isfinite(stop - start):
+        with pytest.raises(DomainError, match=r"too wide: its span overflows$"):
+            grid(start, stop, n)
+        return
     xs = grid(start, stop, n)
     assert type(xs) is list and all(type(x) is float for x in xs)
     with np.errstate(all="ignore"):
