@@ -18,6 +18,12 @@ The table OPTIONS declares every option once: its type, default and
 validated range.  All numbers are printed with 17 significant digits, so
 identical configurations yield byte-identical files.
 
+Command line: heleshaw [--config FILE] [--outdir DIR] SUBCOMMAND [--flag value ...].
+The two global flags come before the subcommand, its own flags after it.  A
+flag reads `--x v` or `--x=v`, may be shortened to any prefix that names one
+flag only, and the last of repeated flags wins; a value beginning with '-'
+must be a number (-8e-1, -.5).  -h/--help prints the usage and exits 0.
+
 Exit codes: 0 success, 1 domain, arithmetic or write error, 2 configuration error
 (an unparsable command line or a value outside its validated range); both
 errors print one diagnostic line on stderr.
@@ -25,13 +31,10 @@ errors print one diagnostic line on stderr.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 # Each subcommand imports its own layers when it runs, so that e.g. `gd` loads
 # only diffpoly and `critical` only hodograph; no subcommand loads numpy.
@@ -42,15 +45,13 @@ ENV_OUTDIR = "HELESHAW_OUTDIR"
 FORMATS = ("text", "json")
 
 
-class Option(NamedTuple):
-    """Value type, default and accepted values [lo, hi] (or choices) of one option."""
+class Option(namedtuple("Option", "type default lo hi lo_open choices", defaults=(-math.inf, math.inf, False, None))):
+    """Value type, default and accepted values [lo, hi] (or choices) of one option.
 
-    type: type
-    default: object
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_open: bool = False  # (lo, hi] instead of [lo, hi]
-    choices: tuple | None = None
+    lo_open makes the range (lo, hi] instead of [lo, hi]; choices, a tuple, replaces the range.
+    """
+
+    __slots__ = ()
 
     def check(self, name: str, value) -> None:
         """Raise ConfigError, naming the value `name`, unless it is accepted."""
@@ -99,14 +100,15 @@ _CONFIG_KEYS = {"outdir": Option(str, None)} | {k: o for opts in OPTIONS.values(
 
 
 def load_config(path) -> dict:
-    """Flat `key = value` parser; unknown keys and bad values are errors.
+    """Flat `key = value` parser of the file `path` (a str or os.PathLike); unknown keys and bad values are errors.
 
     Any subcommand's key is accepted.  Values are only typed here (and a
     `format` checked); their ranges are checked when a subcommand uses them.
     """
     values: dict = {}
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,14 +134,27 @@ def load_config(path) -> dict:
     return values
 
 
-def resolve(command: str, args, config: dict) -> dict:
+def clean_path(path: str) -> str:
+    """`path` as str(pathlib.PurePosixPath(path)) spells it: no '.' parts, no repeated or trailing
+    slash, "." for nothing, and a leading '//' kept, which POSIX lets a system give its own meaning."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
+
+
+def join_path(directory: str, name: str) -> str:
+    """str(pathlib.PurePosixPath(directory) / name) for a clean_path `directory` and a plain file name."""
+    return name if directory == "." else directory + name if directory.endswith("/") else f"{directory}/{name}"
+
+
+def resolve(command: str, flags: dict, config: dict) -> dict:
     """The options of `command` at flag > config file > default, each validated.
 
-    Also holds `outdir`: flag > config file > $HELESHAW_OUTDIR > current directory.
+    Also holds `outdir`, a clean_path: flag > config file > $HELESHAW_OUTDIR > current directory.
     """
-    values = {"outdir": Path(args.outdir or config.get("outdir") or os.environ.get(ENV_OUTDIR) or ".")}
+    outdir = flags.get("outdir") or config.get("outdir") or os.environ.get(ENV_OUTDIR) or "."
+    values = {"outdir": clean_path(outdir)}
     for key, opt in OPTIONS[command].items():
-        value = getattr(args, key)
+        value = flags.get(key)
         if value is None:
             value = config.get(key, opt.default)
         if value is not None:
@@ -148,27 +163,98 @@ def resolve(command: str, args, config: dict) -> dict:
     return values
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern takes -8e-1 for an option: a negative number is any float literal
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# -- the command line ----------------------------------------------------
 
-    def error(self, message):
-        raise ConfigError(message)
+def _flag(key: str) -> str:
+    return "--" + key.removeprefix("x_").replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="heleshaw", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--outdir", help=f"output directory (also ${ENV_OUTDIR})")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, options in OPTIONS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
-        for key, opt in options.items():
-            flag = "--" + key.removeprefix("x_").replace("_", "-")
-            p.add_argument(flag, dest=key, type=opt.type, choices=opt.choices)
-    return parser
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether `arg` stands for a flag rather than a value: '-' and a name, no number, no space."""
+    return arg[:1] == "-" and arg != "-" and " " not in arg and not _is_number(arg)
+
+
+def _match(arg: str, flags: dict) -> str | None:
+    """The flag that `arg`, or its part before '=', names in full or as a prefix of one flag only."""
+    name = "--help" if arg == "-h" else arg.partition("=")[0]
+    if name in flags:
+        return name
+    hits = [flag for flag in flags if flag.startswith(name)] if name[:2] == "--" and len(name) > 2 else []
+    if len(hits) > 1:
+        raise ConfigError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _typed(flag: str, value: str, opt: Option):
+    try:
+        typed = opt.type(value)
+    except ValueError:
+        raise ConfigError(f"argument {flag}: invalid {opt.type.__name__} value: {value!r}") from None
+    if opt.choices and typed not in opt.choices:
+        raise ConfigError(f"argument {flag}: invalid choice: {value!r} "
+                          f"(choose from {', '.join(map(repr, opt.choices))})")
+    return typed
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict]:
+    """(subcommand, {key: value of each flag given}) of a command line, by the rules of the module docstring.
+
+    -h/--help stops the parse with {"help": True} and the subcommand seen so far, which may be None.
+    Anything else that does not parse is a ConfigError worded as argparse words it.
+    """
+    command, values, extra = None, {}, []
+    flags = {"--help": "help", "--config": "config", "--outdir": "outdir"}  # flag -> key, before the subcommand
+    args = iter(argv)
+    for arg in args:
+        flag = _match(arg, flags)
+        if flag is None:
+            if _is_flag(arg) or command is not None:
+                extra.append(arg)
+            elif arg in OPTIONS:
+                command = arg
+                flags = {"--help": "help", **{_flag(key): key for key in OPTIONS[command]}}
+            else:
+                raise ConfigError(f"argument command: invalid choice: {arg!r} "
+                                  f"(choose from {', '.join(map(repr, OPTIONS))})")
+            continue
+        key = flags[flag]
+        if key == "help":
+            return command, {"help": True}
+        _, eq, value = arg.partition("=")
+        if not eq:
+            value = next(args, None)
+            if value is None or _is_flag(value):
+                raise ConfigError(f"argument {flag}: expected one argument")
+        values[key] = value if command is None else _typed(flag, value, OPTIONS[command][key])
+    if command is None:
+        raise ConfigError("the following arguments are required: command")
+    if extra:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
+    return command, values
+
+
+def usage(command: str | None = None) -> str:
+    """The --help text: the flags and defaults of `command`, or of every subcommand after the global flags."""
+    lines = [f"usage: heleshaw [--config FILE] [--outdir DIR] {command or 'SUBCOMMAND'} [--flag value ...]"]
+    if command is None:
+        lines += ["", __doc__.split("\n\n")[0], "",
+                  "  --config FILE          flat key = value configuration file",
+                  f"  --outdir DIR           output directory (also ${ENV_OUTDIR})"]
+    for name in [command] if command else OPTIONS:
+        lines += ["", f"{name}: {_COMMANDS[name].__doc__}"]
+        for key, opt in OPTIONS[name].items():
+            spec = f"{_flag(key)} {'{' + ','.join(opt.choices) + '}' if opt.choices else opt.type.__name__.upper()}"
+            default = "computed from the solution" if opt.default is None else opt.default
+            lines.append(f"  {spec:<22} default {default}")
+    return "\n".join(lines)
 
 
 def grid(start: float, stop: float, n: int) -> list[float]:
@@ -234,7 +320,7 @@ def _cmd_critical(opts) -> int:
 def _write_table(opts, name: str, header: str, xs: list, row, **summary) -> int:
     """CSV `name` of the rows (x, *row(x)), then the JSON summary, rendered first so that its failure
     writes no file.  Each row is computed as it is written: a long table holds only its grid in memory."""
-    path = opts["outdir"] / name
+    path = join_path(opts["outdir"], name)
     text = json_text({"file": str(path), "rows": len(xs), **summary})
     write_csv(path, header, ((x, *row(x)) for x in xs))
     print(text)
@@ -306,7 +392,7 @@ def _cmd_frames(opts) -> int:
     xs = frame_abscissas(x_from, x_to, opts["count"])
     manifest = emit_frames(comp, xs, opts["outdir"], n=opts["n_samples"])
     print(json_text({
-        "outdir": str(opts["outdir"]), "frames": len(manifest["frames"]),
+        "outdir": opts["outdir"], "frames": len(manifest["frames"]),
         "events": len(manifest["events"]), "x_star": comp.x_star,
     }))
     return 0
@@ -330,7 +416,7 @@ def _cmd_toda(opts) -> int:
                         t_tilde_pole=inner.t_tilde_pole)
 
 
-#: subcommand -> handler; each handler's docstring is its --help line
+#: subcommand -> handler; each handler's docstring is its line in the usage
 _COMMANDS = {
     "gd": _cmd_gd,
     "critical": _cmd_critical,
@@ -345,14 +431,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = load_config(args.config) if args.config else {}
-        opts = resolve(args.command, args, config)
+        command, flags = parse_args(sys.argv[1:] if argv is None else argv)
+        if "help" in flags:
+            print(usage(command))
+            return 0
+        config = load_config(flags["config"]) if flags.get("config") else {}
+        opts = resolve(command, flags, config)
         try:
-            opts["outdir"].mkdir(parents=True, exist_ok=True)
+            os.makedirs(opts["outdir"], exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {opts['outdir']}: {exc.strerror}") from exc
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[command](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,11 @@ empty tuple is the constant monomial.  Coefficients are exact rationals, so
 the constants produced by the Gel'fand-Dikii recursion (1/2, 3/8, 5/16, ...)
 stay exact.
 
-A polynomial is stored as a positive rational content times a primitive integer
-part (order tuples mapped to ints with gcd 1; zero is {}).  The form is
-canonical, so equality is structural, and the algebra runs on ints and tuples.
+A polynomial is stored as a positive rational content, a reduced (num, den)
+pair of ints, times a primitive integer part (order tuples mapped to ints with
+gcd 1; zero is {}).  The form is canonical, so equality is structural, and the
+algebra runs on ints and tuples: `fractions` is imported only where a Fraction
+is handed out (:meth:`DiffPoly.terms`) or taken in (a non-int coefficient).
 
 The weight of a monomial is ``sum(order + 2)`` over its factors.  The n-th
 Gel'fand-Dikii polynomial R_n is weight-homogeneous of weight 2n and is
@@ -32,9 +34,7 @@ threads.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import groupby
-from typing import Iterator, Mapping
 
 from .errors import NotExactDerivative
 
@@ -53,7 +53,7 @@ def _monomial_text(orders: tuple[int, ...]) -> str:
     return " ".join(name if power == 1 else f"{name}^{power}" for name, power in powers) or "1"
 
 
-def _bumps(orders: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
+def _bumps(orders: tuple[int, ...]):
     """D of one monomial: each run of equal orders bumps its last factor (so the tuple stays sorted)."""
     start = 0
     for i, k in enumerate(orders):
@@ -62,8 +62,18 @@ def _bumps(orders: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int]]:
             start = i + 1
 
 
-def _make(content: Fraction, terms: dict) -> "DiffPoly":
-    return object.__new__(DiffPoly)._set(content, terms)
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, or of any value Fraction takes, which imports it only then."""
+    if isinstance(value, int):
+        return value, 1
+    from fractions import Fraction
+
+    q = Fraction(value)
+    return q.numerator, q.denominator
+
+
+def _make(num: int, den: int, terms: dict) -> "DiffPoly":
+    return object.__new__(DiffPoly)._set(num, den, terms)
 
 
 class DiffPoly:
@@ -71,43 +81,54 @@ class DiffPoly:
 
     __slots__ = ("_content", "_terms")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], int | Fraction]):
-        """From {orders: coefficient}; each key is sorted, so keys naming the same monomial add up."""
-        acc: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, terms):
+        """From {orders: coefficient}; each key is sorted, so keys naming the same monomial add up.
+
+        A coefficient is an int or anything Fraction takes (a Fraction, "3/8", 0.375)."""
+        coeffs = []
         for orders, coeff in terms.items():
             orders = tuple(sorted(orders))
             if orders and orders[0] < 0:
                 raise ValueError("derivative orders must be non-negative")
-            acc[orders] = acc.get(orders, 0) + Fraction(coeff)
-        den = math.lcm(*(q.denominator for q in acc.values()))
-        self._set(Fraction(1, den), {orders: q.numerator * (den // q.denominator) for orders, q in acc.items()})
+            coeffs.append((orders, *_ratio(coeff)))
+        den = math.lcm(*(d for _, _, d in coeffs))
+        acc: dict = {}
+        for orders, n, d in coeffs:
+            acc[orders] = acc.get(orders, 0) + n * (den // d)
+        self._set(1, den, acc)
 
-    def _set(self, content: Fraction, terms: dict) -> "DiffPoly":
-        """Store content * terms canonically: gcd 1 in the terms, a positive content, zero as {}."""
+    def _set(self, num: int, den: int, terms: dict) -> "DiffPoly":
+        """Store num/den * terms canonically: gcd 1 in the terms, a positive reduced content, zero as {}."""
         g = math.gcd(*terms.values())
-        if not (g and content):
-            content, g, terms = Fraction(1), 1, {}
-        elif content < 0:
-            content, g = -content, -g
-        self._content = content * abs(g)
+        if not (g and num):
+            num, den, g, terms = 1, 1, 1, {}
+        elif num < 0:
+            num, g = -num, -g
+        num *= abs(g)
+        k = math.gcd(num, den)
+        self._content = (num // k, den // k)
         self._terms = {orders: c // g for orders, c in terms.items() if c}
         return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, value: int | Fraction) -> "DiffPoly":
+    def const(cls, value) -> "DiffPoly":
         return cls({(): value})
 
     @classmethod
     def field(cls) -> "DiffPoly":
         """The bare field u."""
-        return _make(Fraction(1), {(0,): 1})
+        return _make(1, 1, {(0,): 1})
 
     # -- ring structure ----------------------------------------------------
 
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return {orders: self._content * c for orders, c in self._terms.items()}
+    def terms(self) -> dict:
+        """{orders: Fraction coefficient}."""
+        from fractions import Fraction
+
+        num, den = self._content
+        return {orders: Fraction(num * c, den) for orders, c in self._terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
@@ -120,13 +141,13 @@ class DiffPoly:
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        a, b = self._content, other._content
-        g = Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
-        ka, kb = int(a / g), int(b / g)
+        (an, ad), (bn, bd) = self._content, other._content
+        gn, gd = math.gcd(an, bn), math.lcm(ad, bd)  # the largest content dividing both
+        ka, kb = an // gn * (gd // ad), bn // gn * (gd // bd)
         acc = {orders: c * ka for orders, c in self._terms.items()}
         for orders, c in other._terms.items():
             acc[orders] = acc.get(orders, 0) + c * kb
-        return _make(g, acc)
+        return _make(gn, gd, acc)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         if not isinstance(other, DiffPoly):
@@ -134,24 +155,34 @@ class DiffPoly:
         return self + (-other)
 
     def __neg__(self) -> "DiffPoly":
-        return _make(-self._content, self._terms)
+        num, den = self._content
+        return _make(-num, den, self._terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
+            if not isinstance(other, int):
+                from fractions import Fraction  # a Fraction factor has loaded it already
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
+            return self.scale(other)
         acc: dict = {}
         for o1, c1 in self._terms.items():
             for o2, c2 in other._terms.items():
                 key = tuple(sorted(o1 + o2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return _make(self._content * other._content, acc)
+        (an, ad), (bn, bd) = self._content, other._content
+        return _make(an * bn, ad * bd, acc)
 
     __rmul__ = __mul__
 
-    def scale(self, factor: int | Fraction) -> "DiffPoly":
-        return _make(self._content * Fraction(factor), self._terms)
+    def scale(self, factor) -> "DiffPoly":
+        return self._times(*_ratio(factor))
+
+    def _times(self, num: int, den: int) -> "DiffPoly":
+        """This polynomial times num/den."""
+        a, b = self._content
+        return _make(a * num, b * den, self._terms)
 
     # -- calculus ----------------------------------------------------------
 
@@ -161,7 +192,7 @@ class DiffPoly:
         for orders, c in self._terms.items():
             for bumped, run in _bumps(orders):
                 acc[bumped] = acc.get(bumped, 0) + c * run
-        return _make(self._content, acc)
+        return _make(*self._content, acc)
 
     def integrate(self) -> "DiffPoly":
         """Inverse of :meth:`derive`, with zero constant term, by parts.
@@ -199,9 +230,10 @@ class DiffPoly:
                 out[below + lifted] = out.get(below + lifted, 0) + q
                 for bumped, run in _bumps(below):
                     rest[bumped + lifted] = rest.get(bumped + lifted, 0) - q * run
+        num, den = self._content
         if any(rest.values()):
-            raise NotExactDerivative(f"{_make(self._content / lift, rest)} is left over: not a total derivative")
-        return _make(self._content / lift, out)
+            raise NotExactDerivative(f"{_make(num, den * lift, rest)} is left over: not a total derivative")
+        return _make(num, den * lift, out)
 
     # -- queries -----------------------------------------------------------
 
@@ -210,16 +242,21 @@ class DiffPoly:
 
     # -- presentation ------------------------------------------------------
 
-    def __str__(self) -> str:
-        num, den = self._content.numerator, self._content.denominator
-        text = ""
+    def _coefficients(self):
+        """(orders, num, den) of each term in order, its coefficient reduced as Fraction reduces it."""
+        num, den = self._content
         for orders, c in sorted(self._terms.items()):
-            # |content * c| as str(Fraction) spells it, reduced in ints: "p" or "p/q"
             g = math.gcd(num * c, den)
-            mag = f"{abs(num * c) // g}" + (f"/{den // g}" if g != den else "")
+            yield orders, num * c // g, den // g
+
+    def __str__(self) -> str:
+        text = ""
+        for orders, n, d in self._coefficients():
+            # |coefficient| as str(Fraction) spells it: "p" or "p/q"
+            mag = f"{abs(n)}" + (f"/{d}" if d != 1 else "")
             body = mag if not orders else _monomial_text(orders) if mag == "1" else f"{mag} {_monomial_text(orders)}"
-            sign = "-" if c < 0 else "+"
-            text += f" {sign} {body}" if text else ("-" if c < 0 else "") + body
+            sign = "-" if n < 0 else "+"
+            text += f" {sign} {body}" if text else ("-" if n < 0 else "") + body
         return text or "0"
 
     def __repr__(self) -> str:
@@ -227,10 +264,7 @@ class DiffPoly:
 
     def to_json_terms(self) -> list[dict]:
         """JSON-friendly dump: monomial orders plus exact coefficient strings."""
-        return [
-            {"orders": list(orders), "num": str(q.numerator), "den": str(q.denominator)}
-            for orders, q in ((orders, self._content * c) for orders, c in sorted(self._terms.items()))
-        ]
+        return [{"orders": list(orders), "num": str(n), "den": str(d)} for orders, n, d in self._coefficients()]
 
 
 # -- Gel'fand-Dikii recursion ------------------------------------------------
@@ -248,8 +282,7 @@ def gd_next(r_n: DiffPoly) -> DiffPoly:
     A NotExactDerivative escaping from here indicates an internal inconsistency.
     """
     u = DiffPoly.field()
-    return (r_n.derive().derive().scale(Fraction(1, 4)) + u * r_n
-            - (u.derive() * r_n).integrate().scale(Fraction(1, 2)))
+    return r_n.derive().derive()._times(1, 4) + u * r_n - (u.derive() * r_n).integrate()._times(1, 2)
 
 
 _GD_CACHE: list[DiffPoly] = [DiffPoly.const(1)]

@@ -34,12 +34,12 @@ polyval on floats, so frames have the same bits on every CPU.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import lru_cache
 from itertools import pairwise
 from operator import itemgetter
-from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, NoConvergence, OutOfRange
 from .hodograph import real_roots
@@ -113,12 +113,13 @@ def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
 
 # -- events ------------------------------------------------------------------
 
-class Event(NamedTuple):
-    """Topological change of the interface at flow abscissa x_value."""
+class Event(namedtuple("Event", "kind u_value x_value")):
+    """Topological change of the interface at flow abscissa x_value.
 
-    kind: str           # cusp | zero-count-change | root-coalescence
-    u_value: float
-    x_value: float
+    kind is cusp, zero-count-change or root-coalescence; u_value and x_value are floats.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "u": self.u_value, "x": self.x_value}
@@ -186,15 +187,13 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
 
 # -- frame emission ------------------------------------------------------
 
-def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
-                n: int = 400, events: Optional[list[Event]] = None) -> dict:
+def emit_frames(comp: CompositeSolution, abscissas, outdir, n: int = 400, events: list[Event] | None = None) -> dict:
     """Write frame_<index>.csv per abscissa plus a JSON manifest with events.
 
     Each frame holds the finger_samples of its branch point u; the events are
-    detected over the abscissa span unless given.
+    detected over the abscissa span unless given.  `outdir` is a str or os.PathLike.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(outdir, exist_ok=True)
     abscissas = [float(x) for x in abscissas]
     if events is None and abscissas:
         events = detect_events(comp, (min(abscissas), max(abscissas)))
@@ -208,9 +207,9 @@ def emit_frames(comp: CompositeSolution, abscissas: Sequence[float], outdir,
     for index, (x, u) in enumerate(zip(abscissas, us)):
         samples = finger_samples(comp.cp.t_1, u, n)
         name = f"frame_{index:03d}.csv"
-        write_csv(outdir / name, "X,Y", samples)
+        write_csv(os.path.join(outdir, name), "X,Y", samples)
         manifest["frames"].append({"index": index, "x": x, "file": name, "n_samples": len(samples),
                                    "n_events_so_far": sum(ev.x_value <= x for ev in events)})
-    with atomic_open(outdir / "manifest.json") as fh:
+    with atomic_open(os.path.join(outdir, "manifest.json")) as fh:
         fh.write(json_text(manifest) + "\n")
     return manifest

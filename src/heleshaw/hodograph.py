@@ -32,23 +32,20 @@ for any degree and the branch and critical-point search on it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-class CriticalPoint(NamedTuple):
-    """Second-order gradient catastrophe of the quintic finger at t_1: x_c, v_c and the constant c.
+class CriticalPoint(namedtuple("CriticalPoint", "t_1 x_c v_c c")):
+    """Second-order gradient catastrophe of the quintic finger at t_1: x_c, v_c and the constant c, floats.
 
     c is the local-fold constant of v ~ v_c + (c (x - x_c))^(1/2), equal to
     -2 / (d^2 H / dv^2) at the critical point.
     """
 
+    __slots__ = ()
     m = 2  # the order, a class constant: only second-order catastrophes are built
-    t_1: float
-    x_c: float
-    v_c: float
-    c: float
 
 
 # -- real roots in closed form ------------------------------------------------

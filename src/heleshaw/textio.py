@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
-from pathlib import Path
 
 from .errors import DomainError
 
@@ -69,15 +68,16 @@ def json_text(obj, indent: int = 0) -> str:
 
 @contextmanager
 def atomic_open(path):
-    """Write to a temporary file beside `path`; it replaces `path` only if the block succeeds."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    """Write to a temporary file beside `path` (a str or os.PathLike); it replaces `path` only if the block succeeds."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 

@@ -45,21 +45,17 @@ change of variables check the leading term in the tests
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import DomainError
 from .hodograph import float_input
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
 
-class TodaCritical(NamedTuple):
-    """Merging-point data: v_c = u_c^2 and the closed-form critical times."""
+class TodaCritical(namedtuple("TodaCritical", "u_c v_c t_c x_c t_3")):
+    """Merging-point data, floats: v_c = u_c^2 and the closed-form critical times."""
 
-    u_c: float
-    v_c: float
-    t_c: float
-    x_c: float
-    t_3: float
+    __slots__ = ()
 
     def identity_residual(self) -> float:
         """4 t_c^3 + 81 t_3 x_c^2, scaled; vanishes for consistent data."""
@@ -130,7 +126,7 @@ class TodaInner:
 
 
 def build_toda_inner(t_3: float, x_c: float, eps: float,
-                     tritronquee: Optional[TritronqueeSolution] = None, tol: float = 1e-11) -> TodaInner:
+                     tritronquee: TritronqueeSolution | None = None, tol: float = 1e-11) -> TodaInner:
     crit = find_toda_critical(t_3, x_c)
     trit = tritronquee if tritronquee is not None else integrate_tritronquee(tol=tol)
     return TodaInner(crit=crit, eps=eps, tritronquee=trit)

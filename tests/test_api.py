@@ -34,6 +34,7 @@ GONE = {
         "quintic_times", "T3_QUINTIC", "r_coeff", "_halfint_rising_coeff", "c_coeff", "left_sum",
     ),
     "diffpoly": ("dispersionless_coefficient", "Monomial"),
+    "cli": ("build_parser", "_Parser"),
 }
 GONE_METHODS = {
     ("multiscale", "ScalingMapKdV"): ("x_to_inner", "x_from_inner"),
@@ -57,7 +58,8 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "_sample_segments", "bisect", "with_x", "kind", "v", "tips", "T3_QUINTIC", "times_c", "ode",
            "reduction", "left_sum",  # left_sum stays in the package, in geometry, its one caller
            "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
-           "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff"}
+           "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
+           "build_parser", "_Parser"}
 
 
 @pytest.mark.parametrize("module", sorted(GONE))

@@ -11,7 +11,7 @@ import sys
 import tempfile
 import time
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import heleshaw
 from heleshaw import painleve, toda
-from heleshaw.cli import OPTIONS, frame_abscissas, grid, load_config, main
+from heleshaw.cli import _COMMANDS, OPTIONS, clean_path, frame_abscissas, grid, join_path, load_config, main
 from heleshaw.errors import ConfigError, DomainError
 
 
@@ -107,6 +107,114 @@ def test_negative_number_in_exponent_form_is_a_value(tmp_path, capsys, argv, sam
     expected = run(capsys, "--outdir", str(tmp_path), *same)
     assert expected[0] == 0
     assert run(capsys, "--outdir", str(tmp_path), *argv) == expected
+
+
+# -- the command line ----------------------------------------------------
+
+#: command line -> (exit code, stdout, stderr), recorded from the argparse parser the CLI had before;
+#: "R_0..R_n" stands for the text of gd --n n, "json R_0..R_n" for its JSON, "{cfg}" for a file with n = 2
+PARSER_CASES = [
+    (["gd", "--n", "3"], 0, "R_0..R_3", ""),
+    (["gd", "--n=3"], 0, "R_0..R_3", ""),
+    (["gd", "--fo", "json"], 0, "json R_0..R_3", ""),
+    (["gd", "--fo=json", "--n=2"], 0, "json R_0..R_2", ""),
+    (["gd", "--n", "3", "--n", "4"], 0, "R_0..R_4", ""),
+    (["gd", "--n", "+3"], 0, "R_0..R_3", ""),
+    (["--config", "{cfg}", "gd"], 0, "R_0..R_2", ""),
+    (["--conf={cfg}", "gd", "--n", "1"], 0, "R_0..R_1", ""),
+    (["toda", "--t", "1"], 2, "", "ambiguous option: --t could match --t3, --to, --tol"),
+    (["toda", "--t=1"], 2, "", "ambiguous option: --t=1 could match --t3, --to, --tol"),
+    (["trace", "--t", "1"], 2, "", "ambiguous option: --t could match --t1, --to"),
+    (["gd", "--n"], 2, "", "argument --n: expected one argument"),
+    (["gd", "--n", "3", "--format"], 2, "", "argument --format: expected one argument"),
+    (["critical", "--t1", "--t1"], 2, "", "argument --t1: expected one argument"),
+    (["critical", "--t1", "-1e-3x"], 2, "", "argument --t1: expected one argument"),
+    (["--outdir"], 2, "", "argument --outdir: expected one argument"),
+    (["gd", "--n", "3.0"], 2, "", "argument --n: invalid int value: '3.0'"),
+    (["gd", "--n="], 2, "", "argument --n: invalid int value: ''"),
+    (["gd", "--n=3=4"], 2, "", "argument --n: invalid int value: '3=4'"),
+    (["gd", "--format", "xml"], 2, "", "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["gd", "--bogus", "1"], 2, "", "unrecognized arguments: --bogus 1"),
+    (["gd", "-n", "3"], 2, "", "unrecognized arguments: -n 3"),
+    (["gd", "--n", "2", "1", "2"], 2, "", "unrecognized arguments: 1 2"),
+    (["gd", "--n", "3", "--"], 2, "", "unrecognized arguments: --"),
+    (["-x", "gd"], 2, "", "unrecognized arguments: -x"),
+    (["--bogus", "gd", "--n", "1"], 2, "", "unrecognized arguments: --bogus"),
+    (["critical", "--outdir", "d"], 2, "", "unrecognized arguments: --outdir d"),
+    (["bogus"], 2, "", "argument command: invalid choice: 'bogus' (choose from 'gd', 'critical', 'trace', "
+                       "'painleve', 'match', 'composite', 'frames', 'toda')"),
+    (["-1"], 2, "", "argument command: invalid choice: '-1' (choose from 'gd', 'critical', 'trace', "
+                    "'painleve', 'match', 'composite', 'frames', 'toda')"),
+    ([], 2, "", "the following arguments are required: command"),
+    (["-x"], 2, "", "the following arguments are required: command"),
+    (["--conf="], 2, "", "the following arguments are required: command"),
+    (["gd", "--n", "-1"], 2, "", "n = -1 outside the validated range [0, 16]"),
+]
+
+
+def _gd_shape(out: str) -> str:
+    """R_0..R_n for the text of gd --n n, json R_0..R_n for its JSON, the text itself otherwise."""
+    if out.startswith("{"):
+        return f"json R_0..R_{len(json.loads(out)['polynomials']) - 1}"
+    lines = out.splitlines()
+    if lines and all(line.startswith(f"R_{k} = ") for k, line in enumerate(lines)):
+        return f"R_0..R_{len(lines) - 1}"
+    return out
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_CASES, ids=[" ".join(c[0]) or "(none)" for c in PARSER_CASES])
+def test_command_line_parses_as_argparse_did(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.chdir(tmp_path)  # the commands that run write into a directory of their own
+    (tmp_path / "n2.cfg").write_text("n = 2\n")
+    got = run(capsys, *(arg.replace("{cfg}", str(tmp_path / "n2.cfg")) for arg in argv))
+    assert (got[0], _gd_shape(got[1]), got[2]) == (code, out, f"config error: {err}\n" if err else "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], *([sub, "-h"] for sub in OPTIONS), ["gd", "--help"],
+                                  ["gd", "--bogus", "-h"], ["--outdir", "d", "toda", "--n", "3", "--h"]],
+                         ids=" ".join)
+def test_help_returns_0_with_usage_on_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: heleshaw [--config FILE] [--outdir DIR] ")
+    shown = [sub for sub in OPTIONS if sub in argv] or list(OPTIONS)
+    for sub in OPTIONS:
+        header = f"\n\n{sub}: {_COMMANDS[sub].__doc__}\n"
+        assert (header in out) == (sub in shown)
+        if sub in shown:
+            lines = out.split(header)[1].split("\n\n")[0].splitlines()
+            assert len(lines) == len(OPTIONS[sub])
+            for line, (key, opt) in zip(lines, OPTIONS[sub].items()):
+                assert line.split()[0] == "--" + key.removeprefix("x_").replace("_", "-")
+                assert line.endswith(f" default {opt.default}" if opt.default is not None else " from the solution")
+    assert list(tmp_path.iterdir()) == []  # help runs nothing
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(path=st.text(alphabet="/.a", min_size=1, max_size=10))
+@example(path="//")
+@example(path="///a//")
+@example(path="./a/../b/.")
+def test_clean_path_spells_paths_as_pathlib(path):
+    assert clean_path(path) == str(PurePosixPath(path))
+    assert join_path(clean_path(path), "trace.csv") == str(PurePosixPath(path) / "trace.csv")
+
+
+@pytest.mark.parametrize("spelling", ["out/", "./out", "out//sub", "a/./b", ".", "./out//", "$HELESHAW_OUTDIR"])
+def test_printed_paths_read_as_pathlib_spells_them(tmp_path, capsys, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    if spelling == "$HELESHAW_OUTDIR":
+        outdir, argv = "./env//dir/", []
+        monkeypatch.setenv("HELESHAW_OUTDIR", outdir)
+    else:
+        outdir, argv = spelling, ["--outdir", spelling]
+        monkeypatch.delenv("HELESHAW_OUTDIR", raising=False)
+    code, out, _ = run(capsys, *argv, "trace", "--n", "3")
+    assert code == 0 and json.loads(out)["file"] == str(Path(outdir) / "trace.csv")
+    code, out, _ = run(capsys, *argv, "frames", "--count", "1", "--n-samples", "8")
+    assert code == 0 and json.loads(out)["outdir"] == str(Path(outdir))
+    assert (Path(outdir) / "trace.csv").is_file() and (Path(outdir) / "manifest.json").is_file()
 
 
 def test_outdir_with_control_characters_prints_valid_json(tmp_path, capsys):
@@ -791,6 +899,29 @@ print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
     loaded = {sub: subprocess.run([sys.executable, "-c", code, *sub.split()], env=env, capture_output=True,
                                   text=True, check=True).stdout.strip()
               for sub in ("gd --n 12", "critical", "trace", "painleve", "match", "composite", "frames", "toda")}
+    assert loaded == dict.fromkeys(loaded, "[]")
+
+
+#: standard-library modules a cold run need not pay for: the parser, paths, annotations, exact numbers
+COLD_PATH_FREE = ("argparse", "pathlib", "typing", "re", "fractions", "decimal")
+
+
+def test_subcommands_under_python_S_load_no_parser_path_or_exact_number_module(tmp_path):
+    """In a fresh `python -S` interpreter, which imports nothing for site, each of the 8 subcommands
+    (and gd's JSON) loads none of argparse, pathlib, typing, re, fractions or decimal."""
+    src = str(Path(heleshaw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"""
+import sys
+from heleshaw.cli import main
+out, sys.stdout = sys.stdout, open({os.devnull!r}, "w")
+assert main(['--outdir', {str(tmp_path)!r}, *sys.argv[1:]]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] in {COLD_PATH_FREE!r}), file=out)
+"""
+    loaded = {sub: subprocess.run([sys.executable, "-S", "-c", code, *sub.split()], env=env, capture_output=True,
+                                  text=True, check=True).stdout.strip()
+              for sub in ("gd --n 12", "gd --n 12 --format json", "critical", "trace", "painleve", "match",
+                          "composite", "frames", "toda")}
     assert loaded == dict.fromkeys(loaded, "[]")
 
 
