@@ -375,7 +375,7 @@ def _cmd_composite(opts) -> int:
 
     comp = build_composite(t_1=opts["t1"], eps=opts["eps"], x_switch=opts["switch"],
                            tol=opts["tol"], xi0=opts["xi0"])
-    x_to = comp.x_star - 2e-7 if opts["x_to"] is None else opts["x_to"]
+    x_to = comp.x_last if opts["x_to"] is None else opts["x_to"]
     return _write_table(opts, "composite.csv", "x,u", grid(opts["x_from"], x_to, opts["n"]),
                         lambda x: (comp.eval(x),), eps=opts["eps"], x_switch=opts["switch"], x_star=comp.x_star)
 

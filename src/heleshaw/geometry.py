@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import pairwise
 from operator import itemgetter
 
-from .errors import DomainError, NoConvergence, OutOfRange
+from .errors import DomainError, NoConvergence
 from .hodograph import real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
@@ -155,7 +155,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     straddles a level: the glued field has no single crossing of it.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
-    hi = min(hi, comp.x_star - 2e-7)
+    hi = min(hi, comp.x_last)
     if not lo < hi:
         return []
     g, disc = event_quadratics(comp.cp.t_1)
@@ -199,9 +199,7 @@ def emit_frames(comp: CompositeSolution, abscissas, outdir, n: int = 400, events
         events = detect_events(comp, (min(abscissas), max(abscissas)))
     events = events or []
     # the branch data of all frames come first, so an abscissa out of range writes no file
-    top = max(abscissas, default=-math.inf)
-    if top >= comp.x_star:  # named as eval_many names it: the largest abscissa
-        raise OutOfRange(f"x = {top} is at or beyond x* = {comp.x_star}")
+    comp.check_below_x_star(max(abscissas, default=-math.inf))  # named as eval_many names it: the largest
     us = [comp.eval(x) for x in abscissas]
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
     for index, (x, u) in enumerate(zip(abscissas, us)):

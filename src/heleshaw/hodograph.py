@@ -116,10 +116,7 @@ def closed_u0(x, t_1):
     that does (x_c - x >~ 1.1e308).  An ndarray, for which alone numpy loads,
     gives bit for bit the float results.
     """
-    if not t_1 < 0:
-        raise DomainError("closed form requires t_1 < 0 (cusp-forming regime)")
-    v_c = math.sqrt(-4.0 * t_1 / 5.0)
-    x_c = _fold_abscissa(t_1, v_c)
+    v_c, x_c = _fold(t_1)
     scalar = isinstance(x, (int, float))
     if not scalar:
         import numpy as np
@@ -144,10 +141,7 @@ def find_critical_25(t_1):
     v_c = sqrt(-4 t_1 / 5),  x_c = -t_1 v_c = (5/4) v_c^3,  c = -8 / (15 v_c).
     """
     t_1 = float_input("t_1", t_1)
-    if not t_1 < 0:
-        raise DomainError("critical point requires t_1 < 0")
-    v_c = math.sqrt(-4 * t_1 / 5)
-    x_c = _fold_abscissa(t_1, v_c)
+    v_c, x_c = _fold(t_1)
     return CriticalPoint(t_1=t_1, x_c=x_c, v_c=v_c, c=-8 / (15 * v_c))
 
 
@@ -162,11 +156,15 @@ def float_input(name: str, value) -> float:
     return x
 
 
-def _fold_abscissa(t_1, v_c):
-    """x_c = -t_1 v_c, nonzero as t_1 < 0: refused where floats underflow it to 0 or overflow it."""
+def _fold(t_1):
+    """The fold (v_c, x_c) of the quintic finger, v_c = sqrt(-4 t_1 / 5) and x_c = -t_1 v_c, for
+    find_critical_25 and closed_u0; a t_1 >= 0 or NaN, and an x_c that underflows to 0 or overflows, is refused."""
+    if not t_1 < 0:
+        raise DomainError(f"the quintic finger folds only at t_1 < 0, not at t_1 = {t_1!r}")
+    v_c = math.sqrt(-4.0 * t_1 / 5.0)
     x_c = -t_1 * v_c
     if x_c == 0 or abs(x_c) == math.inf:
         raise DomainError(f"critical abscissa x_c = -t_1 v_c {'underflows' if x_c == 0 else 'overflows'} "
                           f"at t_1 = {t_1!r}")
-    return x_c
+    return v_c, x_c
 

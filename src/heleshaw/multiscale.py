@@ -35,7 +35,6 @@ A) are checked in the tests (tests/paper_identities.py).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 from .errors import DomainError, OutOfRange
 from .hodograph import CriticalPoint, closed_u0, find_critical_25
@@ -59,17 +58,23 @@ class ScalingMapKdV:
 class CompositeSolution:
     """Outer hodograph branch glued to the rescaled inner tritronquee.
 
-    Valid for x < x_star, the image of the first tritronquee pole.  The
-    outer branch is used below x_switch, the inner one above; for inner
-    abscissas that map beyond the integrated window (xi > xi0) the seeding
-    series continues the tritronquee, which keeps the matching window fully
-    evaluable.  alpha and beta are the P-I rescaling u1 = alpha W, x~ = beta xi.
+    Valid for x < x_star = x_c + zoom_beta xi*, the image of the first tritronquee pole, with
+    zoom_beta = eps~^2 beta; x_last, 2e-7 short of x*, is the last abscissa served by default.
+    The three are computed once, at construction.  The outer branch is used below x_switch, the
+    inner one above; for inner abscissas that map beyond the integrated window (xi > xi0) the
+    seeding series continues the tritronquee, which keeps the matching window fully evaluable.
+    alpha and beta are the P-I rescaling u1 = alpha W, x~ = beta xi.
     """
 
     def __init__(self, cp: CriticalPoint, scaling: ScalingMapKdV, alpha: float, beta: float,
                  tritronquee: TritronqueeSolution, x_switch: float):
+        if not tritronquee.blew_up:
+            raise DomainError("composite needs a tritronquee integrated through its pole")
         self.cp, self.scaling, self.alpha, self.beta = cp, scaling, alpha, beta
         self.tritronquee, self.x_switch = tritronquee, x_switch
+        self.zoom_beta = scaling.zoom * beta
+        self.x_star = cp.x_c + self.zoom_beta * tritronquee.pole
+        self.x_last = self.x_star - 2e-7
 
     @property
     def v_c(self) -> float:
@@ -79,32 +84,29 @@ class CompositeSolution:
     def x_c(self) -> float:
         return self.cp.x_c
 
-    @cached_property
-    def x_star(self) -> float:
-        """Image of the first negative pole: end of the composite domain."""
-        if self.tritronquee.pole is None:
-            raise OutOfRange("tritronquee integration did not reach its pole")
-        return self.x_c + self.scaling.zoom * self.beta * self.tritronquee.pole
+    def check_below_x_star(self, top) -> None:
+        """Refuse the largest abscissa `top` of a request at or beyond x*, or one that is not a number."""
+        if not top < self.x_star:
+            raise (DomainError(f"x={top} is not a number") if math.isnan(top) else
+                   OutOfRange(f"x = {top} is at or beyond x* = {self.x_star}"))
 
     def xi_of_x(self, x):
-        return (x - self.x_c) / (self.scaling.zoom * self.beta)
+        return (x - self.x_c) / self.zoom_beta
 
     def inner_u(self, x):
-        """v_c + eps~ alpha W(xi(x)): the inner approximation at physical x, a float or an array."""
+        """v_c + eps~ alpha W(xi(x)): the inner approximation at physical x, a float or an array.
+
+        Far below x_c, where xi overflows, it is refused, naming the lowest x."""
         scalar = isinstance(x, (int, float))
         if not scalar:
             import numpy as np
             x = np.asarray(x, dtype=float)
-        if x >= self.x_star if scalar else (x >= self.x_star).any():
-            raise OutOfRange(f"x beyond the pole image x* = {self.x_star!r}")
-        if scalar:
-            xi = self.xi_of_x(x)
-            if math.isinf(xi):
-                raise DomainError(f"inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = {x!r}")
-        else:
-            with np.errstate(over="ignore"):  # far below x_c: xi = inf, and W = nan, which no writer takes
-                xi = self.xi_of_x(x)
-        w, _ = self.tritronquee.eval_extended(xi)
+        self.check_below_x_star(x if scalar else x.max(initial=-math.inf))
+        # xi decreases with x, so it overflows at the lowest x first (x_c, xi = 0, when none is below it)
+        low = x if scalar else float(x.min(initial=self.x_c))
+        if math.isinf(self.xi_of_x(low)):
+            raise DomainError(f"inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = {low!r}")
+        w, _ = self.tritronquee.eval_extended(self.xi_of_x(x))
         return self.v_c + self.scaling.eps_tilde * self.alpha * w
 
     def outer_u(self, x):
@@ -114,16 +116,14 @@ class CompositeSolution:
     def eval(self, x: float) -> float:
         """u at one abscissa, on floats: bit for bit the eval_many value."""
         x = float(x)
-        if x >= self.x_star:
-            raise OutOfRange(f"x = {x} is at or beyond x* = {self.x_star}")
+        self.check_below_x_star(x)
         return self.outer_u(x) if x < self.x_switch else self.inner_u(x)
 
     def eval_many(self, xs):
         """Outer branch below x_switch, inner branch on [x_switch, x_star)."""
         import numpy as np
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs >= self.x_star):
-            raise OutOfRange(f"x = {xs.max()} is at or beyond x* = {self.x_star}")
+        self.check_below_x_star(xs.max(initial=-math.inf))
         out = np.empty_like(xs)
         lo = xs < self.x_switch
         if lo.any():
@@ -146,8 +146,6 @@ def build_composite(t_1: float = -0.8, eps: float = 1e-5, x_switch: float = 0.63
     # the times, whose bits it keeps (1.25 v_c rounds differently)
     ratio = 17.5 * cp.v_c * (2 / 7) / 4.0
     trit = tritronquee if tritronquee is not None else integrate_tritronquee(xi0=xi0, tol=tol)
-    if not trit.blew_up:
-        raise DomainError("composite needs a tritronquee integrated through its pole")
     scaling = ScalingMapKdV(eps=eps)
     return CompositeSolution(cp=cp, scaling=scaling, alpha=-2.0 * ratio ** (-2.0 / 5.0),
                              beta=-(ratio ** (1.0 / 5.0)), tritronquee=trit, x_switch=x_switch)

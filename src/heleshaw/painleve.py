@@ -29,8 +29,9 @@ polynomial of degree 2 TAYLOR_ORDER, which Gauss-Legendre with
 TAYLOR_ORDER + 1 points integrates exactly, so the defect measures genuine
 inconsistency of (W, W') with the equation rather than quadrature error.
 
-Solutions are tuples of floats, certified in plain floats; numpy loads only for ndarray input
-and for eval_many, residual_defects and the arrays ts, ws, wps and _coef, built on first access.
+Solutions are tuples of floats, certified in plain floats: the nodes ts and one Taylor row per step,
+whose a_0 and a_1 are (W, W') at the step's start.  numpy loads only for ndarray input and for
+eval_many, residual_defects and the arrays ts and _coef, built on first access.
 """
 
 from __future__ import annotations
@@ -78,16 +79,19 @@ def asymptotic_series(xi):
     """(W, W') of the large-xi series truncated after b_4 (_SERIES).
 
     Accepts a float or an ndarray, with the same bits.  Refuses xi < 10,
-    where the divergent tail is no longer far below double precision.
+    where the divergent tail is no longer far below double precision, and a
+    NaN or infinite xi, naming the value.
     """
     scalar = isinstance(xi, (int, float))
     if not scalar:
         import numpy as np
-    if xi < SERIES_MIN_XI if scalar else np.any(np.asarray(xi) < SERIES_MIN_XI):
-        raise DomainError(f"series unreliable below xi = {SERIES_MIN_XI}")
+    lo, hi = (xi, xi) if scalar else (np.min(xi, initial=math.inf), np.max(xi, initial=-math.inf))
+    if not (SERIES_MIN_XI <= lo and hi < math.inf):  # a NaN fails it too
+        raise DomainError(f"series unreliable at xi = {lo if not lo >= SERIES_MIN_XI else hi}: "
+                          f"it holds for finite xi >= {SERIES_MIN_XI}")
     xi, sqrt = (float(xi), math.sqrt) if scalar else (xi, np.sqrt)
-    # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains (inf: nan)
-    with nullcontext() if scalar else np.errstate(over="ignore", invalid="ignore"):
+    # past xi ~ 1e61, 6 xi^5 overflows: t = 0 and only the leading term remains
+    with nullcontext() if scalar else np.errstate(over="ignore"):
         s = sqrt(xi / 6.0)
         t = 1.0 / sqrt(6.0 * (xi * xi * (xi * xi) * xi))  # products: alike on floats and arrays
         poly = 0.0 * xi
@@ -129,20 +133,18 @@ class TritronqueeSolution:
 
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
     `_rows` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
-    ts[n] to ts[n + 1].  `pole` is the first negative-axis pole when the
+    ts[n] to ts[n + 1], the only store of the dense output: its a_0 and a_1
+    are (W, W') at ts[n].  `pole` is the first negative-axis pole when the
     integration reached blow-up (then blew_up is true), else None.
     `residual_max` is the largest scaled integral-form defect over the
     certification range [pole + 0.1, xi0] (see module docstring); construction certifies it
     < 100 * tol or raises CertificationFailed.  Its tuples and arrays are read-only.
     """
 
-    ts, ws, wps, _coef = map(_frozen_array, ("_ts", "_ws", "_wps", "_rows"))
+    ts, _coef = map(_frozen_array, ("_ts", "_rows"))
 
-    def __init__(self, xi0: float, tol: float, pole: float | None, _ts: tuple, _ws: tuple, _wps: tuple,
-                 _rows: tuple):
-        starts = _ts[:-1]
-        self.__dict__.update(xi0=xi0, tol=tol, pole=pole, _ts=_ts, _ws=_ws, _wps=_wps, _rows=_rows,
-                             _starts=starts, _keys=tuple(-t for t in starts))
+    def __init__(self, xi0: float, tol: float, pole: float | None, _ts: tuple, _rows: tuple):
+        self.__dict__.update(xi0=xi0, tol=tol, pole=pole, _ts=_ts, _rows=_rows, _keys=tuple(-t for t in _ts[:-1]))
         self.__dict__["residual_max"] = _certify(self)
 
     def __setattr__(self, name, value):
@@ -163,13 +165,14 @@ class TritronqueeSolution:
     def _check_range(self, lo, hi, near_pole: bool):
         if near_pole:
             raise TooCloseToPole(f"xi within {POLE_GUARD} of the pole {self.pole:.6g}")
-        if hi > self.xi0 * (1 + 1e-15) + 1e-15 or lo < self.xi_reached - 1e-15:
-            raise OutOfRange(f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
+        if not (self.xi_reached - 1e-15 <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
+            raise (DomainError(f"xi={hi} is not a number") if math.isnan(hi) else
+                   OutOfRange(f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]"))
 
     def _at(self, xi: float):
         """(W, W') at one abscissa from the Taylor step whose span holds it: _dense on floats."""
         n = min(max(bisect_right(self._keys, -xi) - 1, 0), len(self._rows) - 1)
-        return _horner(reversed(self._rows[n]), xi - self._starts[n])
+        return _horner(reversed(self._rows[n]), xi - self._ts[n])
 
     def _dense(self, xi):
         """(W, W') from the Taylor step whose span holds each abscissa of the ndarray xi."""
@@ -270,14 +273,13 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
-    w0, wp0 = asymptotic_series(xi0)
-    ts, ws, wps, rows = [xi0], [float(w0)], [float(wp0)], []
+    xi, (w, wp) = xi0, asymptotic_series(xi0)
+    ts, rows = [xi], []
     blew_up = False
-    while ts[-1] > xi_min and not blew_up:
+    while xi > xi_min and not blew_up:
         if len(rows) == MAX_STEPS:
-            raise StepSizeUnderflow(f"{MAX_STEPS} Taylor steps did not reach xi = {ts[-1]:.6g}")
-        xi = ts[-1]
-        a, s = _taylor_step(xi, ws[-1], wps[-1], tol, xi_min)
+            raise StepSizeUnderflow(f"{MAX_STEPS} Taylor steps did not reach xi = {xi:.6g}")
+        a, s = _taylor_step(xi, w, wp, tol, xi_min)
         if not s < 0.0:
             raise StepSizeUnderflow(f"step size underflow at xi = {xi:.6g}")
         w, wp = _horner(reversed(a), s)
@@ -286,16 +288,14 @@ def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
             s = (xi + _to_threshold(a, s)) - xi
             w, wp = _horner(reversed(a), s)
         rows.append(a)
-        ts.append(xi + s)
-        ws.append(w)
-        wps.append(wp)
+        xi += s
+        ts.append(xi)
 
-    pole = ts[-1] - ws[-1] ** -0.5 if blew_up else None
+    pole = xi - w ** -0.5 if blew_up else None
     if pole is not None and not pole < 0.0:
         raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
 
-    return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, _ts=tuple(ts), _ws=tuple(ws), _wps=tuple(wps),
-                               _rows=tuple(map(tuple, rows)))
+    return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, _ts=tuple(ts), _rows=tuple(map(tuple, rows)))
 
 
 def _certify(sol: TritronqueeSolution) -> float:

@@ -96,8 +96,9 @@ class TodaInner:
     """Rescaled inner data: critical point, zoom parameter and tritronquee.
 
     `a` is the similarity-ODE forcing constant 2 u_c^2 / (3 t_3); the P-I
-    change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a and
-    eps~ = eps^(1/5) are computed once, at construction.
+    change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a, its
+    powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), and eps~ = eps^(1/5)
+    are computed once, at construction.
     """
 
     def __init__(self, crit: TodaCritical, eps: float, tritronquee: TritronqueeSolution):
@@ -112,17 +113,18 @@ class TodaInner:
         if not a > 0:
             raise DomainError("similarity constant a = 2 u_c^2/(3 t_3) must be positive "
                               "(t_3 > 0) for the tritronquee matching direction")
+        self.a_fifth, self.a_two_fifths = a ** (1.0 / 5.0), a ** (2.0 / 5.0)
         self.eps_tilde = eps ** (1.0 / 5.0)
 
     def xi_of_ttilde(self, t_tilde):
-        return -(self.a ** (1.0 / 5.0)) * t_tilde
+        return -self.a_fifth * t_tilde
 
     @property
     def t_tilde_pole(self) -> float:
         """Image of the first tritronquee pole: end of the regularized window."""
         if self.tritronquee.pole is None:
             raise DomainError("tritronquee was not integrated through its pole")
-        return -self.tritronquee.pole / self.a ** (1.0 / 5.0)
+        return -self.tritronquee.pole / self.a_fifth
 
 
 def build_toda_inner(t_3: float, x_c: float, eps: float,
@@ -135,7 +137,7 @@ def build_toda_inner(t_3: float, x_c: float, eps: float,
 def toda_inner_V2(t_tilde, inner: TodaInner):
     """Leading correction V2(t~) = -a^(2/5) W(-a^(1/5) t~)."""
     w, _ = inner.tritronquee.eval_extended(inner.xi_of_ttilde(t_tilde))
-    return -(inner.a ** (2.0 / 5.0)) * w
+    return -inner.a_two_fifths * w
 
 
 def toda_composite(t_tilde, inner: TodaInner):

@@ -66,11 +66,14 @@ def residuals(cp: CriticalPoint) -> list:
 # -- painleve: the first pole -------------------------------------------------
 
 def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:
-    """Fit of sigma in W ~ sigma (xi - xi*)^-2 from the last nodes (should be 1)."""
+    """Fit of sigma in W ~ sigma (xi - xi*)^-2 from the last nodes (should be 1).
+
+    W at a node is a_0 of the Taylor row that starts there."""
     assert sol.blew_up, "integration reached xi_min without blow-up"
     pole = sol.pole
-    mask = sol.ws > 1e3
-    xs, vs = sol.ts[mask][-10:], sol.ws[mask][-10:]
+    ws = sol._coef[:, 0]
+    mask = ws > 1e3
+    xs, vs = sol.ts[:-1][mask][-10:], ws[mask][-10:]
     return float(np.mean(vs * (xs - pole) ** 2))
 
 

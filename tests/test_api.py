@@ -3,12 +3,19 @@
 import ast
 import importlib
 import inspect
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import branch_solvers
 import paper_identities
+from heleshaw.errors import HeleShawError
+from heleshaw.multiscale import build_composite
+from heleshaw.painleve import asymptotic_series, integrate_tritronquee
+from heleshaw.toda import build_toda_inner, toda_composite
 
 ORACLES = (paper_identities, branch_solvers)
 
@@ -32,6 +39,7 @@ GONE = {
         "exact_root", "_iroot", "hodograph_poly", "eval_H", "eval_dH", "poly_scale", "_piece_root",
         "branch_root", "solve_branch", "find_critical", "_derivative", "_horner", "bisect", "KdVTimes",
         "quintic_times", "T3_QUINTIC", "r_coeff", "_halfint_rising_coeff", "c_coeff", "left_sum",
+        "_fold_abscissa",
     ),
     "diffpoly": ("dispersionless_coefficient", "Monomial"),
     "cli": ("build_parser", "_Parser"),
@@ -46,6 +54,7 @@ GONE_METHODS = {
                                "zero", "monomial", "coeff"),
     ("hodograph", "KdVTimes"): ("with_x",),
     ("geometry", "CurveSpec"): ("kind", "v", "tips", "prefactor", "y", "real_zeros", "samples"),
+    ("painleve", "TritronqueeSolution"): ("ws", "wps"),
 }
 #: (module, function) -> parameters that left it
 GONE_PARAMETERS = {
@@ -59,7 +68,7 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "reduction", "left_sum",  # left_sum stays in the package, in geometry, its one caller
            "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
-           "build_parser", "_Parser"}
+           "build_parser", "_Parser", "ws", "wps", "_fold_abscissa"}
 
 
 @pytest.mark.parametrize("module", sorted(GONE))
@@ -98,3 +107,34 @@ def test_closed_form_layers_import_no_fractions(module):
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported.isdisjoint({"fractions", "decimal"})
+
+
+NAN, INF = math.nan, math.inf
+#: (entry point, abscissa, what its refusal names): each entry point with a float and with an ndarray;
+#: toda_composite maps t~ = -inf to xi = inf, which the series names
+NON_FINITE = [
+    ("tritronquee.eval", NAN, "xi=nan"), ("tritronquee.eval_many", np.array([0.0, NAN]), "xi=nan"),
+    ("tritronquee.eval_extended", NAN, "xi=nan"), ("tritronquee.eval_extended", INF, "xi = inf"),
+    ("tritronquee.eval_extended", np.array([0.0, NAN]), "xi=nan"),
+    ("tritronquee.eval_extended", np.array([0.0, INF]), "xi = inf"),
+    ("asymptotic_series", NAN, "xi = nan"), ("asymptotic_series", INF, "xi = inf"),
+    ("asymptotic_series", np.array([20.0, NAN]), "xi = nan"), ("asymptotic_series", np.array([20.0, INF]), "xi = inf"),
+    ("composite.eval", NAN, "x=nan"), ("composite.eval_many", np.array([0.6, NAN]), "x=nan"),
+    ("composite.inner_u", NAN, "x=nan"), ("composite.inner_u", np.array([0.6, NAN]), "x=nan"),
+    ("composite.inner_u", -1e308, "x = -1e+308"), ("composite.inner_u", np.array([0.6, -1e308]), "x = -1e+308"),
+    ("toda_composite", NAN, "xi=nan"), ("toda_composite", -INF, "xi = inf"),
+    ("toda_composite", np.array([0.0, NAN]), "xi=nan"), ("toda_composite", np.array([0.0, -INF]), "xi = inf"),
+]
+
+
+@pytest.mark.parametrize("entry, x, named", NON_FINITE,
+                         ids=[f"{e}-{f'array-{float(x[-1])!r}' if isinstance(x, np.ndarray) else f'float-{x!r}'}"
+                              for e, x, _ in NON_FINITE])
+def test_non_finite_abscissas_are_refused_by_value(entry, x, named):
+    """A NaN or infinite abscissa, or one whose inner variable overflows, is an error that names it, never NaN."""
+    sol, comp, inner = integrate_tritronquee(), build_composite(), build_toda_inner(1.0, 1.0, 1e-5)
+    entries = {"asymptotic_series": asymptotic_series, "toda_composite": lambda t: toda_composite(t, inner),
+               **{f"tritronquee.{m}": getattr(sol, m) for m in ("eval", "eval_many", "eval_extended")},
+               **{f"composite.{m}": getattr(comp, m) for m in ("eval", "eval_many", "inner_u")}}
+    with pytest.raises(HeleShawError, match=re.escape(named)):
+        entries[entry](x)

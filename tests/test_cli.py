@@ -449,6 +449,21 @@ def test_output_digests_at_default_arguments(tmp_path, capsys):
     assert _sha256(inner.encode()) == "074368338979f7ca54fc1109b5e71bf36b93cf7c6897b47d1b0eacfe96de2b9e"
 
 
+@pytest.mark.parametrize("sub, digest", [
+    ("trace", "b80accddd054b513f7855bd5980fe34c8306f58ae3a890b6c996bd74048ab6c1"),
+    ("painleve", "f472e87c6aa5125497509f6f935a74125d3f059aa2b539e6ef521966f515390b"),
+    ("composite", "75ecebbe990a5683f2858efaeb6ed261614d176ec4ced62dc7055f04dbd367f7"),
+    ("toda", "5cf99f240536c630966630ffeee68d909ce7a6d2a9fde4320136625d0891904e"),
+    ("frames", "c54994e88bce4b9efe217971d718a968940eb9cc5409ccea27add2caad712456"),
+])
+def test_summary_digests_at_default_arguments(tmp_path, capsys, sub, digest):
+    """The JSON summaries that print a path (pole, residual_max, x_star, t_tilde_pole, identity_residual),
+    pinned with the output directory spelled OUTDIR, as the CI job hashes them."""
+    code, out, _ = run(capsys, "--outdir", str(tmp_path), sub)
+    assert code == 0
+    assert _sha256(out.replace(str(tmp_path), "OUTDIR").encode()) == digest
+
+
 def test_frame_digests_at_default_arguments(tmp_path, capsys):
     """Every frame file of `frames` at its defaults is pinned byte for byte."""
     code, _, _ = run(capsys, "--outdir", str(tmp_path), "frames")

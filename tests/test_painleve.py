@@ -207,8 +207,8 @@ def test_no_pole_error():
 
 
 def test_monotone_blowup_tail(sol):
-    # approaching the pole (xi decreasing), W increases monotonically
-    tail = sol.ws[-30:]
+    # approaching the pole (xi decreasing), W increases monotonically: W at a node is its row's a_0
+    tail = sol._coef[-30:, 0]
     assert np.all(np.diff(tail) > 0)
 
 
@@ -296,14 +296,15 @@ def test_equal_settings_share_one_solution(sol):
 
 def test_shared_solution_is_immutable(sol):
     with pytest.raises(ValueError, match="read-only"):
-        sol.ws[0] = 0.0
-    for array in (sol.ts, sol.wps, sol._coef):
+        sol._coef[0, 0] = 0.0
+    for array in (sol.ts, sol._coef):
         assert not array.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.residual_max = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.pole = 1.0
-    assert all(type(rows) is tuple for rows in (sol._rows, sol._starts, sol._keys))
+    assert all(type(rows) is tuple for rows in (sol._ts, sol._rows, sol._keys))
+    assert {"_ws", "_wps", "_starts"}.isdisjoint(vars(sol))  # the rows are the only store of (W, W')
     assert all(type(row) is tuple for row in sol._rows)
 
 
