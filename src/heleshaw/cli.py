@@ -24,9 +24,11 @@ flag reads `--x v` or `--x=v`, may be shortened to any prefix that names one
 flag only, and the last of repeated flags wins; a value beginning with '-'
 must be a number (-8e-1, -.5).  -h/--help prints the usage and exits 0.
 
-Exit codes: 0 success, 1 domain, arithmetic or write error, 2 configuration error
-(an unparsable command line or a value outside its validated range); both
-errors print one diagnostic line on stderr.
+Exit codes: 0 success; 2 for a ConfigError (an unparsable command line or a
+value outside its validated range: fix the configuration); 1 for any other
+HeleShawError (a DomainError, an input the operation refuses, or a solver that
+failed on valid input), an ArithmeticError or an OSError (an overflow, a file
+that cannot be written).  Either error prints one diagnostic line on stderr.
 """
 
 from __future__ import annotations

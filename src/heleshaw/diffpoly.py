@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from itertools import groupby
 
-from .errors import NotExactDerivative
+from .errors import DomainError
 
 
 def _factor_name(order: int) -> str:
@@ -204,7 +204,7 @@ class DiffPoly:
 
         and the remainder has top order k-1.  A total derivative is linear in
         its top derivative, so a repeated top order, a leftover u^m or a
-        constant raises :class:`NotExactDerivative` (e.g. for u^2 or u_x^2).
+        constant raises :class:`DomainError` (e.g. for u^2 or u_x^2).
         The antiderivative with zero constant term is unique, so the result
         does not depend on the order of the steps.  The steps run on the integer
         part times L = lcm(1 .. factor count), and each division by p+1 is exact:
@@ -220,8 +220,8 @@ class DiffPoly:
                 if not c:
                     continue
                 if orders[-2:-1] == (k,):
-                    raise NotExactDerivative(f"{_monomial_text(orders)} repeats its top derivative: "
-                                             "not a total derivative")
+                    raise DomainError(f"{_monomial_text(orders)} repeats its top derivative: "
+                                      "not a total derivative")
                 p = orders.count(k - 1)
                 below, lifted = orders[:-1 - p], (k - 1,) * (p + 1)
                 q, r = divmod(c, p + 1)
@@ -232,7 +232,7 @@ class DiffPoly:
                     rest[bumped + lifted] = rest.get(bumped + lifted, 0) - q * run
         num, den = self._content
         if any(rest.values()):
-            raise NotExactDerivative(f"{_make(num, den * lift, rest)} is left over: not a total derivative")
+            raise DomainError(f"{_make(num, den * lift, rest)} is left over: not a total derivative")
         return _make(num, den * lift, out)
 
     # -- queries -----------------------------------------------------------
@@ -279,7 +279,7 @@ def gd_next(r_n: DiffPoly) -> DiffPoly:
     u_x R_n is a total derivative, as the other two terms of the recursion are.
     The zero constant term of :meth:`DiffPoly.integrate` makes the
     derivative-free part of R_{n+1} come out as binom(2n+2, n+1) u^(n+1) / 4^(n+1).
-    A NotExactDerivative escaping from here indicates an internal inconsistency.
+    A DomainError (not a total derivative) escaping from here indicates an internal inconsistency.
     """
     u = DiffPoly.field()
     return r_n.derive().derive()._times(1, 4) + u * r_n - (u.derive() * r_n).integrate()._times(1, 2)

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import pairwise
 from operator import itemgetter
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 from .hodograph import real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
@@ -151,10 +151,13 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     above), so one bisection to machine precision carries each level in a
     branch's u-range to x.  Events
     are sorted by x, ties in the order cusp, zero-count-change,
-    root-coalescence.  Raises NoConvergence when the jump of u at x_switch
-    straddles a level: the glued field has no single crossing of it.
+    root-coalescence.  Raises DomainError for a NaN end of x_range, and
+    when the jump of u at x_switch straddles a level: the glued field has no
+    single crossing of it.
     """
     lo, hi = float(x_range[0]), float(x_range[1])
+    if math.isnan(lo) or math.isnan(hi):
+        raise DomainError(f"x={lo if math.isnan(lo) else hi} is not a number")
     hi = min(hi, comp.x_last)
     if not lo < hi:
         return []
@@ -175,8 +178,8 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     events: list[Event] = []
     for root, kinds in levels:
         if jump[0] <= root <= jump[1]:
-            raise NoConvergence(f"u jumps across the event level u = {root!r} at "
-                                f"x_switch = {x_switch!r}: no single crossing")
+            raise DomainError(f"u jumps across the event level u = {root!r} at "
+                              f"x_switch = {x_switch!r}: no single crossing")
         for a, b, u_a, u_b, u_of in branches:
             if u_b <= root <= u_a:
                 x_ev = _bisect_to_machine(lambda x: u_of(x) - root, a, b, u_a - root)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, OutOfRange
+from .errors import DomainError
 from .hodograph import CriticalPoint, closed_u0, find_critical_25
 from .painleve import TritronqueeSolution, integrate_tritronquee
 
@@ -87,8 +87,8 @@ class CompositeSolution:
     def check_below_x_star(self, top) -> None:
         """Refuse the largest abscissa `top` of a request at or beyond x*, or one that is not a number."""
         if not top < self.x_star:
-            raise (DomainError(f"x={top} is not a number") if math.isnan(top) else
-                   OutOfRange(f"x = {top} is at or beyond x* = {self.x_star}"))
+            raise DomainError(f"x={top} is not a number" if math.isnan(top) else
+                              f"x = {top} is at or beyond x* = {self.x_star}")
 
     def xi_of_x(self, x):
         return (x - self.x_c) / self.zoom_beta

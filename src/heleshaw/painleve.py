@@ -41,8 +41,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from functools import cached_property, lru_cache
 
-from .errors import (CertificationFailed, DomainError, OutOfRange, SeedUnreliable, StepSizeUnderflow,
-                     TooCloseToPole)
+from .errors import DomainError, HeleShawError
 
 #: |W| beyond this is treated as blown up (double poles grow fast)
 BLOWUP_THRESHOLD = 1.0e6
@@ -138,7 +137,7 @@ class TritronqueeSolution:
     integration reached blow-up (then blew_up is true), else None.
     `residual_max` is the largest scaled integral-form defect over the
     certification range [pole + 0.1, xi0] (see module docstring); construction certifies it
-    < 100 * tol or raises CertificationFailed.  Its tuples and arrays are read-only.
+    < 100 * tol or raises HeleShawError.  Its tuples and arrays are read-only.
     """
 
     ts, _coef = map(_frozen_array, ("_ts", "_rows"))
@@ -148,8 +147,7 @@ class TritronqueeSolution:
         self.__dict__["residual_max"] = _certify(self)
 
     def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError  # the error a frozen dataclass raises; loaded on this path only
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         self.__setattr__(name, None)
@@ -164,10 +162,10 @@ class TritronqueeSolution:
 
     def _check_range(self, lo, hi, near_pole: bool):
         if near_pole:
-            raise TooCloseToPole(f"xi within {POLE_GUARD} of the pole {self.pole:.6g}")
+            raise DomainError(f"xi within {POLE_GUARD} of the pole {self.pole:.6g}")
         if not (self.xi_reached - 1e-15 <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
-            raise (DomainError(f"xi={hi} is not a number") if math.isnan(hi) else
-                   OutOfRange(f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]"))
+            raise DomainError(f"xi={hi} is not a number" if math.isnan(hi) else
+                              f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
 
     def _at(self, xi: float):
         """(W, W') at one abscissa from the Taylor step whose span holds it: _dense on floats."""
@@ -260,12 +258,12 @@ def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 
 
     tol scales the Taylor step control (module docstring); the errors of W
     and of the pole stay below tol.  More than MAX_STEPS steps, or a step
-    that underflows, raise StepSizeUnderflow; equal settings share one solution.
+    that underflows, raise HeleShawError; equal settings share one solution.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise DomainError("tol must lie in [1e-13, 1e-6]")
     if not xi0 >= SERIES_MIN_XI:
-        raise SeedUnreliable(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
+        raise DomainError(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
     if not xi_min < 0.0 < xi0:
         raise DomainError("need xi_min < 0 < xi0")
     return _integrate(float(xi0), float(xi_min), float(tol))
@@ -278,10 +276,10 @@ def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
     blew_up = False
     while xi > xi_min and not blew_up:
         if len(rows) == MAX_STEPS:
-            raise StepSizeUnderflow(f"{MAX_STEPS} Taylor steps did not reach xi = {xi:.6g}")
+            raise HeleShawError(f"{MAX_STEPS} Taylor steps did not reach xi = {xi:.6g}")
         a, s = _taylor_step(xi, w, wp, tol, xi_min)
         if not s < 0.0:
-            raise StepSizeUnderflow(f"step size underflow at xi = {xi:.6g}")
+            raise HeleShawError(f"step size underflow at xi = {xi:.6g}")
         w, wp = _horner(reversed(a), s)
         if not w < BLOWUP_THRESHOLD:
             blew_up = True
@@ -293,7 +291,7 @@ def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
 
     pole = xi - w ** -0.5 if blew_up else None
     if pole is not None and not pole < 0.0:
-        raise CertificationFailed(f"pole fitted on the positive axis ({pole})")
+        raise HeleShawError(f"pole fitted on the positive axis ({pole})")
 
     return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, _ts=tuple(ts), _rows=tuple(map(tuple, rows)))
 
@@ -313,6 +311,6 @@ def _certify(sol: TritronqueeSolution) -> float:
         integral = math.fsum(r * g for r, g in zip(rhs, _GAUSS_W)) * half
         worst = max(worst, abs(sol._at(b)[1] - sol._at(a)[1] - integral) / (1.0 + max(map(abs, rhs))))
     if not worst < 100.0 * sol.tol:
-        raise CertificationFailed(f"residual certification failed: {worst:.3e} >= 100*tol")
+        raise HeleShawError(f"residual certification failed: {worst:.3e} >= 100*tol")
     return worst
 

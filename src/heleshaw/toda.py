@@ -135,7 +135,13 @@ def build_toda_inner(t_3: float, x_c: float, eps: float,
 
 
 def toda_inner_V2(t_tilde, inner: TodaInner):
-    """Leading correction V2(t~) = -a^(2/5) W(-a^(1/5) t~)."""
+    """Leading correction V2(t~) = -a^(2/5) W(-a^(1/5) t~) at a float or an ndarray t~.
+
+    A NaN or infinite t~ is refused by its own name, before the tritronquee would name xi."""
+    lo, hi = ((t_tilde, t_tilde) if isinstance(t_tilde, (int, float))
+              else (t_tilde.min(initial=math.inf), t_tilde.max(initial=-math.inf)))
+    if not (-math.inf < lo and hi < math.inf):  # a NaN fails it too
+        raise DomainError(f"t~ = {lo if not lo > -math.inf else hi} is not a finite number")
     w, _ = inner.tritronquee.eval_extended(inner.xi_of_ttilde(t_tilde))
     return -inner.a_two_fifths * w
 

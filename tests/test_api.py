@@ -1,6 +1,7 @@
 """The public API is what the pipeline runs; the oracles (paper identities, general solvers) live in the tests."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import math
@@ -12,7 +13,9 @@ import pytest
 
 import branch_solvers
 import paper_identities
-from heleshaw.errors import HeleShawError
+import heleshaw
+from heleshaw.errors import DomainError
+from heleshaw.geometry import detect_events
 from heleshaw.multiscale import build_composite
 from heleshaw.painleve import asymptotic_series, integrate_tritronquee
 from heleshaw.toda import build_toda_inner, toda_composite
@@ -22,7 +25,9 @@ ORACLES = (paper_identities, branch_solvers)
 #: module -> names that left it: deleted (an equivalent stays in the API) or moved to an oracle module
 GONE = {
     "painleve": ("find_first_negative_pole", "laurent_leading_coefficient", "_series_coefficients", "SERIES_ORDER"),
-    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes", "DegenerateReduction", "JetTooShort"),
+    "errors": ("NoPoleInRange", "UnsupportedOrder", "DerivativeVanishes", "DegenerateReduction", "JetTooShort",
+               "OutOfRange", "TooCloseToPole", "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed",
+               "NoConvergence", "NotExactDerivative"),
     "multiscale": ("overlap_error", "pi_reduction_exact_coefficients", "recover_leading_multiplier", "LeadingODE",
                    "PIReduction", "build_leading_ode", "reduce_to_pi"),
     "toda": (
@@ -68,7 +73,10 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "reduction", "left_sum",  # left_sum stays in the package, in geometry, its one caller
            "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
-           "build_parser", "_Parser", "ws", "wps", "_fold_abscissa"}
+           "build_parser", "_Parser", "ws", "wps", "_fold_abscissa", "OutOfRange", "TooCloseToPole",
+           "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative"}
+#: the error classes, one per remedy: fix the input, fix the configuration (CLI exit 2), or neither (a solver failed)
+ERROR_CLASSES = ("ConfigError", "DomainError", "HeleShawError")
 
 
 @pytest.mark.parametrize("module", sorted(GONE))
@@ -109,9 +117,25 @@ def test_closed_form_layers_import_no_fractions(module):
     assert imported.isdisjoint({"fractions", "decimal"})
 
 
+def test_every_raise_names_one_of_three_error_classes_or_a_builtin():
+    """errors.py defines exactly the three classes, and no raise in the package names any other library class."""
+    package = Path(heleshaw.__file__).parent
+    defined = [node.name for node in ast.walk(ast.parse((package / "errors.py").read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert sorted(defined) == sorted(ERROR_CLASSES)
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # a bare raise re-raises what it caught
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
+    assert sorted(raised - set(ERROR_CLASSES) - set(dir(builtins))) == []
+    assert set(ERROR_CLASSES) <= raised
+
+
 NAN, INF = math.nan, math.inf
-#: (entry point, abscissa, what its refusal names): each entry point with a float and with an ndarray;
-#: toda_composite maps t~ = -inf to xi = inf, which the series names
+#: (entry point, abscissa, what its refusal names): each entry point with a float and with an ndarray,
+#: detect_events with a window whose one end is NaN
 NON_FINITE = [
     ("tritronquee.eval", NAN, "xi=nan"), ("tritronquee.eval_many", np.array([0.0, NAN]), "xi=nan"),
     ("tritronquee.eval_extended", NAN, "xi=nan"), ("tritronquee.eval_extended", INF, "xi = inf"),
@@ -122,19 +146,27 @@ NON_FINITE = [
     ("composite.eval", NAN, "x=nan"), ("composite.eval_many", np.array([0.6, NAN]), "x=nan"),
     ("composite.inner_u", NAN, "x=nan"), ("composite.inner_u", np.array([0.6, NAN]), "x=nan"),
     ("composite.inner_u", -1e308, "x = -1e+308"), ("composite.inner_u", np.array([0.6, -1e308]), "x = -1e+308"),
-    ("toda_composite", NAN, "xi=nan"), ("toda_composite", -INF, "xi = inf"),
-    ("toda_composite", np.array([0.0, NAN]), "xi=nan"), ("toda_composite", np.array([0.0, -INF]), "xi = inf"),
+    ("toda_composite", NAN, "t~ = nan"), ("toda_composite", -INF, "t~ = -inf"), ("toda_composite", INF, "t~ = inf"),
+    ("toda_composite", np.array([0.0, NAN]), "t~ = nan"), ("toda_composite", np.array([0.0, -INF]), "t~ = -inf"),
+    ("toda_composite", np.array([0.0, INF]), "t~ = inf"),
+    ("detect_events", (NAN, 0.64), "x=nan"), ("detect_events", (0.6, NAN), "x=nan"),
 ]
 
 
-@pytest.mark.parametrize("entry, x, named", NON_FINITE,
-                         ids=[f"{e}-{f'array-{float(x[-1])!r}' if isinstance(x, np.ndarray) else f'float-{x!r}'}"
-                              for e, x, _ in NON_FINITE])
+def _case_id(entry, x):
+    if isinstance(x, tuple):
+        return f"{entry}-window-{x[0]!r}-{x[1]!r}"
+    return f"{entry}-{f'array-{float(x[-1])!r}' if isinstance(x, np.ndarray) else f'float-{x!r}'}"
+
+
+@pytest.mark.parametrize("entry, x, named", NON_FINITE, ids=[_case_id(e, x) for e, x, _ in NON_FINITE])
 def test_non_finite_abscissas_are_refused_by_value(entry, x, named):
-    """A NaN or infinite abscissa, or one whose inner variable overflows, is an error that names it, never NaN."""
+    """A NaN or infinite abscissa, or one whose inner variable overflows, is a DomainError that names it by
+    the caller's own variable, never NaN or an empty result."""
     sol, comp, inner = integrate_tritronquee(), build_composite(), build_toda_inner(1.0, 1.0, 1e-5)
     entries = {"asymptotic_series": asymptotic_series, "toda_composite": lambda t: toda_composite(t, inner),
                **{f"tritronquee.{m}": getattr(sol, m) for m in ("eval", "eval_many", "eval_extended")},
-               **{f"composite.{m}": getattr(comp, m) for m in ("eval", "eval_many", "inner_u")}}
-    with pytest.raises(HeleShawError, match=re.escape(named)):
+               **{f"composite.{m}": getattr(comp, m) for m in ("eval", "eval_many", "inner_u")},
+               "detect_events": lambda window: detect_events(comp, window)}
+    with pytest.raises(DomainError, match=re.escape(named)):
         entries[entry](x)

@@ -22,7 +22,7 @@ from branch_solvers import (
     r_coeff,
     solve_branch,
 )
-from heleshaw.errors import DomainError, NoConvergence
+from heleshaw.errors import DomainError
 from heleshaw.hodograph import closed_u0, find_critical_25, real_roots
 from paper_identities import residuals
 
@@ -269,7 +269,7 @@ def test_solve_branch_matches_closed_form():
 
 def test_solve_branch_beyond_fold_raises():
     times = quintic_times(-0.8, x=0.6405)
-    with pytest.raises((DerivativeVanishes, NoConvergence)):
+    with pytest.raises(DerivativeVanishes):
         solve_branch(times, 0.8)
 
 
@@ -394,7 +394,7 @@ def _nearest_root_distance(v, coeffs):
 def test_solve_branch_lands_on_a_real_root(times, seed):
     try:
         v = solve_branch(times, seed)
-    except (DerivativeVanishes, NoConvergence):
+    except DerivativeVanishes:
         return
     assert _nearest_root_distance(v, hodograph_poly(times)) <= 1e-10 * (1 + abs(v))
 
@@ -404,7 +404,7 @@ def test_solve_branch_lands_on_a_real_root(times, seed):
 def test_find_critical_lands_on_a_real_root_of_dH(times, seed):
     try:
         cp = find_critical(times, v_seed=seed)
-    except (DerivativeVanishes, NoConvergence):
+    except DerivativeVanishes:
         return
     slope = [k * c for k, c in enumerate(hodograph_poly(times))][1:]
     assert _nearest_root_distance(cp.v_c, slope) <= 1e-10 * (1 + abs(cp.v_c))

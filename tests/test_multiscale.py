@@ -1,6 +1,7 @@
 """Reduction-pipeline tests: scaling maps, leading ODE, P-I rescaling, matching."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branch_solvers import GeneralCriticalPoint, c_coeff, quintic_times
-from heleshaw.errors import OutOfRange
+from heleshaw.errors import DomainError
 from heleshaw.hodograph import closed_u0
 from heleshaw.multiscale import ScalingMapKdV, build_composite, overlap_report
 from paper_identities import (
@@ -128,7 +129,7 @@ def test_inner_at_critical_point(comp):
 def test_inner_u_takes_a_sequence(comp):
     xs = [0.638, comp.x_c, 0.6401]
     assert comp.inner_u(xs).tolist() == [comp.inner_u(x) for x in xs]
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} is at or beyond x* = {comp.x_star}")):
         comp.inner_u([0.6401, comp.x_star])
 
 
@@ -152,9 +153,9 @@ def test_composite_inner_region_finite(comp):
 
 
 def test_composite_out_of_range(comp):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star + 1e-6} is at or beyond x* = {comp.x_star}")):
         comp.eval(comp.x_star + 1e-6)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} is at or beyond x* = {comp.x_star}")):
         comp.eval(comp.x_star)
 
 

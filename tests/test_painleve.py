@@ -1,7 +1,7 @@
 """Tritronquee construction tests: series, integration, pole, residuals."""
 
-import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,12 +12,8 @@ from hypothesis import strategies as st
 
 from heleshaw import painleve
 from heleshaw.errors import (
-    CertificationFailed,
     DomainError,
-    OutOfRange,
-    SeedUnreliable,
-    StepSizeUnderflow,
-    TooCloseToPole,
+    HeleShawError,
 )
 from heleshaw.painleve import _SERIES, asymptotic_series, integrate_tritronquee
 from paper_identities import laurent_leading_coefficient
@@ -128,7 +124,7 @@ def test_self_convergence_order():
 
 
 def test_seed_guard():
-    with pytest.raises(SeedUnreliable):
+    with pytest.raises(DomainError, match=r"^seeding abscissa 8.0 below 10.0$"):
         integrate_tritronquee(xi0=8.0)
     with pytest.raises(DomainError):
         integrate_tritronquee(tol=1e-5)
@@ -171,7 +167,7 @@ def test_eval_extended_float_and_array_bitwise_equal(sol, xs):
 
 
 def test_step_budget_bounds_large_seed():
-    with pytest.raises(StepSizeUnderflow):
+    with pytest.raises(HeleShawError, match=r"^10000 Taylor steps did not reach xi = "):
         integrate_tritronquee(xi0=1e6)
 
 
@@ -215,14 +211,13 @@ def test_monotone_blowup_tail(sol):
 # -- evaluation guards -------------------------------------------------------
 
 def test_eval_out_of_range(sol):
-    with pytest.raises(OutOfRange):
-        sol.eval(31.0)
-    with pytest.raises(OutOfRange):
-        sol.eval(-5.0)
+    for xi in (31.0, -5.0):
+        with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{sol.xi_reached:.6g}, 30]")):
+            sol.eval(xi)
 
 
 def test_eval_too_close_to_pole(sol):
-    with pytest.raises(TooCloseToPole):
+    with pytest.raises(DomainError, match=re.escape(f"xi within 0.001 of the pole {sol.pole:.6g}")):
         sol.eval(sol.pole + 5e-4)
 
 
@@ -299,9 +294,9 @@ def test_shared_solution_is_immutable(sol):
         sol._coef[0, 0] = 0.0
     for array in (sol.ts, sol._coef):
         assert not array.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'residual_max'$"):
         sol.residual_max = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'pole'$"):
         sol.pole = 1.0
     assert all(type(rows) is tuple for rows in (sol._ts, sol._rows, sol._keys))
     assert {"_ws", "_wps", "_starts"}.isdisjoint(vars(sol))  # the rows are the only store of (W, W')
@@ -313,11 +308,11 @@ def test_failed_integration_is_not_cached(monkeypatch):
 
     def failing_certify(candidate):
         calls.append(candidate)
-        raise CertificationFailed("refused once")
+        raise HeleShawError("refused once")
 
     settings = {"xi_min": -1.5, "tol": 3e-9}  # used by no other test
     monkeypatch.setattr(painleve, "_certify", failing_certify)
-    with pytest.raises(CertificationFailed, match="refused once"):
+    with pytest.raises(HeleShawError, match="refused once"):
         integrate_tritronquee(**settings)
     monkeypatch.undo()
     first = integrate_tritronquee(**settings)
