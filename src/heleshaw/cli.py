@@ -88,7 +88,7 @@ OPTIONS = {
     "gd": {"n": Option(int, 3, 0, 16), "format": Option(str, "text", choices=FORMATS)},
     "critical": {"t1": _T1},
     "trace": {"t1": _T1, **_window(0.58, 0.6399), "n": _count(200)},
-    "painleve": {"xi0": _XI0, "xi_min": Option(float, -6.0), "tol": _TOL, "n": _count(2000)},
+    "painleve": {"xi0": _XI0, "tol": _TOL, "n": _count(2000)},
     "match": {"eps": _EPS, "t1": _T1, **_window(0.6365, 0.6395), "n": _count(601), "tol": _TOL},
     "composite": {"eps": _EPS, "t1": _T1, **_window(0.6, None), "n": _count(2000),
                   "switch": _SWITCH, "tol": _TOL, "xi0": _XI0},
@@ -343,9 +343,8 @@ def _cmd_painleve(opts) -> int:
     from .painleve import POLE_GUARD, integrate_tritronquee
 
     xi0, tol = opts["xi0"], opts["tol"]
-    sol = integrate_tritronquee(xi0=xi0, xi_min=opts["xi_min"], tol=tol)
-    lo = sol.pole + 2 * POLE_GUARD if sol.pole is not None else sol.xi_reached
-    return _write_table(opts, "painleve.csv", "xi,W,Wp", grid(lo, xi0, opts["n"]), sol.eval,
+    sol = integrate_tritronquee(xi0=xi0, tol=tol)
+    return _write_table(opts, "painleve.csv", "xi,W,Wp", grid(sol.pole + 2 * POLE_GUARD, xi0, opts["n"]), sol.eval,
                         xi0=xi0, tol=tol, pole=sol.pole, residual_max=sol.residual_max)
 
 

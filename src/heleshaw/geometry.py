@@ -126,16 +126,14 @@ class Event(namedtuple("Event", "kind u_value x_value")):
 
 
 def _bisect_to_machine(fn, lo, hi, flo):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+    """Halve [lo, hi] until its midpoint is an end: at most about 2100 halvings for any finite bracket."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         fm = fn(mid)
         if flo * fm <= 0:
             hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return mid
 
 
 _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}

@@ -48,8 +48,8 @@ class ScalingMapKdV:
     __slots__ = ("eps", "eps_tilde", "zoom")
 
     def __init__(self, eps: float):
-        if not eps > 0:
-            raise DomainError("dispersion parameter must be positive")
+        if not 0 < eps < math.inf:  # NaN fails
+            raise DomainError(f"dispersion parameter eps = {eps} outside (0, inf)")
         self.eps = eps
         self.eps_tilde = eps ** (2.0 / 5)
         self.zoom = self.eps_tilde**2
@@ -68,8 +68,6 @@ class CompositeSolution:
 
     def __init__(self, cp: CriticalPoint, scaling: ScalingMapKdV, alpha: float, beta: float,
                  tritronquee: TritronqueeSolution, x_switch: float):
-        if not tritronquee.blew_up:
-            raise DomainError("composite needs a tritronquee integrated through its pole")
         self.cp, self.scaling, self.alpha, self.beta = cp, scaling, alpha, beta
         self.tritronquee, self.x_switch = tritronquee, x_switch
         self.zoom_beta = scaling.zoom * beta

@@ -13,7 +13,10 @@ two coefficients keeps the truncated tail near STEP_EPS tol (Jorba & Zou,
 Exp. Math. 14, 2005).  Each step's polynomial is the dense output.  The
 last step ends exactly at W = BLOWUP_THRESHOLD, where the Laurent form
 W ~ (xi - xi*)^-2 gives the pole xi* = xi_N - W_N^(-1/2) to O(W_N^(-5/2)).
-The solution depends on no flow parameter: equal arguments (xi0, xi_min, tol)
+The integration always runs to this pole: reaching XI_FLOOR without blow-up is
+a HeleShawError, so the dense output covers [xi* + POLE_GUARD, xi0] with
+POLE_GUARD = BLOWUP_THRESHOLD^(-1/2), the distance from the last node to the pole.
+The solution depends on no flow parameter: equal arguments (xi0, tol)
 share one certified, frozen, read-only solution; the last CACHE_SIZE settings are kept, failures never.
 
 No shooting is needed: linearizing around the branch gives delta'' = 12 W
@@ -45,8 +48,10 @@ from .errors import DomainError, HeleShawError
 
 #: |W| beyond this is treated as blown up (double poles grow fast)
 BLOWUP_THRESHOLD = 1.0e6
-#: evaluation guard around the pole
-POLE_GUARD = 1.0e-3
+#: evaluation guard around the pole: the last node lies this far above it (exactly 1e-3)
+POLE_GUARD = BLOWUP_THRESHOLD ** -0.5
+#: the integration refuses to continue below this abscissa without having met the pole
+XI_FLOOR = -6.0
 #: series seeding is refused below this abscissa
 SERIES_MIN_XI = 10.0
 #: degree of each step's Taylor polynomial
@@ -133,8 +138,8 @@ class TritronqueeSolution:
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
     `_rows` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
     ts[n] to ts[n + 1], the only store of the dense output: its a_0 and a_1
-    are (W, W') at ts[n].  `pole` is the first negative-axis pole when the
-    integration reached blow-up (then blew_up is true), else None.
+    are (W, W') at ts[n].  `pole` is the first negative-axis pole, where
+    the integration ends: the covered range is [pole + POLE_GUARD, xi0].
     `residual_max` is the largest scaled integral-form defect over the
     certification range [pole + 0.1, xi0] (see module docstring); construction certifies it
     < 100 * tol or raises HeleShawError.  Its tuples and arrays are read-only.
@@ -142,7 +147,7 @@ class TritronqueeSolution:
 
     ts, _coef = map(_frozen_array, ("_ts", "_rows"))
 
-    def __init__(self, xi0: float, tol: float, pole: float | None, _ts: tuple, _rows: tuple):
+    def __init__(self, xi0: float, tol: float, pole: float, _ts: tuple, _rows: tuple):
         self.__dict__.update(xi0=xi0, tol=tol, pole=pole, _ts=_ts, _rows=_rows, _keys=tuple(-t for t in _ts[:-1]))
         self.__dict__["residual_max"] = _certify(self)
 
@@ -153,18 +158,15 @@ class TritronqueeSolution:
         self.__setattr__(name, None)
 
     @property
-    def blew_up(self) -> bool:
-        return self.pole is not None
-
-    @property
     def xi_reached(self) -> float:
         return self._ts[-1]
 
-    def _check_range(self, lo, hi, near_pole: bool):
-        if near_pole:
-            raise DomainError(f"xi within {POLE_GUARD} of the pole {self.pole:.6g}")
-        if not (self.xi_reached - 1e-15 <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
+    def _check_range(self, lo, hi):
+        """Refuse [lo, hi] unless it lies in [pole + POLE_GUARD, xi0], naming the pole when lo is near it."""
+        if not (self.pole + POLE_GUARD <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
             raise DomainError(f"xi={hi} is not a number" if math.isnan(hi) else
+                              f"xi within {POLE_GUARD} of the pole {self.pole:.6g}"
+                              if abs(lo - self.pole) < POLE_GUARD else
                               f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
 
     def _at(self, xi: float):
@@ -181,14 +183,13 @@ class TritronqueeSolution:
     def eval(self, xi: float) -> tuple[float, float]:
         """Dense-output (W, W') at a single abscissa."""
         xi = float(xi)
-        self._check_range(xi, xi, self.pole is not None and abs(xi - self.pole) < POLE_GUARD)
+        self._check_range(xi, xi)
         return self._at(xi)
 
     def eval_many(self, xi) -> tuple:
         import numpy as np
         xi = np.asarray(xi, dtype=float)
-        near = self.pole is not None and bool(np.any(np.abs(xi - self.pole) < POLE_GUARD))
-        self._check_range(xi.min(initial=np.inf), xi.max(initial=-np.inf), near)
+        self._check_range(xi.min(initial=np.inf), xi.max(initial=-np.inf))
         return self._dense(xi)
 
     def eval_extended(self, xi):
@@ -228,7 +229,7 @@ class TritronqueeSolution:
         return np.abs(np.diff(self._dense(grid)[1]) - integrals)
 
 
-def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
+def _taylor_step(xi: float, w: float, wp: float, tol: float):
     """Coefficients a_0..a_TAYLOR_ORDER at xi and the (negative) step to take."""
     a = [w, wp]
     for k in range(TAYLOR_ORDER - 1):
@@ -240,7 +241,7 @@ def _taylor_step(xi: float, w: float, wp: float, tol: float, xi_min: float):
     scale = STEP_EPS * tol * max(1.0, abs(w))
     h = min(((scale / abs(a[k])) ** (1.0 / k) for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER) if a[k]),
             default=math.inf)
-    return a, (max(xi - h, xi_min) - xi)
+    return a, (max(xi - h, XI_FLOOR) - xi)
 
 
 def _to_threshold(a: list, s: float) -> float:
@@ -253,44 +254,45 @@ def _to_threshold(a: list, s: float) -> float:
     return s
 
 
-def integrate_tritronquee(xi0: float = 30.0, xi_min: float = -6.0, tol: float = 1e-11) -> TritronqueeSolution:
-    """Integrate downward from a series seed at xi0 until xi_min or blow-up.
+def integrate_tritronquee(xi0: float = 30.0, tol: float = 1e-11) -> TritronqueeSolution:
+    """Integrate downward from a series seed at xi0 to blow-up at the first pole.
 
     tol scales the Taylor step control (module docstring); the errors of W
-    and of the pole stay below tol.  More than MAX_STEPS steps, or a step
-    that underflows, raise HeleShawError; equal settings share one solution.
+    and of the pole stay below tol.  More than MAX_STEPS steps, a step that
+    underflows, or reaching XI_FLOOR without a pole raise HeleShawError;
+    equal settings share one solution.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise DomainError("tol must lie in [1e-13, 1e-6]")
     if not xi0 >= SERIES_MIN_XI:
         raise DomainError(f"seeding abscissa {xi0} below {SERIES_MIN_XI}")
-    if not xi_min < 0.0 < xi0:
-        raise DomainError("need xi_min < 0 < xi0")
-    return _integrate(float(xi0), float(xi_min), float(tol))
+    return _integrate(float(xi0), float(tol))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _integrate(xi0: float, xi_min: float, tol: float) -> TritronqueeSolution:
+def _integrate(xi0: float, tol: float) -> TritronqueeSolution:
     xi, (w, wp) = xi0, asymptotic_series(xi0)
     ts, rows = [xi], []
-    blew_up = False
-    while xi > xi_min and not blew_up:
-        if len(rows) == MAX_STEPS:
-            raise HeleShawError(f"{MAX_STEPS} Taylor steps did not reach xi = {xi:.6g}")
-        a, s = _taylor_step(xi, w, wp, tol, xi_min)
+    for _ in range(MAX_STEPS):
+        if not xi > XI_FLOOR:
+            raise HeleShawError(f"no pole above xi = {XI_FLOOR}")
+        a, s = _taylor_step(xi, w, wp, tol)
         if not s < 0.0:
             raise HeleShawError(f"step size underflow at xi = {xi:.6g}")
         w, wp = _horner(reversed(a), s)
-        if not w < BLOWUP_THRESHOLD:
-            blew_up = True
+        rows.append(a)
+        if not w < BLOWUP_THRESHOLD:  # the last step ends at the threshold
             s = (xi + _to_threshold(a, s)) - xi
             w, wp = _horner(reversed(a), s)
-        rows.append(a)
+            ts.append(xi + s)
+            break
         xi += s
         ts.append(xi)
+    else:
+        raise HeleShawError(f"{MAX_STEPS} Taylor steps did not reach xi = {xi:.6g}")
 
-    pole = xi - w ** -0.5 if blew_up else None
-    if pole is not None and not pole < 0.0:
+    pole = ts[-1] - w ** -0.5
+    if not pole < 0.0:
         raise HeleShawError(f"pole fitted on the positive axis ({pole})")
 
     return TritronqueeSolution(xi0=xi0, tol=tol, pole=pole, _ts=tuple(ts), _rows=tuple(map(tuple, rows)))
@@ -300,8 +302,7 @@ def _certify(sol: TritronqueeSolution) -> float:
     """Max defect of the Taylor steps in [pole + 0.1, xi0], each relative to
     1 + max |6 W^2 - xi| on its step (zero for an exact solution): residual_defects
     in plain floats on step n = [ts[n + 1], ts[n]], with an fsum per Gauss sum."""
-    lo = sol.pole + 0.1 if sol.pole is not None else sol.xi_reached
-    ts = [t for t in sol._ts if t >= lo]  # a prefix: the nodes decrease
+    ts = [t for t in sol._ts if t >= sol.pole + 0.1]  # a prefix: the nodes decrease
     worst = 0.0
     for b, a, row in zip(ts, ts[1:], sol._rows):
         half = 0.5 * (b - a)

@@ -97,14 +97,16 @@ class TodaInner:
 
     `a` is the similarity-ODE forcing constant 2 u_c^2 / (3 t_3); the P-I
     change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a, its
-    powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), and eps~ = eps^(1/5)
-    are computed once, at construction.
+    powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), eps~ = eps^(1/5) and
+    t_tilde_pole = -xi*/a^(1/5), the image of the first tritronquee pole that
+    ends the regularized window, are computed once, at construction.
+    eps must lie in (0, inf).
     """
 
     def __init__(self, crit: TodaCritical, eps: float, tritronquee: TritronqueeSolution):
         self.crit, self.eps, self.tritronquee = crit, eps, tritronquee
-        if not eps > 0:
-            raise DomainError("eps must be positive")
+        if not 0 < eps < math.inf:  # NaN fails
+            raise DomainError(f"eps = {eps} outside (0, inf)")
         self.u_c = crit.u_c
         self.a = a = 2.0 * self.u_c**2 / (3.0 * crit.t_3)
         if a in (0.0, math.inf):  # a itself leaves the float range
@@ -115,16 +117,10 @@ class TodaInner:
                               "(t_3 > 0) for the tritronquee matching direction")
         self.a_fifth, self.a_two_fifths = a ** (1.0 / 5.0), a ** (2.0 / 5.0)
         self.eps_tilde = eps ** (1.0 / 5.0)
+        self.t_tilde_pole = -tritronquee.pole / self.a_fifth
 
     def xi_of_ttilde(self, t_tilde):
         return -self.a_fifth * t_tilde
-
-    @property
-    def t_tilde_pole(self) -> float:
-        """Image of the first tritronquee pole: end of the regularized window."""
-        if self.tritronquee.pole is None:
-            raise DomainError("tritronquee was not integrated through its pole")
-        return -self.tritronquee.pole / self.a_fifth
 
 
 def build_toda_inner(t_3: float, x_c: float, eps: float,
@@ -137,11 +133,14 @@ def build_toda_inner(t_3: float, x_c: float, eps: float,
 def toda_inner_V2(t_tilde, inner: TodaInner):
     """Leading correction V2(t~) = -a^(2/5) W(-a^(1/5) t~) at a float or an ndarray t~.
 
-    A NaN or infinite t~ is refused by its own name, before the tritronquee would name xi."""
+    A NaN or infinite t~, and the largest t~ at or beyond t~_pole, are refused by their own name,
+    before the tritronquee would name xi."""
     lo, hi = ((t_tilde, t_tilde) if isinstance(t_tilde, (int, float))
               else (t_tilde.min(initial=math.inf), t_tilde.max(initial=-math.inf)))
     if not (-math.inf < lo and hi < math.inf):  # a NaN fails it too
         raise DomainError(f"t~ = {lo if not lo > -math.inf else hi} is not a finite number")
+    if not hi < inner.t_tilde_pole:
+        raise DomainError(f"t~ = {hi} is at or beyond t~_pole = {inner.t_tilde_pole}")
     w, _ = inner.tritronquee.eval_extended(inner.xi_of_ttilde(t_tilde))
     return -inner.a_two_fifths * w
 

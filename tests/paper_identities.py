@@ -69,7 +69,6 @@ def laurent_leading_coefficient(sol: TritronqueeSolution) -> float:
     """Fit of sigma in W ~ sigma (xi - xi*)^-2 from the last nodes (should be 1).
 
     W at a node is a_0 of the Taylor row that starts there."""
-    assert sol.blew_up, "integration reached xi_min without blow-up"
     pole = sol.pole
     ws = sol._coef[:, 0]
     mask = ws > 1e3

@@ -59,12 +59,14 @@ GONE_METHODS = {
                                "zero", "monomial", "coeff"),
     ("hodograph", "KdVTimes"): ("with_x",),
     ("geometry", "CurveSpec"): ("kind", "v", "tips", "prefactor", "y", "real_zeros", "samples"),
-    ("painleve", "TritronqueeSolution"): ("ws", "wps"),
+    ("painleve", "TritronqueeSolution"): ("ws", "wps", "blew_up"),
 }
 #: (module, function) -> parameters that left it
 GONE_PARAMETERS = {
     ("painleve", "asymptotic_series"): ("order",),
-    ("painleve", "_integrate"): ("step_constants",),
+    ("painleve", "integrate_tritronquee"): ("xi_min",),
+    ("painleve", "_integrate"): ("step_constants", "xi_min"),
+    ("painleve", "_taylor_step"): ("xi_min",),
 }
 DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "overlap_error", "x_to_inner",
            "x_from_inner", "exact_root", "_iroot", "of", "eps", "is_constant", "max_order",
@@ -74,7 +76,8 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "_series_coefficients", "SERIES_ORDER", "JetTooShort", "CurveSpec", "eval", "prefactor", "y",
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
            "build_parser", "_Parser", "ws", "wps", "_fold_abscissa", "OutOfRange", "TooCloseToPole",
-           "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative"}
+           "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative",
+           "blew_up"}
 #: the error classes, one per remedy: fix the input, fix the configuration (CLI exit 2), or neither (a solver failed)
 ERROR_CLASSES = ("ConfigError", "DomainError", "HeleShawError")
 

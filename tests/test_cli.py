@@ -113,6 +113,7 @@ def test_negative_number_in_exponent_form_is_a_value(tmp_path, capsys, argv, sam
 
 #: command line -> (exit code, stdout, stderr), recorded from the argparse parser the CLI had before;
 #: "R_0..R_n" stands for the text of gd --n n, "json R_0..R_n" for its JSON, "{cfg}" for a file with n = 2
+#: and "{xi_min_cfg}" for one with the removed key xi_min = -1
 PARSER_CASES = [
     (["gd", "--n", "3"], 0, "R_0..R_3", ""),
     (["gd", "--n=3"], 0, "R_0..R_3", ""),
@@ -149,6 +150,8 @@ PARSER_CASES = [
     (["-x"], 2, "", "the following arguments are required: command"),
     (["--conf="], 2, "", "the following arguments are required: command"),
     (["gd", "--n", "-1"], 2, "", "n = -1 outside the validated range [0, 16]"),
+    (["painleve", "--xi-min", "-1"], 2, "", "unrecognized arguments: --xi-min -1"),
+    (["--config", "{xi_min_cfg}", "painleve"], 2, "", "{xi_min_cfg}:1: unknown key 'xi_min'"),
 ]
 
 
@@ -166,8 +169,15 @@ def _gd_shape(out: str) -> str:
 def test_command_line_parses_as_argparse_did(tmp_path, capsys, monkeypatch, argv, code, out, err):
     monkeypatch.chdir(tmp_path)  # the commands that run write into a directory of their own
     (tmp_path / "n2.cfg").write_text("n = 2\n")
-    got = run(capsys, *(arg.replace("{cfg}", str(tmp_path / "n2.cfg")) for arg in argv))
-    assert (got[0], _gd_shape(got[1]), got[2]) == (code, out, f"config error: {err}\n" if err else "")
+    (tmp_path / "xi_min.cfg").write_text("xi_min = -1\n")
+
+    def fill(text):
+        return text.replace("{cfg}", str(tmp_path / "n2.cfg")).replace("{xi_min_cfg}", str(tmp_path / "xi_min.cfg"))
+
+    got = run(capsys, *map(fill, argv))
+    assert (got[0], _gd_shape(got[1]), got[2]) == (code, out, f"config error: {fill(err)}\n" if err else "")
+    if code == 2:  # a refused configuration writes no file
+        assert sorted(os.listdir(tmp_path)) == ["n2.cfg", "xi_min.cfg"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], *([sub, "-h"] for sub in OPTIONS), ["gd", "--help"],
@@ -787,7 +797,7 @@ def test_tables_at_a_bulk_row_count_match_the_array_functions(tmp_path, capsys):
     from heleshaw.textio import write_csv
 
     n = 20_001
-    sol = painleve.integrate_tritronquee(xi0=30.0, xi_min=-6.0, tol=1e-11)
+    sol = painleve.integrate_tritronquee(xi0=30.0, tol=1e-11)
     comp = build_composite(t_1=-0.8, eps=1e-5, x_switch=0.638, tol=1e-11, xi0=30.0)
     inner = toda.build_toda_inner(1.0, 1.0, 1e-5, tol=1e-11)
     xs = np.linspace(0.58, 0.6399, n)

@@ -328,6 +328,18 @@ def test_empty_event_range(comp):
     assert detect_events(comp, (0.6, 0.63)) == []
 
 
+@pytest.mark.parametrize("lo", [-1e100, -1e308], ids=str)
+def test_wide_window_bisects_to_the_exact_event(comp, lo):
+    """The root-coalescence below the fold lies where the outer branch reaches u = sqrt(6) v_c, at the hodograph's
+    x(u) = -(5/8) u^3 - (3/2) t_1 u: the bisection reaches it however wide the window."""
+    events = detect_events(comp, (lo, 0.64))
+    assert [ev.kind for ev in events] == ["root-coalescence"]
+    u = events[0].u_value
+    assert abs(u - math.sqrt(6) * comp.v_c) <= 2 * math.ulp(u)
+    exact = -0.625 * u**3 - 1.5 * comp.cp.t_1 * u
+    assert abs(events[0].x_value - exact) <= 4 * math.ulp(exact)
+
+
 # -- frames --------------------------------------------------------------
 
 def test_emit_frames_reference_endpoints(comp, events, tmp_path):

@@ -152,6 +152,13 @@ def test_composite_inner_region_finite(comp):
     assert u < comp.v_c  # past the u = v_c crossing already
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0], ids=str)
+def test_scaling_refuses_eps_outside_the_positive_floats(eps):
+    for build in (ScalingMapKdV, lambda eps: build_composite(eps=eps)):
+        with pytest.raises(DomainError, match=re.escape(f"dispersion parameter eps = {eps} outside (0, inf)")):
+            build(eps)
+
+
 def test_composite_out_of_range(comp):
     with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star + 1e-6} is at or beyond x* = {comp.x_star}")):
         comp.eval(comp.x_star + 1e-6)

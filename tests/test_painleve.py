@@ -32,7 +32,7 @@ POLE_REF = -2.38416876956881664
 
 @pytest.fixture(scope="module")
 def sol():
-    return integrate_tritronquee(xi0=30.0, xi_min=-6.0, tol=1e-11)
+    return integrate_tritronquee(xi0=30.0, tol=1e-11)
 
 
 # -- asymptotic series -----------------------------------------------------
@@ -180,7 +180,6 @@ def test_eval_at_seed_is_exact(sol):
 # -- pole ---------------------------------------------------------------
 
 def test_pole_location(sol):
-    assert sol.blew_up
     pole = sol.pole
     assert -2.40 < pole < -2.37
     assert pole == pytest.approx(-2.3841687, abs=1e-3)
@@ -188,7 +187,6 @@ def test_pole_location(sol):
 
 def test_pole_stable_under_tol_refinement(sol):
     finer = integrate_tritronquee(tol=1e-12)
-    assert sol.blew_up and finer.blew_up
     assert abs(sol.pole - finer.pole) < 1e-6
 
 
@@ -196,10 +194,24 @@ def test_laurent_leading_coefficient(sol):
     assert laurent_leading_coefficient(sol) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_no_pole_error():
-    short = integrate_tritronquee(xi0=30.0, xi_min=-0.5, tol=1e-9)
-    assert not short.blew_up
-    assert short.pole is None
+def test_no_pole_error(monkeypatch):
+    """Reaching XI_FLOOR without blow-up is a solver failure, and is not cached."""
+    monkeypatch.setattr(painleve, "XI_FLOOR", -1.0)
+    with pytest.raises(HeleShawError, match=r"^no pole above xi = -1.0$"):
+        integrate_tritronquee(tol=4e-9)  # used by no other test
+    monkeypatch.undo()
+    assert integrate_tritronquee(tol=4e-9).pole == pytest.approx(POLE_REF, abs=1e-6)
+
+
+@pytest.mark.parametrize("xi0", [10.0, 30.0, 200.0, 1000.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11, 1e-13])
+def test_last_node_lies_one_guard_above_the_pole(xi0, tol):
+    """The last step ends at W = BLOWUP_THRESHOLD, one POLE_GUARD above the fitted pole: the lower end
+    of the covered range and the near-pole guard are one boundary.  Integrated past the cache, which the
+    16 settings would otherwise empty of the solutions that other tests share."""
+    sol = painleve._integrate.__wrapped__(xi0, tol)
+    assert painleve.POLE_GUARD == 1e-3
+    assert abs(sol.xi_reached - sol.pole - painleve.POLE_GUARD) < 1e-15
 
 
 def test_monotone_blowup_tail(sol):
@@ -219,6 +231,21 @@ def test_eval_out_of_range(sol):
 def test_eval_too_close_to_pole(sol):
     with pytest.raises(DomainError, match=re.escape(f"xi within 0.001 of the pole {sol.pole:.6g}")):
         sol.eval(sol.pole + 5e-4)
+    with pytest.raises(DomainError, match=re.escape(f"xi within 0.001 of the pole {sol.pole:.6g}")):
+        sol.eval_many(np.array([sol.pole + 5e-4, 0.0]))
+
+
+def test_eval_many_names_its_lowest_abscissa(sol):
+    """An array reaching far below the pole names the covered range, though some points lie near the pole."""
+    with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{sol.xi_reached:.6g}, 30]")):
+        sol.eval_many(np.array([-5.0, sol.pole + 5e-4, 0.0]))
+
+
+def test_lowest_served_abscissa_is_one_guard_above_the_pole(sol):
+    lo = sol.pole + painleve.POLE_GUARD
+    assert sol.eval(lo) == tuple(a[0] for a in sol.eval_many(np.array([lo])))
+    with pytest.raises(DomainError, match="of the pole"):
+        sol.eval(math.nextafter(lo, -math.inf))
 
 
 def test_eval_above_pole_is_finite(sol):
@@ -251,13 +278,13 @@ def test_gauss_rule_is_numpys_leggauss_21():
 
 
 @pytest.mark.parametrize("setting", [{"tol": 1e-9}, {"tol": 1e-11}, {"tol": 1e-13}, {"xi0": 12.0, "tol": 1e-9},
-                                     {"xi0": 200.0, "tol": 1e-12}, {"xi_min": -1.0, "tol": 2e-9}], ids=str)
+                                     {"xi0": 200.0, "tol": 1e-12}, {"xi0": 10.0, "tol": 2e-9}], ids=str)
 def test_float_certificate_agrees_with_array_defects(setting):
     """residual_max (plain floats, fsum) against residual_defects on the certified nodes, each span's
     defect over 1 + max |6 W^2 - xi| at its Gauss points as _certify scales it.  Only the order of
     the 21-term quadrature sums differs: at most 64 eps times the widest half-span."""
     sol = integrate_tritronquee(**setting)
-    grid = sol.ts[sol.ts >= (sol.pole + 0.1 if sol.pole is not None else sol.xi_reached)]
+    grid = sol.ts[sol.ts >= sol.pole + 0.1]
     nodes = np.sort(grid)
     half = 0.5 * np.diff(nodes)
     pts = (nodes[:-1] + half)[:, None] + half[:, None] * np.polynomial.legendre.leggauss(21)[0]
@@ -282,7 +309,7 @@ def test_absolute_residual_grid():
 # -- shared immutable solutions ------------------------------------------------
 
 def test_equal_settings_share_one_solution(sol):
-    assert integrate_tritronquee(xi0=30, xi_min=-6, tol=1e-11) is sol
+    assert integrate_tritronquee(xi0=30, tol=1e-11) is sol
     assert integrate_tritronquee() is sol
     other = integrate_tritronquee(tol=1e-10)
     assert other is not sol and other.tol == 1e-10
@@ -310,7 +337,7 @@ def test_failed_integration_is_not_cached(monkeypatch):
         calls.append(candidate)
         raise HeleShawError("refused once")
 
-    settings = {"xi_min": -1.5, "tol": 3e-9}  # used by no other test
+    settings = {"xi0": 30.0, "tol": 3e-9}  # used by no other test
     monkeypatch.setattr(painleve, "_certify", failing_certify)
     with pytest.raises(HeleShawError, match="refused once"):
         integrate_tritronquee(**settings)

@@ -1,6 +1,7 @@
 """Merging-branch tests: hodograph pair, critical identities, P-I reduction."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -317,6 +318,27 @@ def test_discrete_string_residuals_scale(trit):
         vals.append(max(abs(r1), abs(r2)))
     # O(eps~^4): two decades of eps shrink the residual by ~10^(8/5)
     assert 10 < vals[0] / vals[1] < 160
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0], ids=str)
+def test_inner_refuses_eps_outside_the_positive_floats(trit, eps):
+    with pytest.raises(DomainError, match=re.escape(f"eps = {eps} outside (0, inf)")):
+        build_toda_inner(1.0, 1.0, eps, tritronquee=trit)
+
+
+def test_t_tilde_pole_is_computed_once(trit):
+    inn = build_toda_inner(1.0, 1.0, 1e-5, tritronquee=trit)
+    assert vars(inn)["t_tilde_pole"] == -trit.pole / inn.a_fifth
+
+
+@pytest.mark.parametrize("t", [5.0, np.array([-30.0, 0.0, 5.0])], ids=["float", "array"])
+def test_window_past_the_pole_is_refused_by_t_tilde(trit, t):
+    """t~ at or beyond t~_pole is named by the caller's variable, not by the tritronquee's xi."""
+    inn = build_toda_inner(1.0, 1.0, 1e-5, tritronquee=trit)
+    with pytest.raises(DomainError, match=re.escape(f"t~ = 5.0 is at or beyond t~_pole = {inn.t_tilde_pole}")):
+        toda_composite(t, inn)
+    with pytest.raises(DomainError, match=re.escape(f"t~ = {inn.t_tilde_pole} is at or beyond t~_pole")):
+        toda_inner_V2(inn.t_tilde_pole, inn)
 
 
 def test_inner_requires_positive_a(trit):
