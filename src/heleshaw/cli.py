@@ -109,9 +109,9 @@ def load_config(path) -> dict:
     """
     values: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -321,9 +321,11 @@ def _cmd_critical(opts) -> int:
 
 def _write_table(opts, name: str, header: str, xs: list, row, **summary) -> int:
     """CSV `name` of the rows (x, *row(x)), then the JSON summary, rendered first so that its failure
-    writes no file.  Each row is computed as it is written: a long table holds only its grid in memory."""
+    writes no file; so are the end rows, which refuse a window beyond the solution at its own end.
+    Each row is computed as it is written: a long table holds only its grid in memory."""
     path = join_path(opts["outdir"], name)
     text = json_text({"file": str(path), "rows": len(xs), **summary})
+    row(xs[0]), row(xs[-1])
     write_csv(path, header, ((x, *row(x)) for x in xs))
     print(text)
     return 0
@@ -340,11 +342,11 @@ def _cmd_trace(opts) -> int:
 
 def _cmd_painleve(opts) -> int:
     """tritronquee solution as CSV + summary"""
-    from .painleve import POLE_GUARD, integrate_tritronquee
+    from .painleve import integrate_tritronquee
 
     xi0, tol = opts["xi0"], opts["tol"]
     sol = integrate_tritronquee(xi0=xi0, tol=tol)
-    return _write_table(opts, "painleve.csv", "xi,W,Wp", grid(sol.pole + 2 * POLE_GUARD, xi0, opts["n"]), sol.eval,
+    return _write_table(opts, "painleve.csv", "xi,W,Wp", grid(sol.xi_last, xi0, opts["n"]), sol.eval,
                         xi0=xi0, tol=tol, pole=sol.pole, residual_max=sol.residual_max)
 
 
@@ -401,14 +403,10 @@ def _cmd_frames(opts) -> int:
 
 def _cmd_toda(opts) -> int:
     """regularized merging flow (t~, u, v)"""
-    from .painleve import POLE_GUARD
     from .toda import build_toda_inner, toda_composite
 
     inner = build_toda_inner(opts["t3"], opts["xc"], opts["eps"], tol=opts["tol"])
-    t_to = inner.t_tilde_pole - 1e-2 if opts["x_to"] is None else opts["x_to"]
-    if opts["x_to"] is None and abs(inner.xi_of_ttilde(t_to) - inner.tritronquee.pole) < POLE_GUARD:
-        raise DomainError(f"similarity constant a = 2 u_c^2/(3 t_3) = {inner.a:.3g} at t_3 = {opts['t3']!r}, "
-                          f"x_c = {opts['xc']!r} is too small: t~_pole - 0.01 is within {POLE_GUARD} of the pole")
+    t_to = inner.t_tilde_last if opts["x_to"] is None else opts["x_to"]
     crit = inner.crit
     return _write_table(opts, "toda.csv", "t_tilde,u,v", grid(opts["x_from"], t_to, opts["n"]),
                         lambda t: toda_composite(t, inner),

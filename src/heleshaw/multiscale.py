@@ -59,7 +59,8 @@ class CompositeSolution:
     """Outer hodograph branch glued to the rescaled inner tritronquee.
 
     Valid for x < x_star = x_c + zoom_beta xi*, the image of the first tritronquee pole, with
-    zoom_beta = eps~^2 beta; x_last, 2e-7 short of x*, is the last abscissa served by default.
+    zoom_beta = eps~^2 beta; x_last = x_c + zoom_beta xi_last, the image of the tritronquee's xi_last,
+    is the last abscissa served by default, clamped below x* where it rounds onto x* (eps < ~1e-21).
     The three are computed once, at construction.  The outer branch is used below x_switch, the
     inner one above; for inner abscissas that map beyond the integrated window (xi > xi0) the
     seeding series continues the tritronquee, which keeps the matching window fully evaluable.
@@ -72,7 +73,7 @@ class CompositeSolution:
         self.tritronquee, self.x_switch = tritronquee, x_switch
         self.zoom_beta = scaling.zoom * beta
         self.x_star = cp.x_c + self.zoom_beta * tritronquee.pole
-        self.x_last = self.x_star - 2e-7
+        self.x_last = min(cp.x_c + self.zoom_beta * tritronquee.xi_last, math.nextafter(self.x_star, -math.inf))
 
     @property
     def v_c(self) -> float:

@@ -138,17 +138,19 @@ class TritronqueeSolution:
     nodes: the accepted Taylor steps (xi decreasing from xi0); row n of
     `_rows` holds the coefficients a_0..a_TAYLOR_ORDER of the step from
     ts[n] to ts[n + 1], the only store of the dense output: its a_0 and a_1
-    are (W, W') at ts[n].  `pole` is the first negative-axis pole, where
-    the integration ends: the covered range is [pole + POLE_GUARD, xi0].
-    `residual_max` is the largest scaled integral-form defect over the
-    certification range [pole + 0.1, xi0] (see module docstring); construction certifies it
-    < 100 * tol or raises HeleShawError.  Its tuples and arrays are read-only.
+    are (W, W') at ts[n].  `pole` is the first negative-axis pole, where the integration ends: the
+    covered range is [pole + POLE_GUARD, xi0], and xi_last = pole + 2 POLE_GUARD, the lowest abscissa
+    served by default, maps onto the default window ends of the composite and the Toda flow.
+    `residual_max`, the largest scaled integral-form defect over the certification range [pole + 0.1,
+    xi0] (see module docstring), is certified < 100 * tol at construction, or HeleShawError is raised.
+    Its tuples and arrays are read-only.
     """
 
     ts, _coef = map(_frozen_array, ("_ts", "_rows"))
 
     def __init__(self, xi0: float, tol: float, pole: float, _ts: tuple, _rows: tuple):
-        self.__dict__.update(xi0=xi0, tol=tol, pole=pole, _ts=_ts, _rows=_rows, _keys=tuple(-t for t in _ts[:-1]))
+        self.__dict__.update(xi0=xi0, tol=tol, pole=pole, xi_last=pole + 2 * POLE_GUARD, _ts=_ts, _rows=_rows,
+                             _keys=tuple(-t for t in _ts[:-1]))
         self.__dict__["residual_max"] = _certify(self)
 
     def __setattr__(self, name, value):
@@ -157,17 +159,13 @@ class TritronqueeSolution:
     def __delattr__(self, name):
         self.__setattr__(name, None)
 
-    @property
-    def xi_reached(self) -> float:
-        return self._ts[-1]
-
     def _check_range(self, lo, hi):
         """Refuse [lo, hi] unless it lies in [pole + POLE_GUARD, xi0], naming the pole when lo is near it."""
         if not (self.pole + POLE_GUARD <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
             raise DomainError(f"xi={hi} is not a number" if math.isnan(hi) else
                               f"xi within {POLE_GUARD} of the pole {self.pole:.6g}"
                               if abs(lo - self.pole) < POLE_GUARD else
-                              f"xi outside covered range [{self.xi_reached:.6g}, {self.xi0:.6g}]")
+                              f"xi outside covered range [{self.pole + POLE_GUARD:.6g}, {self.xi0:.6g}]")
 
     def _at(self, xi: float):
         """(W, W') at one abscissa from the Taylor step whose span holds it: _dense on floats."""

@@ -97,9 +97,10 @@ class TodaInner:
 
     `a` is the similarity-ODE forcing constant 2 u_c^2 / (3 t_3); the P-I
     change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a, its
-    powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), eps~ = eps^(1/5) and
+    powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), eps~ = eps^(1/5),
     t_tilde_pole = -xi*/a^(1/5), the image of the first tritronquee pole that
-    ends the regularized window, are computed once, at construction.
+    ends the regularized window, and t_tilde_last = -xi_last/a^(1/5), the last
+    t~ served by default, are computed once, at construction.
     eps must lie in (0, inf).
     """
 
@@ -118,6 +119,7 @@ class TodaInner:
         self.a_fifth, self.a_two_fifths = a ** (1.0 / 5.0), a ** (2.0 / 5.0)
         self.eps_tilde = eps ** (1.0 / 5.0)
         self.t_tilde_pole = -tritronquee.pole / self.a_fifth
+        self.t_tilde_last = -tritronquee.xi_last / self.a_fifth
 
     def xi_of_ttilde(self, t_tilde):
         return -self.a_fifth * t_tilde

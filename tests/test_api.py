@@ -59,7 +59,7 @@ GONE_METHODS = {
                                "zero", "monomial", "coeff"),
     ("hodograph", "KdVTimes"): ("with_x",),
     ("geometry", "CurveSpec"): ("kind", "v", "tips", "prefactor", "y", "real_zeros", "samples"),
-    ("painleve", "TritronqueeSolution"): ("ws", "wps", "blew_up"),
+    ("painleve", "TritronqueeSolution"): ("ws", "wps", "blew_up", "xi_reached"),
 }
 #: (module, function) -> parameters that left it
 GONE_PARAMETERS = {
@@ -77,7 +77,7 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
            "build_parser", "_Parser", "ws", "wps", "_fold_abscissa", "OutOfRange", "TooCloseToPole",
            "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative",
-           "blew_up"}
+           "blew_up", "xi_reached"}
 #: the error classes, one per remedy: fix the input, fix the configuration (CLI exit 2), or neither (a solver failed)
 ERROR_CLASSES = ("ConfigError", "DomainError", "HeleShawError")
 

@@ -69,6 +69,15 @@ def test_missing_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"eps = 1e-4\n\xff\n")
+    code, out, err = run(capsys, "--config", str(cfg), "critical")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"config error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                                "in position 11: invalid start byte"]
+
+
 def test_flags_override_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t1 = -0.5\n")
@@ -450,7 +459,7 @@ def test_output_digests_at_default_arguments(tmp_path, capsys):
     assert _sha256((tmp_path / "painleve.csv").read_bytes()) == (
         "d0031c8a671ef2410e74aeac675c054c907784010b8c1294ea2e6cf0bc6f90cc")
     assert _sha256((tmp_path / "toda.csv").read_bytes()) == (
-        "0b43d4c318a67e7028083fabfbf3d7ca2d9ab9169a002efe4f023ebcaa590349")
+        "0867c9f9dc194a764d1d9308bf83e6ead00e08e05a0bd64c0b242b16a625142b")
     assert _sha256((tmp_path / "manifest.json").read_bytes()) == (
         "3d85b205c12971b041bf533e10f7164043abb8dcd4f667eb18068331f5d7ab92")
     # composite rows on the inner branch, x >= x_switch = 0.638
@@ -627,13 +636,40 @@ def test_trace_far_field_is_finite(tmp_path, capsys):
     assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
 
 
-def test_vanishing_similarity_constant_names_it_exit_1(tmp_path, capsys):
-    # a = 2 u_c^2/(3 t_3) ~ 2e-201 stretches t~ so far that t~_pole - 0.01 is the pole image
-    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--xc=-1e-300")
-    assert code == 1
-    assert len(err.splitlines()) == 1
-    assert "similarity constant a" in err and "x_c = -1e-300" in err
+@pytest.mark.parametrize("argv, message", [
+    (("composite", "--to", "0.7"), "error: x = 0.7 is at or beyond x* = 0.640238416876957"),
+    (("toda", "--to", "5"), "error: t~ = 5.0 is at or beyond t~_pole = 3.2832862407268553"),
+    (("trace", "--to", "0.65"), "error: x=0.65 beyond the catastrophe point x_c=0.6400000000000001: branch folded"),
+], ids=" ".join)
+def test_window_beyond_the_solution_is_refused_at_its_end(tmp_path, capsys, argv, message):
+    """The end rows are computed before the file opens: the refusal names the window's end, not the
+    first grid row past the solution, and no file is written."""
+    code, out, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert (code, out, err.splitlines()) == (1, "", [message])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("composite", "--eps", "3e-5"), ("composite", "--eps", "1e-4"),
+                                  ("composite", "--eps", "1e-3"), ("composite", "--eps", "1e-2"),
+                                  ("composite", "--eps", "1e-22"), ("composite", "--eps", "1e-300"),
+                                  ("toda", "--t3", "1e6")], ids=" ".join)
+def test_default_window_ends_one_guard_inside_the_pole_image(tmp_path, capsys, argv):
+    """Away from the README configuration the default end of the composite (x_last) and of the Toda flow
+    (t~_last) stays one guard inside the tritronquee's range, so every row is served."""
+    code, _, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert (code, err) == (0, "")
+    last = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()[-1].split(",")
+    assert all(map(math.isfinite, map(float, last)))
+
+
+def test_vanishing_similarity_constant_ends_the_window_at_t_tilde_last(tmp_path, capsys):
+    """a = 2 u_c^2/(3 t_3) ~ 2e-201 stretches t~ to ~1e40; the default window still ends one guard
+    inside the tritronquee's range, at t~_last."""
+    code, _, err = run(capsys, "--outdir", str(tmp_path), "toda", "--xc=-1e-300")
+    assert code == 0 and err == ""
+    inner = toda.build_toda_inner(1.0, -1e-300, 1e-5)
+    last = (tmp_path / "toda.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == inner.t_tilde_last
 
 
 #: upper bounds on the drawn sizes, so that each run stays short
@@ -802,8 +838,8 @@ def test_tables_at_a_bulk_row_count_match_the_array_functions(tmp_path, capsys):
     inner = toda.build_toda_inner(1.0, 1.0, 1e-5, tol=1e-11)
     xs = np.linspace(0.58, 0.6399, n)
     xis = np.linspace(sol.pole + 2 * painleve.POLE_GUARD, 30.0, n)
-    cxs = np.linspace(0.6, comp.x_star - 2e-7, n)
-    ts = np.linspace(-30.0, inner.t_tilde_pole - 1e-2, n)
+    cxs = np.linspace(0.6, comp.x_last, n)
+    ts = np.linspace(-30.0, inner.t_tilde_last, n)
     tables = {"trace": ("x,u0", (xs, closed_u0(xs, -0.8))), "painleve": ("xi,W,Wp", (xis, *sol.eval_many(xis))),
               "composite": ("x,u", (cxs, comp.eval_many(cxs))),
               "toda": ("t_tilde,u,v", (ts, *toda.toda_composite(ts, inner)))}

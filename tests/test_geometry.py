@@ -324,6 +324,15 @@ def test_switch_jump_straddling_a_level_raises(comp, monkeypatch):
         detect_events(comp, (0.6, comp.x_star))
 
 
+def test_events_up_to_x_star_at_a_large_eps():
+    """At eps = 1e-3 the window is clipped at x_last, one guard short of the pole's image, not inside the guard."""
+    comp = build_composite(t_1=-0.8, eps=1e-3, tol=1e-11)
+    zoom = comp.scaling.zoom
+    events = detect_events(comp, (comp.x_c - 400 * zoom, comp.x_star))
+    assert events
+    assert all(comp.x_c - 400 * zoom <= ev.x_value <= comp.x_last for ev in events)
+
+
 def test_empty_event_range(comp):
     assert detect_events(comp, (0.6, 0.63)) == []
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from branch_solvers import GeneralCriticalPoint, c_coeff, quintic_times
 from heleshaw.errors import DomainError
-from heleshaw.hodograph import closed_u0
+from heleshaw.hodograph import closed_u0, find_critical_25
 from heleshaw.multiscale import ScalingMapKdV, build_composite, overlap_report
+from heleshaw.painleve import POLE_GUARD
 from paper_identities import (
     DegenerateReduction,
     LeadingODE,
@@ -170,6 +171,21 @@ def test_x_star_location(comp):
     pole = comp.tritronquee.pole
     assert comp.x_star == pytest.approx(0.64 + 1e-4 * (-pole), rel=1e-12)
     assert comp.x_star > 0.6402302
+
+
+@pytest.mark.parametrize("t1", [-0.5, -0.8, -1.2])
+@pytest.mark.parametrize("eps", [1e-300, 1e-22, 1e-12, 1e-5, 3e-5, 1e-3, 1e-2], ids=str)
+def test_x_last_is_the_image_of_xi_last(t1, eps):
+    """x_last, the composite's default end, maps back onto the tritronquee's xi_last = pole + 2 POLE_GUARD
+    wherever x* - x_c spans enough floats to hold it, and is the float just below x* where it does not."""
+    x_c = find_critical_25(t1).x_c
+    comp = build_composite(t_1=t1, eps=eps, x_switch=x_c - 20 * eps**0.8)
+    assert comp.x_last < comp.x_star
+    assert math.isfinite(comp.eval(comp.x_last))
+    if comp.x_star - x_c > 1e4 * math.ulp(x_c):
+        assert abs(comp.xi_of_x(comp.x_last) - (comp.tritronquee.pole + 2 * POLE_GUARD)) <= 1e-6
+    else:
+        assert comp.x_last == math.nextafter(comp.x_star, -math.inf)
 
 
 def test_jump_at_switch_below_matching_bound(comp):

@@ -28,6 +28,9 @@ W_REF = {
     -2.0: 6.74868071988330558,
 }
 POLE_REF = -2.38416876956881664
+#: the first real pole of the tritronquee as published, cited here and not recomputed: N. Joshi and
+#: A. V. Kitaev, Stud. Appl. Math. 107 (2001); B. Fornberg and J. A. C. Weideman, J. Comput. Phys. 230 (2011)
+POLE_PUBLISHED = -2.3841687696
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,24 @@ def test_pole_location(sol):
     assert pole == pytest.approx(-2.3841687, abs=1e-3)
 
 
+def test_reference_pole_agrees_with_the_published_value():
+    """The mpmath reference and the literature agree to the 10 digits published."""
+    assert abs(POLE_REF - POLE_PUBLISHED) <= 5e-11
+
+
+def test_pole_agrees_with_the_published_value():
+    tol = 1e-11
+    assert abs(integrate_tritronquee(tol=tol).pole - POLE_PUBLISHED) <= 5e-11 + 100 * tol
+
+
+def test_xi_last_is_one_guard_inside_the_covered_range(sol):
+    """xi_last, the lowest abscissa served by default, is computed once, at construction."""
+    assert vars(sol)["xi_last"] == sol.pole + 2 * painleve.POLE_GUARD
+    assert all(map(math.isfinite, sol.eval(sol.xi_last)))
+    with pytest.raises(AttributeError, match="cannot assign to field 'xi_last'"):
+        sol.xi_last = 0.0
+
+
 def test_pole_stable_under_tol_refinement(sol):
     finer = integrate_tritronquee(tol=1e-12)
     assert abs(sol.pole - finer.pole) < 1e-6
@@ -211,7 +232,8 @@ def test_last_node_lies_one_guard_above_the_pole(xi0, tol):
     16 settings would otherwise empty of the solutions that other tests share."""
     sol = painleve._integrate.__wrapped__(xi0, tol)
     assert painleve.POLE_GUARD == 1e-3
-    assert abs(sol.xi_reached - sol.pole - painleve.POLE_GUARD) < 1e-15
+    assert abs(sol._ts[-1] - sol.pole - painleve.POLE_GUARD) < 1e-15
+    assert f"{sol._ts[-1]:.6g}" == f"{sol.pole + painleve.POLE_GUARD:.6g}"  # the range that a refusal names
 
 
 def test_monotone_blowup_tail(sol):
@@ -223,8 +245,9 @@ def test_monotone_blowup_tail(sol):
 # -- evaluation guards -------------------------------------------------------
 
 def test_eval_out_of_range(sol):
+    lo = sol.pole + painleve.POLE_GUARD
     for xi in (31.0, -5.0):
-        with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{sol.xi_reached:.6g}, 30]")):
+        with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{lo:.6g}, 30]")):
             sol.eval(xi)
 
 
@@ -237,7 +260,8 @@ def test_eval_too_close_to_pole(sol):
 
 def test_eval_many_names_its_lowest_abscissa(sol):
     """An array reaching far below the pole names the covered range, though some points lie near the pole."""
-    with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{sol.xi_reached:.6g}, 30]")):
+    lo = sol.pole + painleve.POLE_GUARD
+    with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{lo:.6g}, 30]")):
         sol.eval_many(np.array([-5.0, sol.pole + 5e-4, 0.0]))
 
 

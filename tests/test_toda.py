@@ -303,7 +303,7 @@ def test_composite_matches_hodograph_o_eps2(trit):
 def test_composite_float_and_array_paths_bitwise_equal(trit, t3, xc, ts):
     """toda_composite on each float equals its ndarray result, the series above xi0 included."""
     inn = build_toda_inner(t3, xc, 1e-5, tritronquee=trit)
-    ts = [t for t in ts if t < inn.t_tilde_pole - 1e-2]  # the window of the regularized flow
+    ts = [t for t in ts if t <= inn.t_tilde_last]  # the default window of the regularized flow
     us, vs = toda_composite(np.array(ts), inn)
     assert list(zip(us.tolist(), vs.tolist())) == [toda_composite(t, inn) for t in ts]
 
@@ -329,6 +329,24 @@ def test_inner_refuses_eps_outside_the_positive_floats(trit, eps):
 def test_t_tilde_pole_is_computed_once(trit):
     inn = build_toda_inner(1.0, 1.0, 1e-5, tritronquee=trit)
     assert vars(inn)["t_tilde_pole"] == -trit.pole / inn.a_fifth
+    assert vars(inn)["t_tilde_last"] == -trit.xi_last / inn.a_fifth
+
+
+def test_t_tilde_last_is_served_wherever_the_inner_data_exist(trit):
+    """Over (t_3, x_c) from 1e-300 to 1e300 of either sign of x_c, every setting that TodaInner accepts
+    serves its default window end t~_last: it stays one guard inside the tritronquee's range however
+    far a = 2 u_c^2/(3 t_3) stretches or shrinks t~."""
+    served = 0
+    for t3 in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+        for xc in (-1e300, -1e-300, -1.0, 1.0, 1e-300, 1e300):
+            try:
+                inn = build_toda_inner(t3, xc, 1e-5, tritronquee=trit)
+            except DomainError:  # a merging point or a similarity constant outside the floats
+                continue
+            assert math.isfinite(inn.t_tilde_last) and inn.t_tilde_last < inn.t_tilde_pole, (t3, xc)
+            assert all(map(math.isfinite, toda_composite(inn.t_tilde_last, inn))), (t3, xc)
+            served += 1
+    assert served == 22
 
 
 @pytest.mark.parametrize("t", [5.0, np.array([-30.0, 0.0, 5.0])], ids=["float", "array"])
