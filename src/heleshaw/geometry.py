@@ -37,7 +37,6 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import lru_cache
 from itertools import pairwise
 from operator import itemgetter
 
@@ -69,11 +68,29 @@ def left_sum(terms, total=0):
     return total
 
 
-@lru_cache(maxsize=16)
-def _cosine_nodes(m: int) -> tuple[float, ...]:
-    """1 - cos(theta) at the m angles of numpy's linspace(0, pi, m): i (pi / (m - 1)), the last one pi."""
-    step = math.pi / (m - 1)
-    return (*(1.0 - math.cos(i * step) for i in range(m - 1)), 1.0 - math.cos(math.pi))
+#: node count -> its nodes, each count computed once while the store holds at most NODE_STORE doubles
+_NODES: dict[int, memoryview] = {}
+NODE_STORE = 2**17  # 1 MiB: every count up to n = 512, 8 n^2 / 2 bytes
+
+
+def _cosine_nodes(m: int) -> memoryview:
+    """1 - cos(theta) at the m angles of numpy's linspace(0, pi, m): i (pi / (m - 1)), the last one pi.
+
+    A frame cut in two by a prefactor root has counts m1 + m2 ~ n that differ from frame to
+    frame, so a store of the last few counts keeps missing; this one keeps each count, as a
+    read-only view of packed doubles (a tuple of floats takes four times the memory).
+    """
+    nodes = _NODES.get(m)
+    if nodes is None:
+        step = math.pi / (m - 1)
+        nodes = memoryview(bytearray(8 * m)).cast("d")  # no module import: frames starts cold
+        for i in range(m - 1):
+            nodes[i] = 1.0 - math.cos(i * step)
+        nodes[m - 1] = 1.0 - math.cos(math.pi)
+        nodes = nodes.toreadonly()
+        if sum(map(len, _NODES.values())) + m <= NODE_STORE:
+            _NODES[m] = nodes
+    return nodes
 
 
 def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:

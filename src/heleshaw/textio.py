@@ -14,7 +14,7 @@ from itertools import chain, islice
 
 from .errors import DomainError
 
-CHUNK_ROWS = 256  # rows per call of the row format string; larger chunks grew peak RSS
+CHUNK_ROWS = 256  # rows per format call or fmt17.render; 1024 rendered faster but grew peak RSS
 
 
 def fmt(value) -> str:
@@ -84,7 +84,10 @@ def atomic_open(path):
 def write_csv(path, header: str, rows) -> int:
     """Write rows of floats, one per header column, atomically; returns the row count.
 
-    Rows are formatted in chunks by one format string; a non-finite value is a DomainError.
+    Rows are rendered in chunks; a non-finite value is a DomainError.  Rows of
+    numpy scalars, as a zip over arrays yields them, are rendered by
+    fmt17.render, other rows by one format string of %.17g fields per chunk:
+    the reference, whose bytes fmt17 gives.  The first row's first value decides.
     """
     width = header.count(",") + 1
     line = ",".join(["%.17g"] * width) + "\n"
@@ -93,10 +96,17 @@ def write_csv(path, header: str, rows) -> int:
     with atomic_open(path) as fh:
         fh.write(header + "\n")
         while chunk := list(islice(rows, CHUNK_ROWS)):
-            values = tuple(map(float, chain.from_iterable(chunk)))
+            if not n:
+                numpy_rows = type(next(iter(chunk[0]), None)).__module__ == "numpy"
+                if numpy_rows:
+                    import numpy as np
+
+                    from .fmt17 import render
+            flat = chain.from_iterable(chunk)
+            values = np.fromiter(flat, float) if numpy_rows else tuple(map(float, flat))
             if len(values) != width * len(chunk):
                 raise ValueError(f"every row needs {width} values for the header {header!r}")
-            text = (line * len(chunk)) % values
+            text = render(values, width) if numpy_rows else (line * len(chunk)) % values
             if "n" in text:  # only nan and inf spell a letter n
                 bad = next(v for v in values if not math.isfinite(v))
                 raise DomainError(f"non-finite result {bad} cannot be written")

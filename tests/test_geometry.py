@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branch_solvers import KdVTimes, general_real_roots, quintic_times, r_coeff
+from heleshaw import geometry
 from heleshaw.errors import DomainError
 from heleshaw.cli import frame_abscissas, main
 from heleshaw.geometry import detect_events, emit_frames, event_quadratics, finger_prefactor, finger_samples, left_sum
@@ -163,6 +164,19 @@ def test_finger_samples_equal_the_numpy_sampler_bitwise(t_1, n, data):
     assume(not _zeros_within_two_reaches(t_1, u))
     assert [(x.hex(), y.hex()) for x, y in finger_samples(t_1, u, n)] == [
         (x.hex(), y.hex()) for x, y in numpy_finger_samples(t_1, u, n)]
+
+
+def test_cosine_nodes_are_kept_once_within_the_store(monkeypatch):
+    """Each node count is computed once and served again, the store never holds more than NODE_STORE
+    doubles, and a count past the budget still gets numpy's nodes, bit for bit."""
+    monkeypatch.setattr(geometry, "_NODES", {})
+    monkeypatch.setattr(geometry, "NODE_STORE", 1000)
+    for m in range(8, 100):
+        nodes = geometry._cosine_nodes(m)
+        assert geometry._cosine_nodes(m) is nodes or m not in geometry._NODES
+        assert nodes.tobytes() == (1.0 - np.cos(np.linspace(0.0, math.pi, m))).tobytes()
+    assert sum(map(len, geometry._NODES.values())) <= 1000
+    assert sorted(geometry._NODES) == list(range(8, 45))  # 8 + 9 + ... + 44 = 962 doubles; 45 more would pass 1000
 
 
 def test_cusp_frame_starts_at_its_branch_point(tmp_path, capsys):
