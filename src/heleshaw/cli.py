@@ -82,6 +82,9 @@ _EPS = Option(float, 1e-5, 0.0, 1e-2, lo_open=True)
 _TOL = Option(float, 1e-11, 1e-13, 1e-6)
 _XI0 = Option(float, 30.0, 10.0, 1000.0)
 _SWITCH = Option(float, 0.638)
+#: the default end of the frame window, 8e-6 short of x* at the README configuration (t1 = -0.8, eps = 1e-5),
+#: or the composite's x_last where that comes first (x* lies below it for eps under about 9.6e-6)
+FRAMES_X_TO = 0.6402302
 
 #: subcommand -> option key -> Option, in the order of the flags
 OPTIONS = {
@@ -92,7 +95,7 @@ OPTIONS = {
     "match": {"eps": _EPS, "t1": _T1, **_window(0.6365, 0.6395), "n": _count(601), "tol": _TOL},
     "composite": {"eps": _EPS, "t1": _T1, **_window(0.6, None), "n": _count(2000),
                   "switch": _SWITCH, "tol": _TOL, "xi0": _XI0},
-    "frames": {**_window(0.6, 0.6402302), "count": _count(8, 10**4), "eps": _EPS, "switch": _SWITCH,
+    "frames": {**_window(0.6, None), "count": _count(8, 10**4), "eps": _EPS, "switch": _SWITCH,
                "t1": _T1, "n_samples": _count(400, 10**5), "tol": _TOL},
     "toda": {"t3": Option(float, 1.0), "xc": Option(float, 1.0), "eps": _EPS,
              **_window(-30.0, None), "n": _count(500), "tol": _TOL},
@@ -385,13 +388,14 @@ def _cmd_composite(opts) -> int:
 
 def _cmd_frames(opts) -> int:
     """interface frames plus event manifest"""
-    x_from, x_to = opts["x_from"], opts["x_to"]
-    if not x_from < x_to:
-        raise ConfigError(f"frame window from {x_from} to {x_to} is empty")
     from .geometry import emit_frames
     from .multiscale import build_composite
 
     comp = build_composite(t_1=opts["t1"], eps=opts["eps"], x_switch=opts["switch"], tol=opts["tol"])
+    x_from = opts["x_from"]
+    x_to = min(FRAMES_X_TO, comp.x_last) if opts["x_to"] is None else opts["x_to"]
+    if not x_from < x_to:
+        raise ConfigError(f"frame window from {x_from} to {x_to} is empty")
     xs = frame_abscissas(x_from, x_to, opts["count"])
     manifest = emit_frames(comp, xs, opts["outdir"], n=opts["n_samples"])
     print(json_text({

@@ -16,8 +16,9 @@ E of the rounded value:
 The text then follows the %g rules: fixed notation for -4 <= E < 17, otherwise
 d.ddde+XX with at least two exponent digits; trailing zeros of a fraction and
 a bare point go, a sign bit gives '-' (also on -0).  Each value gets a slot of
-bytes at fixed positions, the bytes a value does not use are NUL, and one
-bytes.translate squeezes them out.
+48 bytes, six words: a per-E template, OR the words of its four-digit groups,
+AND a mask that ends the digits.  The bytes a value does not use are NUL, and
+one bytes.translate squeezes them out.
 
 A value whose product lies within 1e-9 of a half-integer (an exact decimal
 tie such as 96684960988929.8125, which '%' rounds half-even), beyond
@@ -50,59 +51,59 @@ def _powers_of_ten():
     return table
 
 
-_HI, _HH, _HL, _LO = _powers_of_ten()
+_POWERS = _powers_of_ten()  # rows hi, hh, hl, lo
 
 #: slot bytes: 0 sign, 1-5 the '0.000' of E < 0, 6-39 the 17 digits each followed by a point place,
-#: 40-44 the exponent, 45 the separator
-_SLOT = 46
-_DIGITS = slice(6, 40)
+#: 40-44 the exponent, 47 the separator; every table is built from bytes, so the bitwise operations on
+#: its native uint64 words act byte by byte, in either byte order
+_SLOT = 48
 _E_MIN, _E_MAX = -_E_LIMIT - 3, _E_LIMIT + 3  # E ends in [-_E_LIMIT - 1, _E_LIMIT + 2]
 
 
 def _layouts():
-    """Per exponent E: the slot with its fixed bytes (prefix, point, exponent), and the digits before the point."""
-    slots, int_digits = bytearray(), []
+    """Per exponent E: the slot's fixed bytes (prefix, point, exponent, ','), and the digits up to the point."""
+    slots, kept = bytearray(), []
     for E in range(_E_MIN, _E_MAX + 1):
         slot = bytearray(_SLOT)
         if 0 <= E < 17:
-            if E < 16:
-                slot[7 + 2 * E] = ord(".")
-            int_digits.append(E + 1)
+            slot[7 + 2 * E] = ord(".")  # after the 17th digit, E = 16, it is never kept
         elif -4 <= E < 0:
             slot[1 : 2 - E] = b"0." + b"0" * (-E - 1)
-            int_digits.append(0)
         else:
             slot[7] = ord(".")
             slot[40:45] = f"e{E:+03d}".encode().rjust(5, b"\0")
-            int_digits.append(1)
+        slot[-1] = ord(",")
         slots += slot
-    return np.frombuffer(bytes(slots), np.uint8).reshape(-1, _SLOT), np.array(int_digits)
+        kept.append(E + 1 if 0 <= E < 17 else 1)
+    return np.frombuffer(bytes(slots), np.uint64).reshape(-1, _SLOT // 8), np.array(kept, np.int8)
 
 
-_LAYOUT, _INT_DIGITS = _layouts()
+_LAYOUT, _KEPT = _layouts()
 
 
-def _four_digit_groups():
-    """The 4 ASCII digits of 0000..9999, each as one uint32, and the count of trailing zeros among them.
+def _digit_groups():
+    """Per group g = 0000..9999 of four digits: its word, the digits at the even bytes; and per place j of g
+    after the lead, the digits kept up to g's last nonzero one, 1 + 4j + its count in g (0 for g = 0).
+    Built a hundred groups at a time: no 10^4-element temporary of Python objects."""
+    pairs = [bytes([48 + i // 10, 0, 48 + i % 10, 0]) for i in range(100)]
+    last = [0] + [2 if i % 10 else 1 for i in range(1, 100)]
+    own = bytes(2 + last[low] if low else last[high] for high in range(100) for low in range(100))
+    kept = bytes(1 + 4 * j + c if c else 0 for j in range(4) for c in own)
+    words = b"".join(b"".join(high + low for low in pairs) for high in pairs)
+    return np.frombuffer(words, np.uint64), np.frombuffer(kept, np.int8).reshape(4, -1)
 
-    Built from the 100 two-digit groups a hundred at a time: no 10^4-element temporary of Python objects.
-    """
-    pairs = [b"%02d" % i for i in range(100)]
-    zeros = [(i % 10 == 0) + (i == 0) for i in range(100)]
-    digits = b"".join(b"".join(high + low for low in pairs) for high in pairs)
-    trailing = bytes(zeros[low] + (low == 0) * zeros[high] for high in range(100) for low in range(100))
-    return np.frombuffer(digits, np.uint32), np.frombuffer(trailing, np.int8)
 
-
-_GROUPS, _GROUP_ZEROS = _four_digit_groups()
-#: the first m bytes of the digit-and-point places kept, m = 0..34
-_KEEP = np.frombuffer(b"".join(b"\xff" * m + b"\0" * (34 - m) for m in range(35)), np.uint8).reshape(35, 34)
+_GROUPS, _GROUP_KEPT = _digit_groups()
+#: per count k of digits kept, 0..17, the slot mask keeping the first 2k - 1 digit-and-point places
+_KEEP = np.frombuffer(b"".join(b"\xff" * (5 + 2 * k) + b"\0" * (35 - 2 * k) + b"\xff" * 8 for k in range(18)),
+                      np.uint64).reshape(-1, _SLOT // 8)
+#: XOR turns the separator into a newline
+_NEWLINE = np.frombuffer(b"\0" * 7 + bytes([ord(",") ^ ord("\n")]), np.uint64)[0]
 
 
 def _scaled(x, E):
     """(ph, pl): x 10^(16 - E) as a double-double, ph + pl within about 1e-14 of the exact product."""
-    k = 16 - E - _K_MIN
-    hi, hh, hl, lo = _HI[k], _HH[k], _HL[k], _LO[k]
+    hi, hh, hl, lo = _POWERS.take(16 - _K_MIN - E, axis=1)
     c = _SPLIT * x
     xh = c - (c - x)
     xl = x - xh
@@ -117,56 +118,69 @@ def _percent_slot(value: float) -> bytes:
     return b"%.17g" % value
 
 
+def _digits(values):
+    """(D, layout, special): per value the 17-digit integer D = round-half-even(|x| 10^(16 - E)), 0 for a
+    zero, and the row E - _E_MIN of its decimal exponent E in the layout tables; and the indices of the
+    values that '%' renders, whose D and layout are stand-ins."""
+    zero = values == 0
+    x = np.abs(values)
+    x += zero  # a zero is scaled as 1
+    E = np.log10(x)
+    far = ~(np.abs(E) <= _E_LIMIT)  # also nan and inf, which '%' spells out
+    if far.any():
+        x[far], E[far] = 1.0, 0.0
+    E = np.floor(E, out=E).astype(np.int64)
+    ph, pl = _scaled(x, E)
+    # the unrounded product decides E: below 10^16 one decade down, from 10^17 one up (rare: near a power
+    # of ten; a zero's product, 10^16 exactly, stays)
+    edge = np.flatnonzero((ph <= 1e16) | (ph >= 1e17))
+    if len(edge):
+        h, l = ph[edge], pl[edge]
+        shift = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64) - ((h < 1e16) | ((h == 1e16) & (l < 0)))
+        moved = edge[shift != 0]
+        if len(moved):
+            E[moved] += shift[shift != 0]
+            ph[moved], pl[moved] = _scaled(x[moved], E[moved])
+    # ph is an even integer (its ulp is 2 or more), so rounding pl half-even rounds the sum half-even
+    r = np.rint(pl)
+    tie = np.abs(np.abs(pl - r) - 0.5) < 1e-9
+    D = ph.astype(np.int64) + r.astype(np.int64)
+    carry = np.flatnonzero(D == 10**17)
+    D[carry] = 10**16
+    E[carry] += 1
+    D[zero] = 0
+    return D, E - _E_MIN, np.flatnonzero(far | tie)
+
+
+def _slots(values, width: int):
+    """The slots of the values, an (n, 6) array of words, NUL where a byte is unused."""
+    D, layout, special = _digits(values)
+    out = _LAYOUT.take(layout, axis=0)
+    slot = out.view(np.uint8)
+    slot[:, 0] = np.signbit(values) * ord("-")
+    lead = D // 10**16  # floor division by a scalar is several times faster than divmod
+    slot[:, 6] = lead + ord("0")
+    D -= lead * 10**16
+    # the 16 digits after the lead in four groups; the digits kept run to the last nonzero one or to the
+    # point, whichever is later, and the point stays only before a kept digit
+    kept = _KEPT.take(layout)
+    for j, unit in enumerate((10**12, 10**8, 10**4, 1)):
+        group = D // unit
+        D -= group * unit
+        out[:, 1 + j] |= _GROUPS.take(group)
+        np.maximum(kept, _GROUP_KEPT[j].take(group), out=kept)
+    out &= _KEEP.take(kept, axis=0)
+    out[width - 1 :: width, -1] ^= _NEWLINE
+    for i in special:
+        text = _percent_slot(values[i])
+        slot[i, :-1] = 0
+        slot[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
 def render(values, width: int) -> str:
     """'%.17g' of each float64 value, separated by ',' and ending each row of `width` values with a newline.
 
     The values' count is a multiple of `width`.  A non-finite value is spelt as '%' spells it.
     """
-    n = len(values)
-    zero = values == 0
-    ax = np.abs(values) + zero  # a zero is rendered as 1 whose lead digit becomes 0
-    lg = np.log10(ax)
-    far = ~(np.abs(lg) <= _E_LIMIT)  # also nan and inf, which '%' spells out
-    x = np.where(far, 1.0, ax)
-    E = np.floor(np.where(far, 0.0, lg)).astype(np.int64)
-    ph, pl = _scaled(x, E)
-    # the unrounded product decides E: below 10^16 one decade down, from 10^17 one up (rare: near a power of ten)
-    edge = np.flatnonzero((ph <= 1e16) | (ph >= 1e17))
-    if len(edge):
-        h, l = ph[edge], pl[edge]
-        up = (h > 1e17) | ((h == 1e17) & (l >= 0))
-        down = (h < 1e16) | ((h == 1e16) & (l < 0))
-        E[edge] += up.astype(np.int64) - down
-        ph[edge], pl[edge] = _scaled(x[edge], E[edge])
-    # ph is an even integer (its ulp is 2 or more), so rounding pl half-even rounds the sum half-even
-    r = np.rint(pl)
-    tie = np.abs(np.abs(pl - r) - 0.5) < 1e-9
-    D = ph.astype(np.int64) + r.astype(np.int64)
-    carry = D == 10**17
-    D -= carry * (9 * 10**16)
-    E += carry
-
-    # D = lead, then four groups of four digits; the trailing zeros of those 16, from the last group back
-    lead, rest = np.divmod(D, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    groups = np.empty((n, 4), np.int64)
-    np.divmod(high, 10**4, out=(groups[:, 0], groups[:, 1]))
-    np.divmod(low, 10**4, out=(groups[:, 2], groups[:, 3]))
-    tz = _GROUP_ZEROS.take(groups)
-    z = groups == 0
-    trailing = tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0]))
-
-    layout = E - _E_MIN
-    out = _LAYOUT.take(layout, axis=0)
-    out[:, 6] = lead - zero + ord("0")
-    out[:, 8:40:2] = _GROUPS.take(groups).view(np.uint8)
-    # digits up to the last nonzero one or the point, whichever is later; the point only before a digit
-    out[:, _DIGITS] &= _KEEP.take(2 * np.maximum(17 - trailing, _INT_DIGITS.take(layout)) - 1, axis=0)
-    out[:, 0] = np.signbit(values) * ord("-")
-    out[:, -1] = ord(",")
-    out[width - 1 :: width, -1] = ord("\n")
-    for i in np.flatnonzero(far | tie):
-        text = _percent_slot(values[i])
-        out[i, :-1] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return _slots(values, width).tobytes().translate(None, b"\0").decode("ascii")

@@ -18,8 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import heleshaw
-from heleshaw import painleve, toda
-from heleshaw.cli import _COMMANDS, OPTIONS, clean_path, frame_abscissas, grid, join_path, load_config, main
+from heleshaw import multiscale, painleve, toda
+from heleshaw.cli import (_COMMANDS, FRAMES_X_TO, OPTIONS, clean_path, frame_abscissas, grid, join_path,
+                          load_config, main)
 from heleshaw.errors import ConfigError, DomainError
 
 
@@ -660,6 +661,23 @@ def test_default_window_ends_one_guard_inside_the_pole_image(tmp_path, capsys, a
     assert (code, err) == (0, "")
     last = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()[-1].split(",")
     assert all(map(math.isfinite, map(float, last)))
+
+
+@pytest.mark.parametrize("argv, t1, eps", [((), -0.8, 1e-5), (("--eps", "9.5e-6"), -0.8, 9.5e-6),
+                                           (("--t1", "-0.7999"), -0.7999, 1e-5)],
+                         ids=["defaults", "eps 9.5e-6", "t1 -0.7999"])
+def test_frames_default_window_ends_inside_the_solution(tmp_path, capsys, argv, t1, eps):
+    """The default frame window ends at 0.6402302 or at the composite's x_last, whichever comes first: at
+    the README configuration x_last = 0.640238216876957 lies beyond it (the pinned digests hold), at
+    eps = 9.5e-6 or t1 = -0.7999 x* itself lies below it."""
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "frames", *argv)
+    assert (code, err) == (0, "")
+    comp = multiscale.build_composite(t_1=t1, eps=eps)
+    last = json.loads((tmp_path / "manifest.json").read_text())["frames"][-1]
+    assert last["x"] == min(FRAMES_X_TO, comp.x_last)
+    assert (last["x"] == FRAMES_X_TO) == (argv == ())
+    rows = (tmp_path / last["file"]).read_text().splitlines()[1:]
+    assert len(rows) == 400 and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 def test_vanishing_similarity_constant_ends_the_window_at_t_tilde_last(tmp_path, capsys):

@@ -36,10 +36,15 @@ ROW_TYPES = {"floats": lambda rows: [tuple(map(float, row)) for row in rows],
              "numpy": lambda rows: [tuple(map(np.float64, row)) for row in rows]}
 
 
+def block_rows(width=2):
+    """The rows write_csv renders at a time, at `width` values a row."""
+    return textio.BLOCK_VALUES // width
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_value_leaves_no_file(tmp_path, bad):
-    # the bad value sits in the second chunk, after a chunk was already written
-    rows = [(float(i), 1.0) for i in range(textio.CHUNK_ROWS + 5)]
+    # the bad value sits in the second block, after a block was already written
+    rows = [(float(i), 1.0) for i in range(block_rows() + 5)]
     rows[-2] = (1.0, bad)
     for as_rows in ROW_TYPES.values():
         with pytest.raises(DomainError) as failure:
@@ -53,7 +58,7 @@ def test_failing_row_source_keeps_previous_file(tmp_path):
     path.write_text("old\n")
 
     def rows(as_rows):
-        yield from as_rows((float(i), 2.0) for i in range(2 * textio.CHUNK_ROWS))
+        yield from as_rows((float(i), 2.0) for i in range(2 * block_rows()))
         raise RuntimeError("source failed")
 
     for as_rows in ROW_TYPES.values():
@@ -64,10 +69,15 @@ def test_failing_row_source_keeps_previous_file(tmp_path):
 
 
 def test_row_width_must_match_header(tmp_path):
-    for as_rows in ROW_TYPES.values():
-        with pytest.raises(ValueError, match="every row needs 2 values"):
-            write_csv(tmp_path / "t.csv", "x,y", as_rows([(1.0, 2.0), (3.0,)]))
-        assert not list(tmp_path.iterdir())
+    # a short row; a long row beside a short one, whose values add up to two full rows, in the first
+    # block and in the second, after a block was already written
+    later = [(float(i), 1.0) for i in range(block_rows() + 5)]
+    later[-3:-1] = [(1.0, 2.0, 3.0), (4.0,)]
+    for bad in ([(1.0, 2.0), (3.0,)], [(1.0, 2.0, 3.0), (4.0,)], later):
+        for as_rows in ROW_TYPES.values():
+            with pytest.raises(ValueError, match="every row needs 2 values"):
+                write_csv(tmp_path / "t.csv", "x,y", iter(as_rows(bad)))
+            assert not list(tmp_path.iterdir())
 
 
 def test_empty_rows_write_the_header(tmp_path):
@@ -187,7 +197,9 @@ def test_numpy_rows_give_the_percent_bytes_on_random_doubles(tmp_path, renderer_
     integers = np.concatenate([rng.integers(-2**62, 2**62, 50_000).astype(float),
                                rng.integers(-10**6, 10**6, 50_000).astype(float)])
     normal = rng.normal(size=150_000) * 10.0 ** rng.integers(-20, 20, 150_000)
-    for values in (wide, integers, normal):
+    # and tables one row short of a block, a block long and one row past it
+    edges = [normal[:rows] for rows in (block_rows() - 1, block_rows(), block_rows() + 1)]
+    for values in (wide, integers, normal, *edges):
         numpy_bytes, float_bytes = both_ways(tmp_path, signed(values))
         assert numpy_bytes == float_bytes
     assert renderer_calls["render"] > 0
