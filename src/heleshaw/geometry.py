@@ -6,11 +6,12 @@ prefactor P is the polynomial part (non-negative z-powers, X = z^2) of
     sum_k (k + 1/2) t_k z^(2k-1) / sqrt(z^2 - u),
 
 which for the quintic finger configuration (t_3 = 2/7, only t_1 < 0 besides)
-is the quadratic P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1
+is the monic quadratic P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1
 (finger_prefactor), so a curve's zeros are u and the closed-form roots of P
-at or above it; finger_samples draws the curve through them on the frame
-window u <= X <= max(2.5, u + 1).  The projection for any deformation times,
-as a table of polynomials in u, checks P in the tests (tests/paper_identities.py).
+(prefactor_roots) at or above it; finger_samples draws the curve through
+them on the frame window u <= X <= max(2.5, u + 1).  The projection for any
+deformation times, as a table of polynomials in u, checks P in the tests
+(tests/paper_identities.py).
 
 Topological events along the regularized flow are driven by the roots of P
 relative to the branch point u(x):
@@ -22,10 +23,12 @@ relative to the branch point u(x):
   * root-coalescence: the discriminant of P vanishes (both roots merge:
     the remaining bubble is absorbed by the finger).
 
-Both conditions are quadratics in u (event_quadratics), so the event levels
-are their closed-form roots, hodograph.real_roots: u = +-v_c and
-u = +-sqrt(6) v_c.  u(x) decreases on each branch of the composite flow, so each level is
-crossed at most once per branch and its abscissa follows by bisection there.
+The conditions g(u) = P(u; u) = (15/8) u^2 + (3/2) t_1 and the discriminant
+-(5/4) u^2 - 6 t_1 vanish at the fold's levels u = +-v_c = +-sqrt(-4 t_1 / 5)
+and u = +-sqrt(6) v_c = +-sqrt(-4.8 t_1), each one square root within an ulp
+of the exact level.  u(x) decreases on each branch of the composite flow, so
+each level is crossed at most once per branch and its abscissa follows by
+bisection there.
 
 The module imports no numpy: finger_samples repeats numpy's linspace, cos and
 polyval on floats, so frames have the same bits on every CPU.
@@ -41,22 +44,27 @@ from itertools import pairwise
 from operator import itemgetter
 
 from .errors import DomainError
-from .hodograph import real_roots
 from .multiscale import CompositeSolution
 from .textio import atomic_open, json_text, write_csv
 
 
-# -- the quintic finger prefactor and its event conditions --------------------
+# -- the quintic finger prefactor ----------------------------------------------
 
 def finger_prefactor(t_1: float, u: float) -> tuple[float, float, float]:
     """P(X; u) = X^2 + (u/2) X + (3/8) u^2 + (3/2) t_1, ascending in X."""
     return (1.5 * t_1 + 0.375 * u**2, 0.5 * u, 1.0)
 
 
-def event_quadratics(t_1: float) -> tuple[list[float], list[float]]:
-    """The event conditions, ascending in u: g(u) = P(u; u) = (15/8) u^2 + (3/2) t_1 and the
-    discriminant of P, (u/2)^2 - 4 ((3/8) u^2 + (3/2) t_1) = -(5/4) u^2 - 6 t_1."""
-    return [1.5 * t_1, 0.0, 1.875], [-6.0 * t_1, 0.0, -1.25]
+def prefactor_roots(c0: float, c1: float) -> list[float]:
+    """Sorted real roots of the monic quadratic X^2 + c1 X + c0, a double root once.
+
+    They are q and c0 / q with q = -(c1 + sign(c1) sqrt(disc)) / 2, which cancels nothing.
+    """
+    disc = c1 * c1 - 4.0 * c0
+    if disc < 0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
+    return sorted({q, c0 / q}) if q else [q]  # q = 0 only at X^2, whose double root it is
 
 
 # -- the finger curve --------------------------------------------------------
@@ -102,16 +110,15 @@ def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
     behaviour there; a sample within 1e-15 max(1, |z|) of a zero z moves onto
     its nearest zero, with Y = 0, so the zeros are hit exactly.
     """
-    poly = finger_prefactor(t_1, u)
+    c0, c1, _ = finger_prefactor(t_1, u)
     hi = max(2.5, u + 1.0)
-    zeros = sorted({u, *(r for r in real_roots(poly) if r >= u)})
+    zeros = sorted({u, *(r for r in prefactor_roots(c0, c1) if r >= u)})
     cuts = [u] + [z for z in zeros if u < z < hi] + [hi]
     segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
     if not segments:
         raise DomainError(f"empty sampling window [u, max(2.5, u + 1)] = [{u!r}, {hi!r}] "
                           f"at the branch point u = {u!r}")
     total = left_sum(b - a for a, b in segments)
-    c0, c1, _ = poly
     samples: list[tuple[float, float]] = []
     for a, b in segments:
         half = (b - a) * 0.5
@@ -159,12 +166,12 @@ _EVENT_PRIORITY = {"cusp": 0, "zero-count-change": 1, "root-coalescence": 2}
 def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list[Event]:
     """Ordered topological events of the composite flow on x_range.
 
-    The event levels are the real_roots of the two event_quadratics in u:
-    g(u) = P(u; u) (a cusp and, as P keeps its degree, a zero-count-change)
-    and the discriminant of the quadratic P (a root-coalescence).  u(x)
-    decreases on each branch of the composite (outer below x_switch, inner
-    above), so one bisection to machine precision carries each level in a
-    branch's u-range to x.  Events
+    The event levels come from the fold: u = -+v_c, where g(u) = P(u; u)
+    vanishes (a cusp and, as P keeps its degree, a zero-count-change), and
+    u = -+sqrt(-4.8 t_1) = -+sqrt(6) v_c, where the discriminant of P
+    vanishes (a root-coalescence).  u(x) decreases on each branch of the
+    composite (outer below x_switch, inner above), so one bisection to
+    machine precision carries each level in a branch's u-range to x.  Events
     are sorted by x, ties in the order cusp, zero-count-change,
     root-coalescence.  Raises DomainError for a NaN end of x_range, and
     when the jump of u at x_switch straddles a level: the glued field has no
@@ -176,9 +183,9 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     hi = min(hi, comp.x_last)
     if not lo < hi:
         return []
-    g, disc = event_quadratics(comp.cp.t_1)
-    levels = [(r, ("cusp", "zero-count-change")) for r in real_roots(g)]
-    levels += [(r, ("root-coalescence",)) for r in real_roots(disc)]
+    v_c, w_c = comp.v_c, math.sqrt(-4.8 * comp.cp.t_1)
+    levels = [(r, ("cusp", "zero-count-change")) for r in (-v_c, v_c)]
+    levels += [(r, ("root-coalescence",)) for r in (-w_c, w_c)]
 
     x_switch = comp.x_switch
     branches = []  # (x_a, x_b, u(x_a), u(x_b), u) with u decreasing on [x_a, x_b]

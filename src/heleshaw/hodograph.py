@@ -19,9 +19,10 @@ needs has a closed form, in floats:
   * find_critical_25: the fold v_c = sqrt(-4 t_1 / 5), x_c = (5/4) v_c^3,
     c = -8 / (15 v_c), as a CriticalPoint (t_1, x_c, v_c, c);
   * closed_u0: the outer branch, the largest real root of the cubic for
-    x <= x_c, by Newton from above on delta^2 (delta + 3 v_c) = (8/5)(x_c - x);
-  * real_roots: the real roots of a polynomial of degree <= 2, the quadratic
-    event levels and curve zeros of heleshaw.geometry.
+    x <= x_c, by Newton from above on delta^2 (delta + 3 v_c) = (8/5)(x_c - x).
+
+The fold also gives heleshaw.geometry its event levels u = +-v_c and
+u = +-sqrt(6) v_c, so no polynomial in u is solved for them.
 
 The general route checks these closed forms independently in the tests
 (tests/branch_solvers.py): the deformation times and the generating
@@ -46,32 +47,6 @@ class CriticalPoint(namedtuple("CriticalPoint", "t_1 x_c v_c c")):
 
     __slots__ = ()
     m = 2  # the order, a class constant: only second-order catastrophes are built
-
-
-# -- real roots in closed form ------------------------------------------------
-
-def real_roots(coeffs: list) -> list[float]:
-    """Sorted real roots of the polynomial `coeffs` (ascending) of degree <= 2, a double root once.
-
-    The pipeline's polynomials in u are the quintic finger's event conditions
-    and curve prefactor, all quadratics; a higher degree is a DomainError
-    that names it.  The quadratic's roots are q / c_2 and c_0 / q with
-    q = -(c_1 + sign(c_1) sqrt(disc)) / 2, which cancels nothing.
-    """
-    cs = [float(c) for c in coeffs]
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    if len(cs) <= 2:
-        return [-cs[0] / cs[1]] if len(cs) == 2 else []
-    if len(cs) > 3:
-        raise DomainError(f"real_roots solves degree 2 at most in closed form, not degree {len(cs) - 1}")
-    c0, c1, c2 = cs
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0:
-        return []
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
-    roots = {q / c2} | ({c0 / q} if q != 0 else {-c1 / (2 * c2)})
-    return sorted(roots)
 
 
 def _fold_root(k, v_c, lib, minimum):

@@ -2,7 +2,8 @@
 
 The package computes the quintic finger's fold (find_critical_25), its
 outer branch (closed_u0), the merging point of the Toda pair
-(find_toda_critical) and quadratic event levels (real_roots) in closed form.
+(find_toda_critical), the event levels and the finger prefactor's roots
+(heleshaw.geometry) in closed form.
 The routines below reach the same numbers the general way: any deformation
 times and the generating coefficients r_k and c_jr of the hodograph
 equation, its polynomial H, the real roots of a polynomial of any degree,
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from heleshaw.errors import DomainError, HeleShawError
-from heleshaw.hodograph import real_roots
 
 
 class DerivativeVanishes(HeleShawError):
@@ -147,6 +147,8 @@ def _piece_root(cs: list, a: float, b: float, pa: float) -> float:
 
     Newton from the midpoint, kept inside the shrinking bracket: a step that
     leaves it, or that does not halve the step before last, bisects instead.
+    The bracket is closed, so a Newton step from the root itself, which rounds
+    to no move where x is already an end of the bracket, ends the search there.
     """
     slope, x = _derivative(cs), 0.5 * a + 0.5 * b
     step = last = b - a
@@ -158,7 +160,7 @@ def _piece_root(cs: list, a: float, b: float, pa: float) -> float:
             a, pa = x, px
         else:
             b = x
-        newton = dpx != 0.0 and a < x - px / dpx < b and abs(2.0 * px) <= abs(last * dpx)
+        newton = dpx != 0.0 and a <= x - px / dpx <= b and abs(2.0 * px) <= abs(last * dpx)
         last, step = step, px / dpx if newton else x - (0.5 * a + 0.5 * b)
         x -= step
         if abs(step) <= 2.0**-50 * abs(x):
@@ -169,10 +171,10 @@ def _piece_root(cs: list, a: float, b: float, pa: float) -> float:
 def general_real_roots(coeffs: list) -> list[float]:
     """Sorted real roots of the polynomial `coeffs` (ascending) of any degree, a multiple root once.
 
-    Degrees 1 and 2 are heleshaw.hodograph.real_roots, the closed forms.  A
-    higher degree is split at the critical points of p (the roots of p',
-    found by this routine) and at the Cauchy bound.  p is monotone on each
-    piece, so a piece holds a root exactly when p changes sign across it:
+    Degree 1 is -c_0 / c_1.  A higher degree is split at the critical points
+    of p (the roots of p', found by this routine) and at the Cauchy bound.
+    p is monotone on each piece, so a piece holds a root exactly when p
+    changes sign across it:
     _piece_root finds it by Newton kept inside its shrinking bracket, with
     bisection as the fallback.  A critical point where |p| is within
     rounding of zero is a multiple root and is listed once, so
@@ -181,8 +183,8 @@ def general_real_roots(coeffs: list) -> list[float]:
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
         cs.pop()
-    if len(cs) <= 3:
-        return real_roots(cs)
+    if len(cs) <= 2:
+        return [-cs[0] / cs[1]] if len(cs) == 2 else []
     mags, crit = [abs(c) for c in cs], general_real_roots(_derivative(cs))
     roots = [c for c in crit if abs(_horner(cs, c)) <= 2.0**-51 * len(cs) * _horner(mags, abs(c))]
     bound = min(1.0 + max(mags[:-1]) / mags[-1], 1.7976931348623157e308)

@@ -39,12 +39,13 @@ GONE = {
     "geometry": (
         "reexpand_curve_series", "oplus_project", "bubble_curve", "finger_curve", "InterfaceFrame",
         "_finger_frame", "_sample_segments", "prefactor_table", "_float_table", "prefactor_at", "CurveSpec",
+        "event_quadratics",
     ),
     "hodograph": (
         "exact_root", "_iroot", "hodograph_poly", "eval_H", "eval_dH", "poly_scale", "_piece_root",
         "branch_root", "solve_branch", "find_critical", "_derivative", "_horner", "bisect", "KdVTimes",
         "quintic_times", "T3_QUINTIC", "r_coeff", "_halfint_rising_coeff", "c_coeff", "left_sum",
-        "_fold_abscissa",
+        "_fold_abscissa", "real_roots",
     ),
     "diffpoly": ("dispersionless_coefficient", "Monomial"),
     "cli": ("build_parser", "_Parser"),
@@ -77,7 +78,7 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
            "build_parser", "_Parser", "ws", "wps", "_fold_abscissa", "OutOfRange", "TooCloseToPole",
            "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative",
-           "blew_up", "xi_reached"}
+           "blew_up", "xi_reached", "real_roots", "event_quadratics"}
 #: the error classes, one per remedy: fix the input, fix the configuration (CLI exit 2), or neither (a solver failed)
 ERROR_CLASSES = ("ConfigError", "DomainError", "HeleShawError")
 

@@ -462,7 +462,7 @@ def test_output_digests_at_default_arguments(tmp_path, capsys):
     assert _sha256((tmp_path / "toda.csv").read_bytes()) == (
         "0867c9f9dc194a764d1d9308bf83e6ead00e08e05a0bd64c0b242b16a625142b")
     assert _sha256((tmp_path / "manifest.json").read_bytes()) == (
-        "3d85b205c12971b041bf533e10f7164043abb8dcd4f667eb18068331f5d7ab92")
+        "e39d4a98ca1317a8eb1bc7940137d0959eb5eb486ea7f729a036ba30e2ece527")
     # composite rows on the inner branch, x >= x_switch = 0.638
     rows = (tmp_path / "composite.csv").read_text().splitlines(keepends=True)[1:]
     inner = "".join(row for row in rows if float(row.split(",")[0]) >= 0.638)

@@ -18,8 +18,8 @@ from branch_solvers import KdVTimes, general_real_roots, quintic_times, r_coeff
 from heleshaw import geometry
 from heleshaw.errors import DomainError
 from heleshaw.cli import frame_abscissas, main
-from heleshaw.geometry import detect_events, emit_frames, event_quadratics, finger_prefactor, finger_samples, left_sum
-from heleshaw.hodograph import closed_u0, real_roots
+from heleshaw.geometry import detect_events, emit_frames, finger_prefactor, finger_samples, left_sum, prefactor_roots
+from heleshaw.hodograph import closed_u0
 from heleshaw import multiscale
 from heleshaw.multiscale import build_composite
 from paper_identities import _float_table, oplus_project, prefactor_at, reexpand_curve_series, table_event_quadratics
@@ -81,17 +81,22 @@ def test_oplus_reexpansion_z_inverse_is_hodograph():
 @settings(max_examples=500, deadline=None)
 @given(t1=st.floats(-1e6, -1e-6), delta=st.floats(-1e3, 1e3))
 def test_closed_prefactor_and_event_quadratics_equal_the_table_bitwise(t1, delta):
-    """finger_prefactor and event_quadratics are, bit for bit, the float prefactor table of the
-    quintic finger's times evaluated at u and the event quadratics built from it.
+    """finger_prefactor is, bit for bit, the float prefactor table of the quintic finger's times
+    evaluated at u, and the event quadratics built from that table vanish at the levels that
+    detect_events reads from the fold, -+v_c and -+sqrt(-4.8 t_1), as the oracle solves them.
 
     u is formed as both branches form it, v_c plus a float: never -0.0 or -5e-324, where the
     table's 0.0 + 0.5 u and 0.5 u would differ in the sign of zero.
     """
-    u = math.sqrt(-4.0 * t1 / 5.0) + delta
+    v_c = math.sqrt(-4.0 * t1 / 5.0)
+    u = v_c + delta
     table = _float_table(quintic_times(t1))
     assert [c.hex() for c in finger_prefactor(t1, u)] == [c.hex() for c in prefactor_at(table, u)]
-    assert [[c.hex() for c in q] for q in event_quadratics(t1)] == [
-        [c.hex() for c in q] for q in table_event_quadratics(table)]
+    g, disc = table_event_quadratics(table)
+    for quadratic, level in ((g, v_c), (disc, math.sqrt(-4.8 * t1))):
+        roots = general_real_roots(quadratic)
+        assert len(roots) == 2
+        assert all(abs(r - e) <= 2.0**-50 * level for r, e in zip(roots, (-level, level)))
 
 
 # -- finger curve ---------------------------------------------------------
@@ -125,7 +130,7 @@ def numpy_finger_samples(t_1, u, n):
     to each zero in turn (a later zero takes over the points of an earlier one), stable argsort."""
     poly = finger_prefactor(t_1, u)
     hi = max(2.5, u + 1.0)
-    zeros = sorted({u, *(r for r in real_roots(poly) if r >= u)})
+    zeros = sorted({u, *(r for r in prefactor_roots(*poly[:2]) if r >= u)})
     cuts = [u] + [z for z in zeros if u < z < hi] + [hi]
     segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
     total = left_sum(b - a for a, b in segments)
@@ -153,7 +158,7 @@ def _zeros_within_two_reaches(t_1, u):
     """Two curve zeros (u, the prefactor roots above it) within two snap reaches 2e-15 max(1, |z|) of each
     other: a root just above u (the cusp onset) or a near-double root (root coalescence).  There the old
     sampler snapped the points of the earlier zero onto the later one, the earlier zero's own included."""
-    zeros = sorted({u, *(r for r in real_roots(finger_prefactor(t_1, u)) if r >= u)})
+    zeros = sorted({u, *(r for r in prefactor_roots(*finger_prefactor(t_1, u)[:2]) if r >= u)})
     return any(b - a <= 2e-15 * max(1.0, abs(a), abs(b)) for a, b in zip(zeros, zeros[1:]))
 
 
@@ -229,7 +234,7 @@ def _distinct_real_roots_40(poly):
 ], ids=str)
 def test_finger_real_zeros_multiple_prefactor_roots(roots):
     # dyadic roots keep the float coefficients exact: each multiple root must be one zero.
-    # real_roots solves degree 2 only; the zeros of a higher-degree prefactor come from the oracle
+    # prefactor_roots solves the monic quadratic only; the zeros of a higher-degree prefactor come from the oracle
     poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
     u = -1.5
     zeros = sorted({u, *(r for r in general_real_roots(poly) if r >= u)})
@@ -240,11 +245,11 @@ def test_finger_real_zeros_multiple_prefactor_roots(roots):
 
 @pytest.mark.parametrize("roots", [(1, 1), (0.5, 0.5), (-0.25, -0.25), (2, -1), (-2, 3)], ids=str)
 def test_finger_real_zeros_quadratic_prefactor(roots):
-    # the zeros that finger_samples inserts: u and the real_roots of its prefactor at or above u.
+    # the zeros that finger_samples inserts: u and the prefactor_roots of its prefactor at or above u.
     # dyadic roots keep the float coefficients exact: a double root is one zero
     poly = tuple(float(c) for c in np.polynomial.polynomial.polyfromroots(roots))
     u = -1.5
-    assert sorted({u, *(r for r in real_roots(poly) if r >= u)}) == sorted({u, *(r for r in roots if r >= u)})
+    assert sorted({u, *(r for r in prefactor_roots(*poly[:2]) if r >= u)}) == sorted({u, *(r for r in roots if r >= u)})
 
 
 # -- the bubble curve's series -----------------------------------------------
@@ -328,6 +333,25 @@ def test_events_at_exact_levels_cusp_first(scenario):
     levels = np.array([1.0, -1.0, math.sqrt(6), -math.sqrt(6)]) * comp.v_c
     for ev in events:
         assert np.min(np.abs(levels - ev.u_value)) < 1e-12
+
+
+def test_event_levels_within_an_ulp_of_the_exact_levels(comp):
+    """Over the frames-sweep range of t_1, every event's u lies within 1 ulp of its exact level,
+    sqrt(-4 t_1 / 5) for a cusp or zero-count-change and sqrt(-24 t_1 / 5) for a root-coalescence,
+    with the event's sign, the exact level computed to 40 digits at the float t_1."""
+    eps, worst, count = 1e-5, 0.0, 0
+    zoom = eps**0.8
+    for t_1 in np.linspace(-1.2, -0.5, 200).tolist():
+        x_c = 1.25 * math.sqrt(-4.0 * t_1 / 5.0) ** 3
+        c = build_composite(t_1=t_1, eps=eps, x_switch=x_c - 20 * zoom, tritronquee=comp.tritronquee)
+        for ev in detect_events(c, (c.x_c - 400 * zoom, c.x_last)):
+            with mpmath.workdps(40):
+                exact = mpmath.sqrt(mpmath.mpf(-24 if ev.kind == "root-coalescence" else -4) * t_1 / 5)
+                level = float(exact)
+                error = float(abs(mpmath.mpf(ev.u_value) - math.copysign(1, ev.u_value) * exact))
+            worst, count = max(worst, error / math.ulp(level)), count + 1
+    assert count == 1000
+    assert worst <= 1.0
 
 
 def test_switch_jump_straddling_a_level_raises(comp, monkeypatch):
