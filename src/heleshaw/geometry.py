@@ -108,16 +108,18 @@ def finger_samples(t_1: float, u: float, n: int) -> list[tuple[float, float]]:
     curve zeros (u and the prefactor roots above it) and each segment is
     sampled cosine-clustered toward both ends, which follows the square-root
     behaviour there; a sample within 1e-15 max(1, |z|) of a zero z moves onto
-    its nearest zero, with Y = 0, so the zeros are hit exactly.
+    its nearest zero, with Y = 0, so the zeros are hit exactly.  A curve not
+    finite on the window (NaN, infinite or overflowing) is refused.
     """
-    c0, c1, _ = finger_prefactor(t_1, u)
     hi = max(2.5, u + 1.0)
+    m = max(abs(u), hi)  # |X| <= m on the window: |Y|, disc P and each partial result are below the bound
+    if not 8.0 * (m * m + abs(t_1)) * math.sqrt(hi - u) < math.inf:  # a NaN fails it too
+        raise DomainError(f"finger curve is not finite on its window at t_1 = {t_1!r}, u = {u!r}")
+    if not u < hi:
+        raise DomainError(f"empty sampling window [u, max(2.5, u + 1)] = [{u!r}, {hi!r}] at the branch point u = {u!r}")
+    c0, c1, _ = finger_prefactor(t_1, u)
     zeros = sorted({u, *(r for r in prefactor_roots(c0, c1) if r >= u)})
-    cuts = [u] + [z for z in zeros if u < z < hi] + [hi]
-    segments = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
-    if not segments:
-        raise DomainError(f"empty sampling window [u, max(2.5, u + 1)] = [{u!r}, {hi!r}] "
-                          f"at the branch point u = {u!r}")
+    segments = list(pairwise([u] + [z for z in zeros if u < z < hi] + [hi]))
     total = left_sum(b - a for a, b in segments)
     samples: list[tuple[float, float]] = []
     for a, b in segments:
@@ -223,9 +225,7 @@ def emit_frames(comp: CompositeSolution, abscissas, outdir, n: int = 400, events
     if events is None and abscissas:
         events = detect_events(comp, (min(abscissas), max(abscissas)))
     events = events or []
-    # the branch data of all frames come first, so an abscissa out of range writes no file
-    comp.check_below_x_star(max(abscissas, default=-math.inf))  # named as eval_many names it: the largest
-    us = [comp.eval(x) for x in abscissas]
+    us = [comp.eval(x) for x in abscissas]  # first, so an abscissa out of range writes no file
     manifest: dict = {"frames": [], "events": [ev.to_json() for ev in events]}
     for index, (x, u) in enumerate(zip(abscissas, us)):
         samples = finger_samples(comp.cp.t_1, u, n)

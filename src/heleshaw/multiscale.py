@@ -23,8 +23,8 @@ u1 ~ sqrt(c x~) (x~ -> -infinity) onto the tritronquee decay W ~ -sqrt(xi/6)
 consequence of A = (4/3) d2H/dv2 at the critical point and holds exactly.
 
 The composite solution glues the outer hodograph branch to the rescaled
-inner tritronquee at a switch abscissa and is valid up to x*, the image of
-the first negative pole xi*:  x* = x_c + eps~^2 beta xi*.
+inner tritronquee at a switch abscissa and holds up to one pole guard short
+of x*, the image of the first negative pole xi*:  x* = x_c + eps~^2 beta xi*.
 
 The general route (the reduced ODE for any deformation times, the P-I
 rescaling of any A > 0) and the exact identities of the reduction (the
@@ -58,17 +58,19 @@ class ScalingMapKdV:
 class CompositeSolution:
     """Outer hodograph branch glued to the rescaled inner tritronquee.
 
-    Valid for x < x_star = x_c + zoom_beta xi*, the image of the first tritronquee pole, with
-    zoom_beta = eps~^2 beta; x_last = x_c + zoom_beta xi_last, the image of the tritronquee's xi_last,
-    is the last abscissa served by default, clamped below x* where it rounds onto x* (eps < ~1e-21).
-    The three are computed once, at construction.  The outer branch is used below x_switch, the
-    inner one above; for inner abscissas that map beyond the integrated window (xi > xi0) the
-    seeding series continues the tritronquee, which keeps the matching window fully evaluable.
-    alpha and beta are the P-I rescaling u1 = alpha W, x~ = beta xi.
+    The outer branch is used below x_switch (not NaN), the inner one above, for exactly the x whose
+    xi = (x - x_c)/zoom_beta, zoom_beta = eps~^2 beta, the tritronquee serves: a finite xi one POLE_GUARD
+    or more above the pole xi*.  Its image x_star = x_c + zoom_beta xi* is reported, not tested; x_last,
+    the image of xi_last, is the last abscissa served by default, clamped below x* where it rounds onto
+    x* (eps < ~1e-21).  Both are computed once.  Above xi0 the seeding series continues the tritronquee,
+    which keeps the matching window fully evaluable.  alpha and beta are the P-I rescaling u1 = alpha W,
+    x~ = beta xi.
     """
 
     def __init__(self, cp: CriticalPoint, scaling: ScalingMapKdV, alpha: float, beta: float,
                  tritronquee: TritronqueeSolution, x_switch: float):
+        if math.isnan(x_switch):
+            raise DomainError(f"x_switch = {x_switch} is not a number")
         self.cp, self.scaling, self.alpha, self.beta = cp, scaling, alpha, beta
         self.tritronquee, self.x_switch = tritronquee, x_switch
         self.zoom_beta = scaling.zoom * beta
@@ -83,29 +85,18 @@ class CompositeSolution:
     def x_c(self) -> float:
         return self.cp.x_c
 
-    def check_below_x_star(self, top) -> None:
-        """Refuse the largest abscissa `top` of a request at or beyond x*, or one that is not a number."""
-        if not top < self.x_star:
-            raise DomainError(f"x={top} is not a number" if math.isnan(top) else
-                              f"x = {top} is at or beyond x* = {self.x_star}")
-
     def xi_of_x(self, x):
         return (x - self.x_c) / self.zoom_beta
 
     def inner_u(self, x):
         """v_c + eps~ alpha W(xi(x)): the inner approximation at physical x, a float or an array.
 
-        Far below x_c, where xi overflows, it is refused, naming the lowest x."""
-        scalar = isinstance(x, (int, float))
-        if not scalar:
-            import numpy as np
-            x = np.asarray(x, dtype=float)
-        self.check_below_x_star(x if scalar else x.max(initial=-math.inf))
-        # xi decreases with x, so it overflows at the lowest x first (x_c, xi = 0, when none is below it)
-        low = x if scalar else float(x.min(initial=self.x_c))
-        if math.isinf(self.xi_of_x(low)):
-            raise DomainError(f"inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = {low!r}")
-        w, _ = self.tritronquee.eval_extended(self.xi_of_x(x))
+        An x whose xi the tritronquee does not serve is refused by x: the first of an array."""
+        xi, bad = self.tritronquee.served_image(self.xi_of_x, x)
+        if bad is not None:
+            raise DomainError(f"x = {bad} is outside the inner branch, which starts where (x - x_c)/(eps~^2 beta) "
+                              f"is finite and ends a pole guard short of x* = {self.x_star}")
+        w, _ = self.tritronquee.eval_extended(xi)
         return self.v_c + self.scaling.eps_tilde * self.alpha * w
 
     def outer_u(self, x):
@@ -115,14 +106,12 @@ class CompositeSolution:
     def eval(self, x: float) -> float:
         """u at one abscissa, on floats: bit for bit the eval_many value."""
         x = float(x)
-        self.check_below_x_star(x)
         return self.outer_u(x) if x < self.x_switch else self.inner_u(x)
 
     def eval_many(self, xs):
-        """Outer branch below x_switch, inner branch on [x_switch, x_star)."""
+        """Outer branch below x_switch, inner branch from x_switch on."""
         import numpy as np
         xs = np.asarray(xs, dtype=float)
-        self.check_below_x_star(xs.max(initial=-math.inf))
         out = np.empty_like(xs)
         lo = xs < self.x_switch
         if lo.any():
@@ -154,8 +143,8 @@ def overlap_report(comp: CompositeSolution, interval: tuple[float, float], n: in
     """Max absolute and relative deviation |outer - inner| on a uniform grid."""
     import numpy as np
     a, b = interval
-    if not a < b:
-        raise DomainError("empty overlap interval")
+    if not -math.inf < a < b < math.inf:  # a NaN fails it too
+        raise DomainError(f"overlap interval [{a}, {b}] is empty or not finite")
     xs = np.linspace(a, b, n)
     outer = comp.outer_u(xs)
     inner = comp.inner_u(xs)

@@ -161,11 +161,23 @@ class TritronqueeSolution:
 
     def _check_range(self, lo, hi):
         """Refuse [lo, hi] unless it lies in [pole + POLE_GUARD, xi0], naming the pole when lo is near it."""
-        if not (self.pole + POLE_GUARD <= lo and hi <= self.xi0 * (1 + 1e-15) + 1e-15):  # NaN fails
+        if not (self.pole + POLE_GUARD <= lo and hi <= self.xi0):  # NaN fails
             raise DomainError(f"xi={hi} is not a number" if math.isnan(hi) else
                               f"xi within {POLE_GUARD} of the pole {self.pole:.6g}"
                               if abs(lo - self.pole) < POLE_GUARD else
                               f"xi outside covered range [{self.pole + POLE_GUARD:.6g}, {self.xi0:.6g}]")
+
+    def served_image(self, xi_of, arg):
+        """(xi, refused): xi = xi_of(arg) for `arg`, a float or an array in a caller's own variable, and the first
+        value of `arg` whose xi eval_extended refuses (NaN, +-inf, or below pole + POLE_GUARD), or None."""
+        if isinstance(arg, (int, float)):
+            xi = xi_of(arg)
+            return xi, None if self.pole + POLE_GUARD <= xi < math.inf else arg  # a NaN fails it too
+        import numpy as np
+        with np.errstate(over="ignore"):  # an xi that overflows is inf, and refused
+            xi = xi_of(arg := np.asarray(arg, dtype=float))
+        served = (self.pole + POLE_GUARD <= xi) & (xi < math.inf)
+        return xi, None if served.all() else arg[~served][0]
 
     def _at(self, xi: float):
         """(W, W') at one abscissa from the Taylor step whose span holds it: _dense on floats."""

@@ -98,9 +98,9 @@ class TodaInner:
     `a` is the similarity-ODE forcing constant 2 u_c^2 / (3 t_3); the P-I
     change of variables is W = -a^(-2/5) V2, xi = -a^(1/5) t~.  u_c, a, its
     powers a_fifth = a^(1/5) and a_two_fifths = a^(2/5), eps~ = eps^(1/5),
-    t_tilde_pole = -xi*/a^(1/5), the image of the first tritronquee pole that
-    ends the regularized window, and t_tilde_last = -xi_last/a^(1/5), the last
-    t~ served by default, are computed once, at construction.
+    t_tilde_pole = -xi*/a^(1/5), the image of the first tritronquee pole, a
+    reported value, and t_tilde_last = -xi_last/a^(1/5), the last t~ served
+    by default, are computed once, at construction.
     eps must lie in (0, inf).
     """
 
@@ -135,15 +135,13 @@ def build_toda_inner(t_3: float, x_c: float, eps: float,
 def toda_inner_V2(t_tilde, inner: TodaInner):
     """Leading correction V2(t~) = -a^(2/5) W(-a^(1/5) t~) at a float or an ndarray t~.
 
-    A NaN or infinite t~, and the largest t~ at or beyond t~_pole, are refused by their own name,
-    before the tritronquee would name xi."""
-    lo, hi = ((t_tilde, t_tilde) if isinstance(t_tilde, (int, float))
-              else (t_tilde.min(initial=math.inf), t_tilde.max(initial=-math.inf)))
-    if not (-math.inf < lo and hi < math.inf):  # a NaN fails it too
-        raise DomainError(f"t~ = {lo if not lo > -math.inf else hi} is not a finite number")
-    if not hi < inner.t_tilde_pole:
-        raise DomainError(f"t~ = {hi} is at or beyond t~_pole = {inner.t_tilde_pole}")
-    w, _ = inner.tritronquee.eval_extended(inner.xi_of_ttilde(t_tilde))
+    It serves exactly the t~ whose xi the tritronquee serves, which ends one pole guard short of t~_pole;
+    any other t~ (NaN, +-inf, or one whose xi overflows) is refused by t~: the first of an array."""
+    xi, bad = inner.tritronquee.served_image(inner.xi_of_ttilde, t_tilde)
+    if bad is not None:
+        raise DomainError(f"t~ = {bad} is outside the regularized window, which starts where a^(1/5) t~ is finite "
+                          f"and ends a pole guard short of t~_pole = {inner.t_tilde_pole}")
+    w, _ = inner.tritronquee.eval_extended(xi)
     return -inner.a_two_fifths * w
 
 

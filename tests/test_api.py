@@ -17,7 +17,8 @@ import heleshaw
 from heleshaw.errors import DomainError
 from heleshaw.geometry import detect_events
 from heleshaw.multiscale import build_composite
-from heleshaw.painleve import asymptotic_series, integrate_tritronquee
+from heleshaw.hodograph import find_critical_25
+from heleshaw.painleve import POLE_GUARD, asymptotic_series, integrate_tritronquee
 from heleshaw.toda import build_toda_inner, toda_composite
 
 ORACLES = (paper_identities, branch_solvers)
@@ -55,7 +56,7 @@ GONE_METHODS = {
     ("multiscale", "LeadingODE"): ("canonical_m2",),
     ("hodograph", "CriticalPoint"): ("residuals", "times_c"),
     ("diffpoly", "Monomial"): ("of", "is_constant", "max_order", "orders", "weight", "times"),
-    ("multiscale", "CompositeSolution"): ("eps", "ode", "reduction"),
+    ("multiscale", "CompositeSolution"): ("eps", "ode", "reduction", "check_below_x_star"),
     ("diffpoly", "DiffPoly"): ("is_zero", "dispersionless_part", "constant_part", "homogeneous_weight", "eval",
                                "zero", "monomial", "coeff"),
     ("hodograph", "KdVTimes"): ("with_x",),
@@ -78,7 +79,7 @@ DELETED = {"find_first_negative_pole", "NoPoleInRange", "UnsupportedOrder", "ove
            "real_zeros", "samples", "Monomial", "orders", "weight", "times", "zero", "monomial", "coeff",
            "build_parser", "_Parser", "ws", "wps", "_fold_abscissa", "OutOfRange", "TooCloseToPole",
            "SeedUnreliable", "StepSizeUnderflow", "CertificationFailed", "NoConvergence", "NotExactDerivative",
-           "blew_up", "xi_reached", "real_roots", "event_quadratics"}
+           "blew_up", "xi_reached", "real_roots", "event_quadratics", "check_below_x_star"}
 #: the error classes, one per remedy: fix the input, fix the configuration (CLI exit 2), or neither (a solver failed)
 ERROR_CLASSES = ("ConfigError", "DomainError", "HeleShawError")
 
@@ -147,8 +148,8 @@ NON_FINITE = [
     ("tritronquee.eval_extended", np.array([0.0, INF]), "xi = inf"),
     ("asymptotic_series", NAN, "xi = nan"), ("asymptotic_series", INF, "xi = inf"),
     ("asymptotic_series", np.array([20.0, NAN]), "xi = nan"), ("asymptotic_series", np.array([20.0, INF]), "xi = inf"),
-    ("composite.eval", NAN, "x=nan"), ("composite.eval_many", np.array([0.6, NAN]), "x=nan"),
-    ("composite.inner_u", NAN, "x=nan"), ("composite.inner_u", np.array([0.6, NAN]), "x=nan"),
+    ("composite.eval", NAN, "x = nan"), ("composite.eval_many", np.array([0.6, NAN]), "x = nan"),
+    ("composite.inner_u", NAN, "x = nan"), ("composite.inner_u", np.array([0.6, NAN]), "x = nan"),
     ("composite.inner_u", -1e308, "x = -1e+308"), ("composite.inner_u", np.array([0.6, -1e308]), "x = -1e+308"),
     ("toda_composite", NAN, "t~ = nan"), ("toda_composite", -INF, "t~ = -inf"), ("toda_composite", INF, "t~ = inf"),
     ("toda_composite", np.array([0.0, NAN]), "t~ = nan"), ("toda_composite", np.array([0.0, -INF]), "t~ = -inf"),
@@ -174,3 +175,47 @@ def test_non_finite_abscissas_are_refused_by_value(entry, x, named):
                "detect_events": lambda window: detect_events(comp, window)}
     with pytest.raises(DomainError, match=re.escape(named)):
         entries[entry](x)
+
+
+def _refusal(call) -> str:
+    """The message of the DomainError that call() raises."""
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3], ids=str)
+@pytest.mark.parametrize("t1", [-0.5, -0.8, -1.2])
+def test_composite_refuses_the_guard_band_by_x(t1, eps):
+    """Between the last abscissa the tritronquee serves, xi = pole + POLE_GUARD, and the pole image x*, an
+    abscissa is refused by x with x*, never by xi, on floats and ndarrays; x_last is still served."""
+    x_c = find_critical_25(t1).x_c
+    comp = build_composite(t_1=t1, eps=eps, x_switch=x_c - 20 * eps**0.8, tritronquee=integrate_tritronquee())
+    x_band = comp.x_c + comp.zoom_beta * (comp.tritronquee.pole + 0.5 * POLE_GUARD)
+    assert comp.x_last < x_band < comp.x_star
+    assert comp.tritronquee.pole < comp.xi_of_x(x_band) < comp.tritronquee.pole + POLE_GUARD
+    for x in (x_band, comp.x_star, comp.x_star + (comp.x_star - comp.x_c)):
+        xs = np.array([comp.x_switch, comp.x_last, x])
+        messages = [_refusal(lambda: comp.eval(x)), _refusal(lambda: comp.inner_u(x)),
+                    _refusal(lambda: comp.eval_many(xs)), _refusal(lambda: comp.inner_u(xs))]
+        assert all(f"x = {x} " in m and f"x* = {comp.x_star}" in m and "xi" not in m for m in messages), messages
+    assert math.isfinite(comp.eval(comp.x_last)) and math.isfinite(comp.inner_u(comp.x_last))
+    assert np.isfinite(comp.eval_many([comp.x_switch, comp.x_last])).all()
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-5, 1e-3], ids=str)
+@pytest.mark.parametrize("t3, x_c", [(1.0, 1.0), (1e6, 1.0), (0.5, -1.0)], ids=str)
+def test_toda_refuses_the_guard_band_by_t_tilde(t3, x_c, eps):
+    """The Toda flow's twin: t~ between the tritronquee's last served abscissa and t~_pole is refused by t~
+    with t~_pole, on floats and ndarrays; t~_last is still served."""
+    inner = build_toda_inner(t3, x_c, eps, tritronquee=integrate_tritronquee())
+    t_band = -(inner.tritronquee.pole + 0.5 * POLE_GUARD) / inner.a_fifth
+    assert inner.t_tilde_last < t_band < inner.t_tilde_pole
+    assert inner.tritronquee.pole < inner.xi_of_ttilde(t_band) < inner.tritronquee.pole + POLE_GUARD
+    for t in (t_band, inner.t_tilde_pole, 2 * inner.t_tilde_pole):
+        messages = [_refusal(lambda: toda_composite(t, inner)),
+                    _refusal(lambda: toda_composite(np.array([0.0, inner.t_tilde_last, t]), inner))]
+        assert all(f"t~ = {t} " in m and f"t~_pole = {inner.t_tilde_pole}" in m and "xi" not in m
+                   for m in messages), messages
+    for t in (inner.t_tilde_last, np.array([0.0, inner.t_tilde_last])):
+        assert all(np.isfinite(field).all() for field in toda_composite(t, inner))

@@ -638,8 +638,10 @@ def test_trace_far_field_is_finite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("composite", "--to", "0.7"), "error: x = 0.7 is at or beyond x* = 0.640238416876957"),
-    (("toda", "--to", "5"), "error: t~ = 5.0 is at or beyond t~_pole = 3.2832862407268553"),
+    (("composite", "--to", "0.7"), "error: x = 0.7 is outside the inner branch, which starts where (x - x_c)/"
+                                   "(eps~^2 beta) is finite and ends a pole guard short of x* = 0.640238416876957"),
+    (("toda", "--to", "5"), "error: t~ = 5.0 is outside the regularized window, which starts where a^(1/5) t~ is "
+                            "finite and ends a pole guard short of t~_pole = 3.2832862407268553"),
     (("trace", "--to", "0.65"), "error: x=0.65 beyond the catastrophe point x_c=0.6400000000000001: branch folded"),
 ], ids=" ".join)
 def test_window_beyond_the_solution_is_refused_at_its_end(tmp_path, capsys, argv, message):
@@ -647,6 +649,17 @@ def test_window_beyond_the_solution_is_refused_at_its_end(tmp_path, capsys, argv
     first grid row past the solution, and no file is written."""
     code, out, err = run(capsys, "--outdir", str(tmp_path), *argv)
     assert (code, out, err.splitlines()) == (1, "", [message])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("composite", "--to", "0.64023835"), ("frames", "--to", "0.6402384"),
+                                  ("toda", "--to", "3.2832")], ids=" ".join)
+def test_window_ending_in_the_pole_guard_is_refused_by_its_own_variable(tmp_path, capsys, argv):
+    """An end below x* (t~_pole) but within the image of the tritronquee's pole guard is refused in one line
+    by the window's own variable, never by xi, and no file is written."""
+    code, out, err = run(capsys, "--outdir", str(tmp_path), *argv)
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert f"error: {'t~' if argv[0] == 'toda' else 'x'} = {argv[-1]} " in err and "xi" not in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -805,7 +818,8 @@ def test_match_far_below_the_fold_exit_1_without_a_warning(tmp_path, capsys):
     # xi = (x - x_c) / (eps~^2 beta) overflows to inf at x = -1e308: the inner branch refuses it by name
     code, out, err = run(capsys, "--outdir", str(tmp_path), "match", "--from=-1e308", "--to=-6")
     assert (code, out) == (1, "")
-    assert err == "error: inner variable xi = (x - x_c)/(eps~^2 beta) overflows at x = -1e+308\n"
+    assert err == ("error: x = -1e+308 is outside the inner branch, which starts where (x - x_c)/(eps~^2 beta) "
+                   "is finite and ends a pole guard short of x* = 0.640238416876957\n")
 
 
 def test_match_keeps_a_nan_overlap_nan(tmp_path, capsys, monkeypatch):

@@ -209,6 +209,15 @@ def test_finger_empty_window_domain_error():
         finger_samples(-0.8, 1e17, 400)
 
 
+@pytest.mark.parametrize("t1, u", [(-0.8, 1e200), (-0.8, -1e200), (-0.8, -math.inf), (-0.8, math.nan),
+                                   (math.nan, 1.0), (-math.inf, 1.0), (-1e308, 1.0)], ids=str)
+def test_finger_curve_off_the_floats_is_refused_by_name(t1, u):
+    """A NaN or infinite t_1 or u, or a curve whose values overflow, is a DomainError naming both, not an
+    OverflowError, a ValueError from round, or samples that are NaN or infinite."""
+    with pytest.raises(DomainError, match=re.escape(f"is not finite on its window at t_1 = {t1!r}, u = {u!r}")):
+        finger_samples(t1, u, 10)
+
+
 def test_finger_exact_zero_insertion():
     u = 0.7
     zero_xs = [x for x, y in finger_samples(-0.8, u, 400) if y == 0.0]
@@ -401,7 +410,9 @@ def test_emit_frames_reference_endpoints(comp, events, tmp_path):
 
 
 def test_emit_frames_beyond_domain(comp, tmp_path):
-    with pytest.raises(DomainError, match=re.escape(f"x = 0.65 is at or beyond x* = {comp.x_star}")):
+    with pytest.raises(DomainError, match=re.escape(f"x = 0.65 is outside the inner branch, which starts where "
+                                                    f"(x - x_c)/(eps~^2 beta) is finite and ends a pole guard "
+                                                    f"short of x* = {comp.x_star}")):
         emit_frames(comp, [0.65], tmp_path, n=50, events=[])
 
 

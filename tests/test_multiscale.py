@@ -121,6 +121,11 @@ def test_closed_reduction_equals_the_general_route_bitwise(comp, t1, eps):
 
 # -- composite solution ------------------------------------------------------
 
+#: the refusal of an abscissa that the inner branch does not serve, between "x = <x> " and x*
+INNER_END = ("is outside the inner branch, which starts where (x - x_c)/(eps~^2 beta) is finite and ends a pole guard "
+             "short of x* = ")
+
+
 def test_inner_at_critical_point(comp):
     w0, _ = comp.tritronquee.eval(0.0)
     expected = comp.v_c + comp.scaling.eps_tilde * comp.alpha * w0
@@ -130,7 +135,7 @@ def test_inner_at_critical_point(comp):
 def test_inner_u_takes_a_sequence(comp):
     xs = [0.638, comp.x_c, 0.6401]
     assert comp.inner_u(xs).tolist() == [comp.inner_u(x) for x in xs]
-    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} is at or beyond x* = {comp.x_star}")):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} {INNER_END}{comp.x_star}")):
         comp.inner_u([0.6401, comp.x_star])
 
 
@@ -161,9 +166,9 @@ def test_scaling_refuses_eps_outside_the_positive_floats(eps):
 
 
 def test_composite_out_of_range(comp):
-    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star + 1e-6} is at or beyond x* = {comp.x_star}")):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star + 1e-6} {INNER_END}{comp.x_star}")):
         comp.eval(comp.x_star + 1e-6)
-    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} is at or beyond x* = {comp.x_star}")):
+    with pytest.raises(DomainError, match=re.escape(f"x = {comp.x_star} {INNER_END}{comp.x_star}")):
         comp.eval(comp.x_star)
 
 
@@ -239,6 +244,20 @@ def test_overlap_error_reference_window(comp):
 
 def test_overlap_error_scalar_api(comp):
     assert overlap_report(comp, (0.6365, 0.6395), 301)["max_abs_err"] < 5e-4
+
+
+@pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan], ids=str)
+def test_overlap_report_refuses_a_non_finite_end_by_name(comp, end):
+    """Named before numpy's linspace would warn of an infinite span."""
+    for a, b in ((end, 0.6395), (0.6365, end)):
+        with pytest.raises(DomainError, match=re.escape(f"overlap interval [{a}, {b}] is empty or not finite")):
+            overlap_report(comp, (a, b))
+
+
+def test_composite_refuses_a_nan_switch(comp):
+    """A NaN x_switch would send every abscissa to the inner branch and hide every outer event."""
+    with pytest.raises(DomainError, match=r"^x_switch = nan is not a number$"):
+        build_composite(x_switch=math.nan, tritronquee=comp.tritronquee)
 
 
 def test_overlap_error_shrinks_with_eps():

@@ -265,6 +265,16 @@ def test_eval_many_names_its_lowest_abscissa(sol):
         sol.eval_many(np.array([-5.0, sol.pole + 5e-4, 0.0]))
 
 
+def test_covered_range_ends_at_xi0_exactly(sol):
+    """eval serves xi0 and refuses the next float above it, which eval_extended takes to the series."""
+    lo, above = sol.pole + painleve.POLE_GUARD, math.nextafter(sol.xi0, math.inf)
+    assert sol.eval(sol.xi0) == sol._at(sol.xi0)
+    for refuse in (sol.eval, lambda xi: sol.eval_many(np.array([0.0, xi]))):
+        with pytest.raises(DomainError, match=re.escape(f"xi outside covered range [{lo:.6g}, 30]")):
+            refuse(above)
+    assert sol.eval_extended(above) == asymptotic_series(above)
+
+
 def test_lowest_served_abscissa_is_one_guard_above_the_pole(sol):
     lo = sol.pole + painleve.POLE_GUARD
     assert sol.eval(lo) == tuple(a[0] for a in sol.eval_many(np.array([lo])))
