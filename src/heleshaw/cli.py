@@ -365,7 +365,7 @@ def _cmd_match(opts) -> int:
     comp = build_composite(t_1=opts["t1"], eps=opts["eps"], tol=opts["tol"])
     a, b, n = opts["x_from"], opts["x_to"], opts["n"]
     if not a < b:
-        raise DomainError("empty overlap interval")
+        raise ConfigError(f"overlap window from {a} to {b} is empty")
     # overlap_report on floats, bit for bit; outer first and from the end: a window past x_c is refused at its end
     xs = grid(a, b, n)
     outer = [comp.outer_u(x) for x in reversed(xs)][::-1]
@@ -383,7 +383,7 @@ def _cmd_composite(opts) -> int:
                            tol=opts["tol"], xi0=opts["xi0"])
     x_to = comp.x_last if opts["x_to"] is None else opts["x_to"]
     return _write_table(opts, "composite.csv", "x,u", grid(opts["x_from"], x_to, opts["n"]),
-                        lambda x: (comp.eval(x),), eps=opts["eps"], x_switch=opts["switch"], x_star=comp.x_star)
+                        lambda x: (comp.eval(x),), eps=opts["eps"], x_switch=comp.x_switch, x_star=comp.x_star)
 
 
 def _cmd_frames(opts) -> int:

@@ -181,7 +181,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     """
     lo, hi = float(x_range[0]), float(x_range[1])
     if math.isnan(lo) or math.isnan(hi):
-        raise DomainError(f"x={lo if math.isnan(lo) else hi} is not a number")
+        raise DomainError(f"x = {lo if math.isnan(lo) else hi} is not a number")
     hi = min(hi, comp.x_last)
     if not lo < hi:
         return []
@@ -192,7 +192,7 @@ def detect_events(comp: CompositeSolution, x_range: tuple[float, float]) -> list
     x_switch = comp.x_switch
     branches = []  # (x_a, x_b, u(x_a), u(x_b), u) with u decreasing on [x_a, x_b]
     if lo < x_switch:
-        b = min(hi, x_switch)
+        b = min(hi, x_switch, comp.x_c)
         branches.append((lo, b, comp.outer_u(lo), comp.outer_u(b), comp.outer_u))
     if hi > x_switch:
         a = max(lo, x_switch)

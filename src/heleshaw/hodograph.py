@@ -97,8 +97,8 @@ def closed_u0(x, t_1):
         import numpy as np
     top = x if scalar else np.max(x, initial=-math.inf)
     if not top <= x_c:
-        raise DomainError(f"x={top} is not a number" if math.isnan(top)
-                          else f"x={top} beyond the catastrophe point x_c={x_c}: branch folded")
+        raise DomainError(f"x = {top} is not a number" if math.isnan(top)
+                          else f"x = {top} beyond the catastrophe point x_c = {x_c}: branch folded")
     if scalar:
         d = _fold_root(1.6 * (x_c - float(x)), v_c, math, min)
     else:

@@ -58,7 +58,8 @@ class ScalingMapKdV:
 class CompositeSolution:
     """Outer hodograph branch glued to the rescaled inner tritronquee.
 
-    The outer branch is used below x_switch (not NaN), the inner one above, for exactly the x whose
+    The outer branch is used below x_switch (not NaN; one beyond x_c is lowered to the float above x_c,
+    so the outer branch ends at its fold), the inner one above, for exactly the x whose
     xi = (x - x_c)/zoom_beta, zoom_beta = eps~^2 beta, the tritronquee serves: a finite xi one POLE_GUARD
     or more above the pole xi*.  Its image x_star = x_c + zoom_beta xi* is reported, not tested; x_last,
     the image of xi_last, is the last abscissa served by default, clamped below x* where it rounds onto
@@ -72,7 +73,7 @@ class CompositeSolution:
         if math.isnan(x_switch):
             raise DomainError(f"x_switch = {x_switch} is not a number")
         self.cp, self.scaling, self.alpha, self.beta = cp, scaling, alpha, beta
-        self.tritronquee, self.x_switch = tritronquee, x_switch
+        self.tritronquee, self.x_switch = tritronquee, min(x_switch, math.nextafter(cp.x_c, math.inf))
         self.zoom_beta = scaling.zoom * beta
         self.x_star = cp.x_c + self.zoom_beta * tritronquee.pole
         self.x_last = min(cp.x_c + self.zoom_beta * tritronquee.xi_last, math.nextafter(self.x_star, -math.inf))

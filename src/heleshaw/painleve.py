@@ -162,7 +162,7 @@ class TritronqueeSolution:
     def _check_range(self, lo, hi):
         """Refuse [lo, hi] unless it lies in [pole + POLE_GUARD, xi0], naming the pole when lo is near it."""
         if not (self.pole + POLE_GUARD <= lo and hi <= self.xi0):  # NaN fails
-            raise DomainError(f"xi={hi} is not a number" if math.isnan(hi) else
+            raise DomainError(f"xi = {hi} is not a number" if math.isnan(hi) else
                               f"xi within {POLE_GUARD} of the pole {self.pole:.6g}"
                               if abs(lo - self.pole) < POLE_GUARD else
                               f"xi outside covered range [{self.pole + POLE_GUARD:.6g}, {self.xi0:.6g}]")

@@ -142,9 +142,9 @@ NAN, INF = math.nan, math.inf
 #: (entry point, abscissa, what its refusal names): each entry point with a float and with an ndarray,
 #: detect_events with a window whose one end is NaN
 NON_FINITE = [
-    ("tritronquee.eval", NAN, "xi=nan"), ("tritronquee.eval_many", np.array([0.0, NAN]), "xi=nan"),
-    ("tritronquee.eval_extended", NAN, "xi=nan"), ("tritronquee.eval_extended", INF, "xi = inf"),
-    ("tritronquee.eval_extended", np.array([0.0, NAN]), "xi=nan"),
+    ("tritronquee.eval", NAN, "xi = nan"), ("tritronquee.eval_many", np.array([0.0, NAN]), "xi = nan"),
+    ("tritronquee.eval_extended", NAN, "xi = nan"), ("tritronquee.eval_extended", INF, "xi = inf"),
+    ("tritronquee.eval_extended", np.array([0.0, NAN]), "xi = nan"),
     ("tritronquee.eval_extended", np.array([0.0, INF]), "xi = inf"),
     ("asymptotic_series", NAN, "xi = nan"), ("asymptotic_series", INF, "xi = inf"),
     ("asymptotic_series", np.array([20.0, NAN]), "xi = nan"), ("asymptotic_series", np.array([20.0, INF]), "xi = inf"),
@@ -154,7 +154,7 @@ NON_FINITE = [
     ("toda_composite", NAN, "t~ = nan"), ("toda_composite", -INF, "t~ = -inf"), ("toda_composite", INF, "t~ = inf"),
     ("toda_composite", np.array([0.0, NAN]), "t~ = nan"), ("toda_composite", np.array([0.0, -INF]), "t~ = -inf"),
     ("toda_composite", np.array([0.0, INF]), "t~ = inf"),
-    ("detect_events", (NAN, 0.64), "x=nan"), ("detect_events", (0.6, NAN), "x=nan"),
+    ("detect_events", (NAN, 0.64), "x = nan"), ("detect_events", (0.6, NAN), "x = nan"),
 ]
 
 

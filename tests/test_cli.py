@@ -24,6 +24,12 @@ from heleshaw.cli import (_COMMANDS, FRAMES_X_TO, OPTIONS, clean_path, frame_abs
 from heleshaw.errors import ConfigError, DomainError
 
 
+@pytest.fixture(scope="module")
+def np():
+    """numpy, for the tests that compare with the array functions; the rest of this file runs without it."""
+    return pytest.importorskip("numpy", exc_type=ImportError)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -317,6 +323,7 @@ def test_match_headline_numbers(tmp_path, capsys):
        ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
        n=st.integers(1, 2000))
 @example(t1=-0.8, eps=1e-5, ends=[0.0, 1e-3], n=1)
+@pytest.mark.usefixtures("np")
 def test_match_report_equals_overlap_report(tmp_path_factory, t1, eps, ends, n):
     """match computes on floats what multiscale.overlap_report computes on arrays, bit for bit, on any
     window below x_c (ends in units of x_c, measured down from it)."""
@@ -642,7 +649,7 @@ def test_trace_far_field_is_finite(tmp_path, capsys):
                                    "(eps~^2 beta) is finite and ends a pole guard short of x* = 0.640238416876957"),
     (("toda", "--to", "5"), "error: t~ = 5.0 is outside the regularized window, which starts where a^(1/5) t~ is "
                             "finite and ends a pole guard short of t~_pole = 3.2832862407268553"),
-    (("trace", "--to", "0.65"), "error: x=0.65 beyond the catastrophe point x_c=0.6400000000000001: branch folded"),
+    (("trace", "--to", "0.65"), "error: x = 0.65 beyond the catastrophe point x_c = 0.6400000000000001: branch folded"),
 ], ids=" ".join)
 def test_window_beyond_the_solution_is_refused_at_its_end(tmp_path, capsys, argv, message):
     """The end rows are computed before the file opens: the refusal names the window's end, not the
@@ -650,6 +657,33 @@ def test_window_beyond_the_solution_is_refused_at_its_end(tmp_path, capsys, argv
     code, out, err = run(capsys, "--outdir", str(tmp_path), *argv)
     assert (code, out, err.splitlines()) == (1, "", [message])
     assert not list(tmp_path.iterdir())
+
+
+def test_composite_switch_beyond_x_c_reports_the_switch_it_used(tmp_path, capsys):
+    """A switch beyond x_c is lowered to the float above it: every row above x_c is the inner branch's, and
+    the summary reports that switch."""
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "composite", "--switch", "0.7")
+    assert (code, err) == (0, "")
+    comp = multiscale.build_composite(x_switch=0.7)
+    assert json.loads(out)["x_switch"] == comp.x_switch == math.nextafter(comp.x_c, 1.0)
+    rows = [tuple(map(float, row.split(","))) for row in (tmp_path / "composite.csv").read_text().splitlines()[1:]]
+    above = [(x, u) for x, u in rows if x > comp.x_c]
+    assert above and above == [(x, comp.inner_u(x)) for x, _ in above]
+
+
+def test_frames_switch_beyond_x_c_is_refused_by_the_switch(tmp_path, capsys):
+    """Across x_c the outer branch ends at v_c, an event level, and the inner one starts above it: one line
+    naming x_switch, not the outer branch's fold, and no file."""
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "frames", "--switch", "0.7")
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert "x_switch = " in err and "catastrophe point" not in err, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("ends", [("0.7", "0.6"), ("0.6", "0.6")], ids=" to ".join)
+def test_match_empty_window_is_a_config_error_naming_both_ends(tmp_path, capsys, ends):
+    code, out, err = run(capsys, "--outdir", str(tmp_path), "match", "--from", ends[0], "--to", ends[1])
+    assert (code, out, err) == (2, "", f"config error: overlap window from {ends[0]} to {ends[1]} is empty\n")
 
 
 @pytest.mark.parametrize("argv", [("composite", "--to", "0.64023835"), ("frames", "--to", "0.6402384"),
@@ -842,9 +876,7 @@ _FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_in
 @example(start=0.0, stop=5e-324, n=7)  # the step underflows to 0
 @example(start=-1e308, stop=1e308, n=5)  # the span overflows: refused, where numpy gives nan rows
 @example(start=0.58, stop=0.6399, n=1)
-def test_grid_matches_numpy_linspace(start, stop, n):
-    import numpy as np
-
+def test_grid_matches_numpy_linspace(np, start, stop, n):
     if not math.isfinite(stop - start):
         with pytest.raises(DomainError, match=r"too wide: its span overflows$"):
             grid(start, stop, n)
@@ -855,11 +887,9 @@ def test_grid_matches_numpy_linspace(start, stop, n):
         assert [x.hex() for x in xs] == [x.hex() for x in np.linspace(start, stop, n).tolist()]
 
 
-def test_tables_at_a_bulk_row_count_match_the_array_functions(tmp_path, capsys):
+def test_tables_at_a_bulk_row_count_match_the_array_functions(np, tmp_path, capsys):
     """At 20001 rows, each table the CLI computes point by point on floats is the file that the
     layers' array functions give on np.linspace: dense-eval's path and the CLI's write the same bits."""
-    import numpy as np
-
     from heleshaw.hodograph import closed_u0
     from heleshaw.multiscale import build_composite
     from heleshaw.textio import write_csv
@@ -924,112 +954,49 @@ print(json.dumps({"x": [[v.hex() for v in frame_abscissas(*w)] for w in windows]
     assert runs[0] == runs[1]
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    """Importing the package or the CLI loads no numpy, scipy or layer module;
-    `gd` and `critical` each load only their own layer, without numpy; `frames`
-    loads no numpy, no scipy and not the merging branch (heleshaw.toda); and in a fresh
-    interpreter `critical` and `trace` load only the hodograph layer, and
-    `painleve`, `composite`, `toda`, `match` and `frames` load no exact number
-    type (fractions, decimal)."""
-    src = str(Path(heleshaw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = """
-import contextlib, io, json, sys
-def loaded():
-    return sorted(m for m in sys.modules
-                  if m.split('.')[0] in ('heleshaw', 'numpy', 'scipy', 'fractions', 'decimal'))
-stages = []
-import heleshaw
-stages.append(loaded())
-from heleshaw.cli import main
-stages.append(loaded())
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
-    stages.append(loaded())
-print(json.dumps(stages))
-"""
+#: standard-library and third-party modules a cold run need not pay for: the array and scientific stacks,
+#: the parser, paths, annotations, exact numbers
+COLD_PATH_FREE = ("numpy", "scipy", "argparse", "pathlib", "typing", "re", "fractions", "decimal")
 
-    def stages(*argvs):
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True,
-                             text=True, check=True)
-        return json.loads(out.stdout)
+_CLI = ("heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio")
+_COMPOSITE = (*_CLI, "heleshaw.hodograph", "heleshaw.multiscale", "heleshaw.painleve")
 
-    cli = ["heleshaw", "heleshaw.cli", "heleshaw.errors", "heleshaw.textio"]
-    *cold, frames = [[m for m in stage if m.split(".")[0] in ("heleshaw", "numpy", "scipy")]
-                     for stage in stages(["gd", "--n", "3"], ["critical"], ["--outdir", str(tmp_path), "frames"])]
-    assert cold == [
-        ["heleshaw"],
-        cli,
-        sorted([*cli, "heleshaw.diffpoly"]),
-        sorted([*cli, "heleshaw.diffpoly", "heleshaw.hodograph"]),
-    ]
-    layers = [m for m in frames if m.split(".")[0] == "heleshaw"]
-    assert layers == sorted([*cli, "heleshaw.diffpoly", "heleshaw.geometry", "heleshaw.hodograph",
-                             "heleshaw.multiscale", "heleshaw.painleve"])
-    assert not [m for m in frames if m.split(".")[0] in ("numpy", "scipy")]
-    assert stages(["critical"], ["--outdir", str(tmp_path), "trace"]) == [
-        ["heleshaw"],
-        cli,
-        sorted([*cli, "heleshaw.hodograph"]),
-        sorted([*cli, "heleshaw.hodograph"]),
-    ]
-    floats = stages(*(["--outdir", str(tmp_path), sub] for sub in ("painleve", "composite", "toda", "match", "frames")))
-    assert [[m for m in stage if m in ("fractions", "decimal")] for stage in floats] == [[]] * 7
+#: what a fresh interpreter runs -> the exact heleshaw modules it loads: the package loads no layer, the CLI
+#: adds only its own modules, and each subcommand at its defaults adds only the layers it uses
+COLD_PATH_MODULES = {
+    "import heleshaw": ("heleshaw",),
+    "import heleshaw.cli": _CLI,
+    "gd --n 12": (*_CLI, "heleshaw.diffpoly"),
+    "gd --n 12 --format json": (*_CLI, "heleshaw.diffpoly"),
+    "critical": (*_CLI, "heleshaw.hodograph"),
+    "trace": (*_CLI, "heleshaw.hodograph"),
+    "painleve": (*_CLI, "heleshaw.painleve"),
+    "match": _COMPOSITE,
+    "composite": _COMPOSITE,
+    "frames": (*_COMPOSITE, "heleshaw.geometry"),
+    "toda": (*_CLI, "heleshaw.hodograph", "heleshaw.painleve", "heleshaw.toda"),
+}
 
 
-def test_float_path_subcommands_load_no_numpy(tmp_path):
-    """Each of the 8 subcommands at its defaults runs without numpy, in a fresh interpreter of its own."""
-    src = str(Path(heleshaw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = f"""
-import contextlib, io, sys
-from heleshaw.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(['--outdir', {str(tmp_path)!r}, *sys.argv[1:]]) == 0
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
-"""
-    loaded = {sub: subprocess.run([sys.executable, "-c", code, *sub.split()], env=env, capture_output=True,
-                                  text=True, check=True).stdout.strip()
-              for sub in ("gd --n 12", "critical", "trace", "painleve", "match", "composite", "frames", "toda")}
-    assert loaded == dict.fromkeys(loaded, "[]")
-
-
-#: standard-library modules a cold run need not pay for: the parser, paths, annotations, exact numbers
-COLD_PATH_FREE = ("argparse", "pathlib", "typing", "re", "fractions", "decimal")
-
-
-def test_subcommands_under_python_S_load_no_parser_path_or_exact_number_module(tmp_path):
-    """In a fresh `python -S` interpreter, which imports nothing for site, each of the 8 subcommands
-    (and gd's JSON) loads none of argparse, pathlib, typing, re, fractions or decimal."""
-    src = str(Path(heleshaw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+@pytest.mark.parametrize("child", COLD_PATH_MODULES)
+def test_cold_path_loads_only_its_own_layers(tmp_path, child):
+    """In a fresh `python -S` interpreter, which reads no site-packages (so numpy cannot load even where it
+    is installed), the package, the CLI and each subcommand load exactly their own heleshaw modules and
+    none of COLD_PATH_FREE."""
     code = f"""
 import sys
-from heleshaw.cli import main
-out, sys.stdout = sys.stdout, open({os.devnull!r}, "w")
-assert main(['--outdir', {str(tmp_path)!r}, *sys.argv[1:]]) == 0
-print(sorted(m for m in sys.modules if m.split('.')[0] in {COLD_PATH_FREE!r}), file=out)
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+else:
+    from heleshaw.cli import main
+    out, sys.stdout = sys.stdout, open({os.devnull!r}, "w")
+    assert main(["--outdir", {str(tmp_path)!r}, *sys.argv[1:]]) == 0
+    sys.stdout = out
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("heleshaw", *{COLD_PATH_FREE!r})))
 """
-    loaded = {sub: subprocess.run([sys.executable, "-S", "-c", code, *sub.split()], env=env, capture_output=True,
-                                  text=True, check=True).stdout.strip()
-              for sub in ("gd --n 12", "gd --n 12 --format json", "critical", "trace", "painleve", "match",
-                          "composite", "frames", "toda")}
-    assert loaded == dict.fromkeys(loaded, "[]")
-
-
-def test_numerical_subcommands_load_no_numpy_ma(tmp_path):
-    """numpy.ma costs about 20 ms to import; no subcommand needs it."""
-    src = str(Path(heleshaw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = f"""
-import contextlib, io, sys
-from heleshaw.cli import main
-for sub in ('painleve', 'match', 'composite', 'frames', 'toda'):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(['--outdir', {str(tmp_path)!r}, sub]) == 0
-    print(sub, 'numpy.ma' in sys.modules)
-"""
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["painleve", "False", "match", "False", "composite", "False",
-                                  "frames", "False", "toda", "False"]
+    env = {**os.environ, "PYTHONPATH": str(Path(heleshaw.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-S", "-c", code, *child.split()], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = out.stdout.split()
+    assert [m for m in loaded if m.split(".")[0] != "heleshaw"] == []
+    assert loaded == sorted(COLD_PATH_MODULES[child])

@@ -180,7 +180,7 @@ def test_closed_u0_refuses_an_overflowing_k(x):
 
 @pytest.mark.parametrize("x", [math.nan, np.array([0.5, np.nan])], ids=["float", "array"])
 def test_closed_u0_refuses_a_nan_abscissa(x):
-    with pytest.raises(DomainError, match=r"^x=nan is not a number$"):
+    with pytest.raises(DomainError, match=r"^x = nan is not a number$"):
         closed_u0(x, -0.8)
 
 

@@ -254,6 +254,17 @@ def test_overlap_report_refuses_a_non_finite_end_by_name(comp, end):
             overlap_report(comp, (a, b))
 
 
+def test_switch_beyond_x_c_hands_every_x_above_x_c_to_the_inner_branch(comp):
+    """The outer branch ends at its fold: a switch beyond x_c is lowered to the float above x_c, so eval and
+    eval_many give inner_u at every x above x_c and outer_u up to x_c itself."""
+    for x_switch in (math.nextafter(comp.x_c, 1.0), 0.6402, 0.7, math.inf):
+        c = build_composite(x_switch=x_switch, tritronquee=comp.tritronquee)
+        assert c.x_switch == math.nextafter(c.x_c, math.inf)
+        above = [math.nextafter(c.x_c, 1.0), 0.6401, c.x_last]
+        for xs, branch in (([0.6, 0.638, c.x_c], c.outer_u), (above, c.inner_u)):
+            assert [c.eval(x) for x in xs] == c.eval_many(np.array(xs)).tolist() == [branch(x) for x in xs]
+
+
 def test_composite_refuses_a_nan_switch(comp):
     """A NaN x_switch would send every abscissa to the inner branch and hide every outer event."""
     with pytest.raises(DomainError, match=r"^x_switch = nan is not a number$"):
